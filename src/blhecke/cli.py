@@ -440,6 +440,8 @@ def main(argv=None) -> int:
             if not args.config:
                 raise ConfigError("missing --config (or BLHECKE_CONFIG)")
             cfg = load_config(args.config)
+            if handler is not cmd_validate:  # validate reports violations itself
+                validate_system(cfg.system, cfg.params)
             if args.bound_coroot:
                 cfg.bounds["coroot_height"] = int(args.bound_coroot)
             if args.bound_length:

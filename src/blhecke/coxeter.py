@@ -1,18 +1,25 @@
 """Weyl group elements with canonical reduced words, Bruhat order, inversions.
 
-Elements carry the exact integer matrix of their action on Y-coordinates
-(the identity of record: the representation is faithful because the simple
-coroots are independent) together with the inverse matrix; the canonical
-ShortLex reduced word is recovered from the matrices by greedy left descents.
+The identity of record of an element w is its exact integer matrix on the
+coroot lattice Q^vee, in simple-coroot coordinates (column j is
+w(alpha_j^vee)), stored with the matrix of w^{-1}.  Column j of the simple
+reflection r_i is `reflect_coroot(i, alpha_j^vee)`, read off the Kac-Moody
+matrix.  The representation is faithful: if w(alpha_i^vee) > 0 for every i
+then l(w) = 0, so w = 1 (Kac, Infinite-Dimensional Lie Algebras, 3.11-3.13,
+applied to the dual datum, whose real roots are the coroots).  Descents are
+sign tests on one column, the canonical ShortLex reduced word comes from
+greedy left descents, and the action on Y, needed only to twist exponents
+and characters, is built lazily from that word.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 
 from .errors import IncompatibleData, NotARealCoroot
-from .rootdata import Coroot, IntVec, RootGeneratingSystem, coroot_orbit_witness
+from .rootdata import Coroot, IntVec, RootGeneratingSystem, root_of_coroot
 
 Mat = tuple[IntVec, ...]
 
@@ -22,21 +29,30 @@ def _identity(n: int) -> Mat:
 
 
 def _mat_mul(a: Mat, b: Mat) -> Mat:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(tuple(sum(ra[k] * cb[k] for k in range(n)) for cb in bt) for ra in a)
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in bt) for ra in a)
 
 
 def _mat_vec(a: Mat, v) -> IntVec:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
+def _negative_columns(mat: Mat) -> frozenset[int]:
+    # every column is a real coroot, hence all >= 0 or all <= 0
+    return frozenset(j for j, col in enumerate(zip(*mat)) if min(col) < 0)
 
 
 @dataclass(frozen=True, eq=False)
 class WeylElement:
-    """Group element as a pair of mutually inverse integer matrices on Y.
+    """Group element as a pair of mutually inverse integer matrices on the
+    coroot lattice Q^vee, in simple-coroot coordinates.  The matrix `mat` is
+    the identity of record (equality, hashing, interning): the action on
+    Q^vee is faithful, since an element sending every simple coroot to a
+    positive coroot has length 0 (Kac, 3.11-3.13, for the dual datum).
 
     Elements are interned per group, so equal elements are normally the same
-    object and per-element caches (word, descents) are computed once.
+    object and per-element caches (word, descents, inversions, Y-action) are
+    computed once.
     """
 
     system: RootGeneratingSystem
@@ -64,15 +80,20 @@ class WeylElement:
     @cached_property
     def word(self) -> tuple[int, ...]:
         """Canonical ShortLex-minimal reduced word (greedy smallest left descent)."""
-        group = self.group
+        a = self.system.matrix.entries
+        n = self.system.n
+        cols = [list(c) for c in zip(*self.inv)]  # cols[j] = u^{-1}(alpha_j^vee)
         word: list[int] = []
-        u_inv = self.inv  # matrix of the running inverse
-        ident = group._ident_mat
-        while u_inv != ident:
-            i = _smallest_negative_column(group, u_inv)
+        while True:
+            i = next((j for j in range(n) if min(cols[j]) < 0), None)
+            if i is None:
+                return tuple(word)
             word.append(i)
-            u_inv = _mat_mul(u_inv, group._simple_mats[i])
-        return tuple(word)
+            # u -> r_i u, so u^{-1} -> u^{-1} r_i: column j loses a[j][i] times column i
+            ci = cols[i]
+            for j in range(n):
+                if a[j][i]:
+                    cols[j] = [x - a[j][i] * y for x, y in zip(cols[j], ci)]
 
     @property
     def length(self) -> int:
@@ -80,19 +101,45 @@ class WeylElement:
 
     @cached_property
     def is_identity(self) -> bool:
-        return self.inv == self.group._ident_mat
+        return self.mat == self.group.identity.mat
 
     @cached_property
     def right_descents(self) -> frozenset[int]:
         """Indices i with l(w s_i) < l(w), i.e. w . alpha_i^vee negative."""
-        return self.group._negative_coroot_images(self.mat)
+        return _negative_columns(self.mat)
 
     @cached_property
     def left_descents(self) -> frozenset[int]:
-        return self.group._negative_coroot_images(self.inv)
+        return _negative_columns(self.inv)
+
+    @cached_property
+    def inversions(self) -> tuple[Coroot, ...]:
+        """N(w), sorted: built along the word by N(u r_i) = r_i N(u) + {alpha_i^vee}."""
+        sys = self.system
+        out: list[Coroot] = []
+        for i in self.word:
+            out = [sys.reflect_coroot(i, c) for c in out]
+            out.append(sys.simple_coroot(i))
+        return tuple(sorted(out, key=lambda c: c.sort_key))
+
+    @cached_property
+    def y_mat(self) -> Mat:
+        """Matrix of the action on Y-coordinates, reflected along the word."""
+        sys = self.system
+        cols = []
+        for j in range(sys.rank):
+            v = tuple(int(j == k) for k in range(sys.rank))
+            for i in reversed(self.word):
+                v = sys.reflect(i, v)
+            cols.append(v)
+        return tuple(zip(*cols))
+
+    @cached_property
+    def y_inv(self) -> Mat:
+        return self.inverse().y_mat
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
-        if self.system != other.system:
+        if self.system is not other.system and self.system != other.system:
             raise IncompatibleData("elements of different Weyl groups")
         return self.group.intern(_mat_mul(self.mat, other.mat), _mat_mul(other.inv, self.inv))
 
@@ -101,14 +148,10 @@ class WeylElement:
 
     def apply(self, v) -> IntVec:
         """Action on a Y-coordinate vector."""
-        return _mat_vec(self.mat, v)
+        return _mat_vec(self.y_mat, v)
 
     def apply_coroot(self, coroot: Coroot) -> Coroot:
-        y = self.apply(self.system.coroot_to_y(coroot.coords))
-        coords = self.system.y_to_coroot(y)
-        if coords is None:
-            raise NotARealCoroot(f"image of {coroot} left the coroot lattice")
-        return Coroot(coords)
+        return Coroot(_mat_vec(self.mat, coroot.coords))
 
     @property
     def sort_key(self):
@@ -118,14 +161,6 @@ class WeylElement:
         if not self.word:
             return "e"
         return "*".join(f"s{i + 1}" for i in self.word)
-
-
-def _smallest_negative_column(group: "WeylGroup", u_inv: Mat) -> int:
-    for i in range(group.system.n):
-        coords = group._coroot_image(u_inv, i)
-        if coords is not None and all(c <= 0 for c in coords):
-            return i
-    raise AssertionError("non-identity element with no left descent")
 
 
 class WeylGroup:
@@ -143,18 +178,16 @@ class WeylGroup:
 
     def _init(self, system: RootGeneratingSystem) -> None:
         self.system = system
-        r = system.rank
-        self._ident_mat = _identity(r)
-        mats = []
-        for i in range(system.n):
-            cols = [system.reflect(i, tuple(int(j == k) for k in range(r))) for j in range(r)]
-            # cols[j] is the image of basis vector e_j; store as row-major matrix
-            mats.append(tuple(tuple(cols[j][a] for j in range(r)) for a in range(r)))
-        self._simple_mats = mats
-        self._coroot_ys = [system.coroot_to_y(system.simple_coroot(i).coords) for i in range(system.n)]
+        n = system.n
         self._elements: dict[Mat, WeylElement] = {}
-        self.identity = self.intern(self._ident_mat, self._ident_mat)
-        self._simples = tuple(self.intern(m, m) for m in mats)
+        ident = _identity(n)
+        self.identity = self.intern(ident, ident)
+        simples = []
+        for i in range(n):
+            cols = [system.reflect_coroot(i, system.simple_coroot(j)).coords for j in range(n)]
+            mat = tuple(zip(*cols))
+            simples.append(self.intern(mat, mat))
+        self._simples = tuple(simples)
 
     def intern(self, mat: Mat, inv: Mat) -> WeylElement:
         el = self._elements.get(mat)
@@ -162,17 +195,6 @@ class WeylGroup:
             el = WeylElement(self.system, mat, inv)
             self._elements[mat] = el
         return el
-
-    def _coroot_image(self, mat: Mat, i: int) -> IntVec | None:
-        return self.system.y_to_coroot(_mat_vec(mat, self._coroot_ys[i]))
-
-    def _negative_coroot_images(self, mat: Mat) -> frozenset[int]:
-        out = []
-        for i in range(self.system.n):
-            coords = self._coroot_image(mat, i)
-            if coords is not None and all(c <= 0 for c in coords):
-                out.append(i)
-        return frozenset(out)
 
     def simple(self, i: int) -> WeylElement:
         return self._simples[i]
@@ -182,17 +204,6 @@ class WeylGroup:
         for i in word:
             out = out * self._simples[i]
         return out
-
-    def element(self, mat: Mat, inv: Mat) -> WeylElement:
-        return self.intern(mat, inv)
-
-
-def multiply(u: WeylElement, v: WeylElement) -> WeylElement:
-    return u * v
-
-
-def length(w: WeylElement) -> int:
-    return w.length
 
 
 def has_right_descent(w: WeylElement, i: int) -> bool:
@@ -225,25 +236,19 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
 
 def inversion_coroots(w: WeylElement) -> tuple[Coroot, ...]:
     """N(w) = set of positive coroots sent negative by w; |N(w)| = l(w)."""
-    sys = w.system
-    group = WeylGroup(sys)
-    word = w.word
-    out = []
-    suffix = group.identity
-    for j in range(len(word) - 1, -1, -1):
-        out.append(suffix.apply_coroot(sys.simple_coroot(word[j])))
-        suffix = suffix * group.simple(word[j])
-    return tuple(sorted(out, key=lambda c: c.sort_key))
+    return w.inversions
 
 
 def reflection_from_coroot(sys: RootGeneratingSystem, coroot: Coroot) -> WeylElement:
-    """The reflection r_{alpha^vee} attached to a positive real coroot."""
-    if not coroot.positive:
-        raise NotARealCoroot(f"{coroot} is not positive")
-    word, i = coroot_orbit_witness(sys, coroot)
-    group = WeylGroup(sys)
-    w = group.from_word(word)
-    return w * group.simple(i) * w.inverse()
+    """The reflection r_{alpha^vee} attached to a positive real coroot: on the
+    coroot lattice, r(gamma) = gamma - alpha(gamma) alpha^vee."""
+    root = root_of_coroot(sys, coroot)
+    cols = []
+    for j, row in enumerate(sys.matrix.entries):
+        pairing = sum(map(mul, root, row))  # alpha(alpha_j^vee)
+        cols.append(tuple(int(k == j) - pairing * c for k, c in enumerate(coroot.coords)))
+    mat = tuple(zip(*cols))
+    return WeylGroup(sys).intern(mat, mat)
 
 
 def coroot_of_reflection(r: WeylElement) -> Coroot:
@@ -252,11 +257,6 @@ def coroot_of_reflection(r: WeylElement) -> Coroot:
         if r.apply_coroot(c) == -c:
             return c
     raise NotARealCoroot(f"{r!r} is not a reflection")
-
-
-def orbit_simple_index(sys: RootGeneratingSystem, coroot: Coroot) -> int:
-    """Index i with coroot in the Weyl orbit of alpha_i^vee."""
-    return coroot_orbit_witness(sys, coroot.abs())[1]
 
 
 def enumerate_ball(sys: RootGeneratingSystem, max_length: int) -> tuple[WeylElement, ...]:

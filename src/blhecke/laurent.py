@@ -307,9 +307,6 @@ class RationalElt:
             return NotImplemented
         return RationalElt(self.num * other.num, self.den + other.den)
 
-    def mul_poly(self, p: LaurentPoly) -> "RationalElt":
-        return RationalElt(self.num * p, self.den)
-
     def scale(self, c: Scalar) -> "RationalElt":
         if is_zero(as_scalar(c)):
             return RationalElt(LaurentPoly.zero(self.rank))
@@ -331,17 +328,17 @@ class RationalElt:
         return left == right
 
     def __hash__(self):
-        # hash the reduced numerator support only; cheap and consistent enough
-        return hash((self.rank, len(self.den), self.num.key()))
+        # equal elements have equal values wherever both denominators are
+        # nonzero, so hash the value at one fixed generic character
+        point = Character(tuple(Fraction(101 + 2 * k) for k in range(self.rank)))
+        if any(is_zero(point.of_factor(f)) for f in self.den):
+            return hash(self.rank)
+        return hash((self.rank, scalar_key(evaluate(point, self))))
 
     def key(self):
         return (self.num.key(), tuple(f.sort_key for f in self.den))
 
     # -- structure ----------------------------------------------------------
-    def reduce(self) -> "RationalElt":
-        """Already-reduced representative (construction reduces eagerly)."""
-        return self
-
     def is_polynomial(self) -> LaurentPoly | None:
         if not self.den:
             return self.num
@@ -424,7 +421,7 @@ class Character:
 
     def twist(self, w: WeylElement) -> "Character":
         """(w . tau)(lambda) = tau(w^{-1} lambda)."""
-        cols = tuple(zip(*w.inv))  # column j = w^{-1}(e_j)
+        cols = tuple(zip(*w.y_inv))  # column j = w^{-1}(e_j)
         return Character(tuple(self.of_vector(col) for col in cols))
 
     def __repr__(self):
@@ -446,6 +443,3 @@ def evaluate(tau: Character, x: RationalElt) -> Scalar:
         out = out * scalar_inv(v)
     return out
 
-
-def is_polynomial(x: RationalElt) -> LaurentPoly | None:
-    return x.is_polynomial()

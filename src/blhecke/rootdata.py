@@ -154,7 +154,10 @@ class RootGeneratingSystem:
         return linalg.mat_mul(inv, st)
 
     def y_to_coroot(self, yvec) -> IntVec | None:
-        """Simple-coroot coordinates of a Y-vector, or None if outside the span."""
+        """Simple-coroot coordinates of a Y-vector, or None if outside the span.
+
+        The Weyl group works in coroot coordinates and never calls this;
+        bench/tracing.py still wraps it by name."""
         coords = linalg.mat_vec(self._coroot_projector, [Fraction(x) for x in yvec])
         if any(c.denominator != 1 for c in coords):
             return None
@@ -361,6 +364,17 @@ def coroot_orbit_witness(sys: RootGeneratingSystem, coroot: Coroot) -> tuple[lis
             raise NotARealCoroot(f"{coroot} admits no height descent; not a real coroot")
         word.append(step[0])
         cur = step[1]
+
+
+def root_of_coroot(sys: RootGeneratingSystem, coroot: Coroot) -> IntVec:
+    """Simple-root coordinates of the real root alpha paired with a positive
+    real coroot alpha^vee = w(alpha_c^vee): alpha = w(alpha_c), reflected
+    along the orbit witness word by r_j(beta) = beta - beta(alpha_j^vee) alpha_j."""
+    word, c = coroot_orbit_witness(sys, coroot)
+    root = [int(k == c) for k in range(sys.n)]
+    for j in reversed(word):
+        root[j] -= sum(x * a for x, a in zip(root, sys.matrix.entries[j]))
+    return tuple(root)
 
 
 CONE_POSITIVE = "InPositiveCone"

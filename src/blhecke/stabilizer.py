@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .coxeter import (
     WeylElement,
-    WeylGroup,
     coroot_of_reflection,
     enumerate_ball,
     inversion_coroots,
@@ -27,7 +26,7 @@ from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
 from .linalg import cone_contains
-from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots
+from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots, root_of_coroot
 from .scalars import Scalar, is_positive_real, is_zero, sign_real
 from .scalars import inv as scalar_inv
 
@@ -197,16 +196,6 @@ class TauStabilizer:
             raise WordNotReduced(f"leading coefficient of K~[{w!r}] is not the tracked normalizer")
         return inv
 
-    def k_tilde_from_word(self, reflections) -> HeckeElt:
-        """K~ product along an explicitly supplied reduced word (validated)."""
-        refs = list(reflections)
-        prod = self.algebra.group.identity
-        for r in refs:
-            prod = prod * r
-        if self.ell_tau(prod) != len(refs):
-            raise WordNotReduced("supplied word is not reduced in the reflection subgroup")
-        return self.algebra.k_tilde_word(refs)
-
     def tau_reduced_words(self, w: WeylElement, coroot_bound: int) -> list[tuple[WeylElement, ...]]:
         """All reduced words of w over the bounded canonical generator set."""
         if w.is_identity:
@@ -287,14 +276,9 @@ def s_tau_matrix(algebra: HeckeAlgebra, sigma_tau: tuple[Coroot, ...]) -> KacMoo
 
 def _reflection_root(algebra: HeckeAlgebra, coroot: Coroot):
     """Root coordinates (dual basis) of the reflection at a positive coroot."""
-    from .rootdata import coroot_orbit_witness
-
     sys = algebra.system
-    word, i = coroot_orbit_witness(sys, coroot.abs())
-    w = WeylGroup(sys).from_word(word)
-    # (w . alpha_i)(v) = alpha_i(w^{-1} v): coordinates transform by inv transposed
-    root = sys.simple_roots[i]
-    return tuple(sum(root[a] * w.inv[a][b] for a in range(sys.rank)) for b in range(sys.rank))
+    root = root_of_coroot(sys, coroot.abs())
+    return tuple(sum(x * r[b] for x, r in zip(root, sys.simple_roots)) for b in range(sys.rank))
 
 
 def sigma_tau_minimal_direct(stab: TauStabilizer, coroot_bound: int) -> tuple[Coroot, ...]:

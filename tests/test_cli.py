@@ -51,6 +51,23 @@ def test_validate_parameter_violation(tmp_path, capsys):
     assert "ParameterConstraintViolation" in report.out or "conjugate" in report.err
 
 
+@pytest.mark.parametrize("command", ["kato", "analyze-tau"])
+def test_invalid_config_rejected_before_computing(tmp_path, capsys, command):
+    bad = dict(A2, parameters={"sigma": ["2", "3"]})
+    path = write_config(tmp_path, bad)
+    assert main([command, "--config", path]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert "conjugate" in report.err
+
+
+def test_invalid_explicit_datum_rejected(tmp_path, capsys):
+    bad = dict(A1_ADJOINT, datum={"matrix": [[2]], "rank": 1, "simple_roots": [[3]], "simple_coroots": [[1]]})
+    path = write_config(tmp_path, bad)
+    assert main(["kato", "--config", path]) == 2
+    assert "alpha_0(alpha_0^vee) = 3" in capsys.readouterr().err
+
+
 def test_kato_reducible_with_expect(tmp_path, capsys):
     path = write_config(tmp_path, A1_ADJOINT)
     assert main(["kato", "--config", path]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from blhecke import (
     Coroot,
+    RootGeneratingSystem,
     all_reduced_words,
     bruhat_leq,
     coroot_of_reflection,
@@ -11,9 +12,11 @@ from blhecke import (
     enumerate_coroots,
     inversion_coroots,
     reflection_from_coroot,
+    standard_system,
 )
 from blhecke.coxeter import WeylGroup, bruhat_lower_closure, has_right_descent
 from blhecke.errors import NotARealCoroot
+from blhecke.rootdata import coroot_orbit_witness, root_of_coroot
 
 
 def test_multiply_examples(a2):
@@ -167,3 +170,66 @@ def test_lower_closure(a2):
     g = WeylGroup(a2)
     closed = bruhat_lower_closure([g.from_word([0, 1])])
     assert {w.word for w in closed} == {(), (0,), (1,), (0, 1)}
+
+
+_L37 = [[2, -2, -2, -2], [-2, 2, -2, -2], [-2, -2, 2, -3], [-2, -2, -3, 2]]
+_AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+# (datum, number of elements of length <= 4)
+_BALLS = {
+    "affine A2": (standard_system(_AFFINE_A2), 31),
+    "affine C2": (standard_system([[2, -1, 0], [-2, 2, -2], [0, -1, 2]]), 28),
+    "hyperbolic": (standard_system([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]), 36),
+    "Lemma 3.7": (
+        RootGeneratingSystem.make(
+            _L37, 4, [list(r) for r in zip(*_L37)], [[int(i == j) for j in range(4)] for i in range(4)]
+        ),
+        161,
+    ),
+    # affine A2 over a Y whose simple coroots are not basis vectors
+    "sheared affine A2": (
+        RootGeneratingSystem.make(
+            _AFFINE_A2, 4, [[0, 2, -3, 2], [0, -1, 3, -4], [1, -2, 1, 1]], [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+        ),
+        31,
+    ),
+}
+
+
+def _is_identity_product(a, b):
+    prod = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    return all(v == int(i == j) for i, row in enumerate(prod) for j, v in enumerate(row))
+
+
+@pytest.mark.parametrize("name", sorted(_BALLS))
+def test_coroot_matrices_agree_with_y_action(name):
+    sys, size = _BALLS[name]
+    sys.validate()
+    group = WeylGroup(sys)
+    ball = enumerate_ball(sys, 4)
+    assert len(ball) == size
+    assert len({w.mat for w in ball}) == size
+    height = max((c.height for w in ball for c in inversion_coroots(w)), default=1)
+    positives = [c for c in enumerate_coroots(sys, height) if c.positive]
+    simple = [sys.simple_coroot(i) for i in range(sys.n)]
+    for w in ball:
+        for c in simple:
+            assert sys.coroot_to_y(w.apply_coroot(c).coords) == w.apply(sys.coroot_to_y(c.coords))
+        invs = inversion_coroots(w)
+        assert len(invs) == w.length
+        assert set(invs) == {b for b in positives if not w.apply_coroot(b).positive}
+        assert group.from_word(w.word) is w
+        inv = w.inverse()
+        assert inv.mat == w.inv and inv.inverse() is w
+        assert _is_identity_product(w.mat, w.inv)
+        assert _is_identity_product(w.y_mat, inv.y_mat)
+
+
+def test_reflection_matrix_reads_root_pairing(affine_a2, b2):
+    for sys in (affine_a2, b2):
+        for c in enumerate_coroots(sys, 6):
+            if c.positive:
+                root = root_of_coroot(sys, c)
+                assert sum(r * sys.root_pairing_coroot(k, c) for k, r in enumerate(root)) == 2
+                word, i = coroot_orbit_witness(sys, c)
+                w = WeylGroup(sys).from_word(word)
+                assert reflection_from_coroot(sys, c) is w * WeylGroup(sys).simple(i) * w.inverse()

@@ -74,6 +74,17 @@ def test_reduce_preserves_value():
         assert x == RationalElt(num)
 
 
+def test_equal_values_hash_equal():
+    # 1/(1 - Z) == (1 + Z + Z^2)/(1 - Z^3), stored over different factors
+    a = RationalElt(LaurentPoly.one(1), [BinomialFactor.make(1, (1,))])
+    b = RationalElt(LaurentPoly(1, {(0,): 1, (1,): 1, (2,): 1}), [BinomialFactor.make(1, (3,))])
+    assert a.den != b.den and a == b
+    assert len({a, b}) == 1
+    # a factor vanishing at the hashing point still hashes
+    c = RationalElt(LaurentPoly.one(1), [BinomialFactor.make(Fraction(1, 101), (1,))])
+    assert c == c and len({c, a}) == 2
+
+
 def test_divide_binomial_multidirection():
     # (1 - 5 Z^(1,1)) divides its product with anything
     f = BinomialFactor.make(Fraction(5), (1, 1))
