@@ -69,12 +69,6 @@ class HeckeAlgebra:
     def T(self, w: WeylElement) -> "HeckeElt":
         return HeckeElt(self, {w: RationalElt.from_scalar(ONE, self.system.rank)})
 
-    def T_word(self, word) -> "HeckeElt":
-        out = self.one()
-        for i in word:
-            out = self.T(self.group.simple(i)) * out
-        return out
-
     def theta(self, x: RationalElt | LaurentPoly) -> "HeckeElt":
         if isinstance(x, LaurentPoly):
             x = RationalElt.from_poly(x)

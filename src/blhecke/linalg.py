@@ -1,14 +1,17 @@
 """Exact linear algebra over the pluggable scalar field.
 
-Plain Gaussian elimination with exact division; adequate at desk scale for
-nullspaces, ranks and determinants of the small matrices this library meets.
+Gaussian elimination with exact division gives nullspaces, ranks and
+determinants of the small matrices this library meets. The common kernel of
+upper-triangular matrices, which the weight-space queries need, is solved by
+back substitution instead (`triangular_kernel`), with elimination only on the
+few columns that back substitution leaves free. Products skip zero entries.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import Scalar, is_zero
+from .scalars import ONE, ZERO, Scalar, is_zero
 from .scalars import inv as _inv
 
 Row = list
@@ -66,45 +69,80 @@ def nullspace(rows: Matrix, ncols: int) -> list[tuple[Scalar, ...]]:
     return basis
 
 
-def solve_upper_free(rows: Matrix, rhs: Row) -> Row | None:
-    """Solve rows @ x = rhs exactly if consistent (least structured), else None."""
-    n = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    red, pivots = rref(aug)
-    for row in red[len(pivots):]:
-        if not is_zero(row[-1]):
-            return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[r][-1]
-    return x
+def triangular_kernel(mats: list[Matrix], n: int) -> list[tuple[Scalar, ...]]:
+    """Common right kernel of upper-triangular n x n matrices, in the basis
+    `nullspace` gives for their stacked rows: one vector per last-nonzero
+    position f of kernel vectors, 1 at f and 0 at the other such positions.
+
+    Row i of the first matrix nonzero at (i, i) is the pivot of column i.
+    For each column c without one, back substitution gives the b_c that
+    solves the pivot rows, is 1 at c, 0 at the other such columns and 0
+    after c. The kernel lies in span{b_c}, so the other rows are imposed on
+    it as a small system. The input is not mutated.
+    """
+    pivots: list[Row | None] = [None] * n
+    others: list[Row] = []
+    for m in mats:
+        for i, row in enumerate(m):
+            if any(row[:i]):
+                raise ValueError(f"matrix is not upper triangular: row {i} has an entry below the diagonal")
+            if pivots[i] is None and row[i]:
+                pivots[i] = row
+            elif any(row):
+                others.append(row)
+    free = [c for c in range(n) if pivots[c] is None]
+    spans = []  # nonzero entries of each b_c, as (column, value)
+    for c in free:
+        b = [ZERO] * n
+        b[c] = ONE
+        for j in range(c - 1, -1, -1):
+            row = pivots[j]
+            if row is not None:
+                s = sum((row[k] * b[k] for k in range(j + 1, c + 1) if row[k] and b[k]), ZERO)
+                if s:
+                    b[j] = -s * _inv(row[j])
+        spans.append([(k, x) for k, x in enumerate(b) if x])
+    small = [[sum((row[k] * x for k, x in span if row[k]), ZERO) for span in spans] for row in others]
+    basis = []
+    for y in nullspace([r for r in small if any(r)], len(free)):
+        v = [ZERO] * n
+        for yc, span in zip(y, spans):
+            if yc:
+                for k, x in span:
+                    v[k] += yc * x
+        basis.append(tuple(v))
+    return basis
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Exact product a @ b, skipping zero entries of both factors."""
     nb = len(b[0])
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(nb)] for i in range(len(a))]
+    b_nonzero = [[(j, y) for j, y in enumerate(row) if y] for row in b]
+    out = []
+    for row in a:
+        acc = [ZERO] * nb
+        for x, b_row in zip(row, b_nonzero):
+            if x:
+                for j, y in b_row:
+                    acc[j] += x * y
+        out.append(acc)
+    return out
 
 
 def mat_vec(a: Matrix, v: Row) -> Row:
-    return [sum((a[i][k] * v[k] for k in range(len(v))), Fraction(0)) for i in range(len(a))]
+    """Exact product a @ v, skipping zero entries of v and of a."""
+    nonzero = [(k, x) for k, x in enumerate(v) if x]
+    return [sum((row[k] * x for k, x in nonzero if row[k]), ZERO) for row in a]
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
-def mat_pow(a: Matrix, n: int) -> Matrix:
-    result = identity_matrix(len(a))
-    base = [list(r) for r in a]
-    while n:
-        if n & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        n >>= 1
-    return result
+def mat_pow(a: Matrix, k: int) -> Matrix:
+    """a to the power k >= 1, by k - 1 products."""
+    if k < 1:
+        raise ValueError(f"matrix power {k} is not positive")
+    out = [list(r) for r in a]
+    for _ in range(k - 1):
+        out = mat_mul(out, a)
+    return out
 
 
 def det(rows: Matrix) -> Fraction:

@@ -6,6 +6,12 @@ Vectors are finite coefficient maps on Weyl group elements (coordinates with
 respect to the T_w-translates of the cyclic vector).  All linear algebra is
 exact and restricted to Bruhat lower sets, which the lattice-algebra action
 preserves, so truncated computations are exact, not approximate.
+
+In `LowerSet.sorted()` order (by length) every lattice-element matrix is
+upper triangular, with the w-twist of tau on the diagonal: theta.T_w v lies
+in the span of the T_u v with u <= w, and u < w implies l(u) < l(w).  So the
+weight-space kernels are solved by back substitution, in the basis Gaussian
+elimination of the stacked equations gives (`linalg.triangular_kernel`).
 """
 
 from __future__ import annotations
@@ -28,12 +34,15 @@ from .errors import (
 )
 from .hecke import HeckeAlgebra, HeckeElt, membership
 from .laurent import Character, LaurentPoly, RationalElt, evaluate
-from .linalg import SpanBasis, mat_pow, nullspace
+from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
 from .scalars import ONE, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
 from .stabilizer import TauStabilizer, u_c_check
 
 NEG_INF = float("-inf")
+# Series whose theta-matrices are kept; the least recently used is evicted
+# first, so memory stays bounded however many characters a session visits.
+MATRIX_CACHE_CAP = 8
 
 
 class ModuleVector:
@@ -159,58 +168,51 @@ class PrincipalSeries:
         return gens
 
     def _theta_matrix(self, exp: tuple, dom: tuple[WeylElement, ...]):
-        """Columns of the Z^exp action on the span of a lower set."""
+        """Matrix of the Z^exp action on the span of a lower set, column j the
+        image of T_{dom[j]} v; cached and shared, so callers must not mutate it."""
         key = (exp, dom)
         cache = _matrix_cache(self)
         if key not in cache:
             index = {w: k for k, w in enumerate(dom)}
-            cols = []
+            m = [[Fraction(0)] * len(dom) for _ in dom]
             h = self.algebra.monomial(exp)
-            for w in dom:
-                image = self.act(h, ModuleVector(self.tau, {w: ONE}))
-                col = [Fraction(0)] * len(dom)
-                for v, c in image.coeffs.items():
+            for j, w in enumerate(dom):
+                for v, c in self.act(h, ModuleVector(self.tau, {w: ONE})).coeffs.items():
                     if v not in index:
                         raise DomainNotLowerSet("action left the domain; not a lower set")
-                    col[index[v]] = c
-                cols.append(col)
-            cache[key] = [[cols[j][i] for j in range(len(dom))] for i in range(len(dom))]
+                    m[index[v]][j] = c
+            cache[key] = m
         return cache[key]
 
-    def weight_space(self, eigen: Character, dom: LowerSet) -> list[ModuleVector]:
-        """Exact basis of the eigen-character weight space supported in dom."""
-        dom_sorted = dom.sorted()
-        if not dom_sorted:
-            return []
-        n = len(dom_sorted)
-        rows = []
+    def _shifted_matrices(self, eigen: Character, dom: tuple[WeylElement, ...]) -> list:
+        """theta - eigen(theta) on the span of dom, for each generator
+        theta = Z^(+-e_j); fresh matrices, upper triangular in dom's order."""
+        mats = []
         for exp in self._basis_generators():
-            m = self._theta_matrix(exp, dom_sorted)
             lam = eigen.of_vector(exp)
-            for i in range(n):
-                row = list(m[i])
-                row[i] = row[i] - lam
-                rows.append(row)
-        basis = nullspace(rows, n)
-        return [self._from_coords(vec, dom_sorted) for vec in basis]
+            shifted = [list(row) for row in self._theta_matrix(exp, dom)]
+            for i, row in enumerate(shifted):
+                row[i] -= lam
+            mats.append(shifted)
+        return mats
+
+    def weight_space(self, eigen: Character, dom: LowerSet) -> list[ModuleVector]:
+        """Exact basis of the eigen-character weight space supported in dom:
+        the n_cap = 1 case of `generalized_weight_space`."""
+        return self._kernel_basis(eigen, dom, 1)
 
     def generalized_weight_space(self, eigen: Character, dom: LowerSet, n_cap: int) -> list[ModuleVector]:
-        """Nullspace of the n_cap-th powers of the shifted generators."""
+        """Common kernel of the n_cap-th powers of the shifted generators,
+        in the basis of the module docstring."""
+        return self._kernel_basis(eigen, dom, n_cap)
+
+    def _kernel_basis(self, eigen: Character, dom: LowerSet, n_cap: int) -> list[ModuleVector]:
         dom_sorted = dom.sorted()
         if not dom_sorted:
             return []
-        n = len(dom_sorted)
-        rows = []
-        for exp in self._basis_generators():
-            m = self._theta_matrix(exp, dom_sorted)
-            lam = eigen.of_vector(exp)
-            shifted = [[m[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-            rows.extend(mat_pow(shifted, n_cap))
-        basis = nullspace(rows, n)
-        return [self._from_coords(vec, dom_sorted) for vec in basis]
-
-    def _from_coords(self, vec, dom_sorted) -> ModuleVector:
-        return ModuleVector(self.tau, {w: c for w, c in zip(dom_sorted, vec)})
+        mats = [mat_pow(m, n_cap) for m in self._shifted_matrices(eigen, dom_sorted)]
+        basis = triangular_kernel(mats, len(dom_sorted))
+        return [ModuleVector(self.tau, dict(zip(dom_sorted, vec))) for vec in basis]
 
     # -- intertwiners ------------------------------------------------------------
     def psi(self, w_r: WeylElement) -> "Intertwiner":
@@ -312,16 +314,9 @@ class PrincipalSeries:
         if x.is_zero:
             return 0
         dom = LowerSet.closure(x.support()).sorted()
-        index = {w: i for i, w in enumerate(dom)}
         n = len(dom)
-        mats = []
-        for exp in self._basis_generators():
-            m = self._theta_matrix(exp, dom)
-            lam = self.tau.of_vector(exp)
-            mats.append([[m[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)])
-        current = [[Fraction(0)] * n]
-        for w, c in x.coeffs.items():
-            current[0][index[w]] = c
+        mats = self._shifted_matrices(self.tau, dom)
+        current = [[x.coeffs.get(w, Fraction(0)) for w in dom]]
         k = 0
         while current:
             k += 1
@@ -330,8 +325,7 @@ class PrincipalSeries:
             basis = SpanBasis(n)
             for vec in current:
                 for m in mats:
-                    img = [sum(m[i][j] * vec[j] for j in range(n)) for i in range(n)]
-                    basis.add(img)
+                    basis.add(mat_vec(m, vec))
             current = basis.rows
         return k
 
@@ -378,6 +372,6 @@ class Intertwiner:
         return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MATRIX_CACHE_CAP)
 def _matrix_cache(series: PrincipalSeries) -> dict:
     return {}

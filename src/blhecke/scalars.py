@@ -174,11 +174,6 @@ def inv(x: Scalar) -> Scalar:
     return 1 / x
 
 
-def div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact scalar quotient a / b."""
-    return a * inv(b)
-
-
 def to_complex(x: Scalar) -> complex:
     if isinstance(x, QuadExt):
         return complex(x)

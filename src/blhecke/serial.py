@@ -11,8 +11,7 @@ from fractions import Fraction
 
 from .coxeter import WeylElement
 from .errors import ConfigError
-from .hecke import HeckeElt
-from .laurent import BinomialFactor, Character, LaurentPoly, RationalElt
+from .laurent import Character
 from .principal import ModuleVector
 from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
 from .scalars import QuadExt, Scalar, quadext
@@ -51,27 +50,6 @@ def word_to_obj(w: WeylElement) -> list[int]:
 
 def coroot_to_obj(c: Coroot) -> list[int]:
     return list(c.coords)
-
-
-def poly_to_obj(p: LaurentPoly) -> list:
-    return [[list(e), scalar_to_obj(c)] for e, c in sorted(p.terms.items())]
-
-
-def factor_to_obj(f: BinomialFactor) -> dict:
-    return {"scale": scalar_to_obj(f.scale), "direction": list(f.direction)}
-
-
-def rational_to_obj(x: RationalElt) -> dict:
-    return {"numerator": poly_to_obj(x.num), "denominator": [factor_to_obj(f) for f in x.den]}
-
-
-def hecke_to_obj(h: HeckeElt) -> list:
-    out = []
-    for w, c in h.items():
-        rec = {"word": word_to_obj(w)}
-        rec.update(rational_to_obj(c))
-        out.append(rec)
-    return out
 
 
 def vector_to_obj(x: ModuleVector) -> list:

@@ -274,3 +274,38 @@ def test_triangularity_of_lattice_action(alg_a2, trivial2):
     for w in dom.sorted():
         image = ser.act(alg_a2.monomial((1, -1)), ser.vector({w: Fraction(1)}))
         assert all(v in dom for v in image.support())
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[2, -1], [-3, 2]], [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]],
+    ids=["affine-A2", "G2", "hyperbolic"],
+)
+def test_theta_matrices_upper_triangular(matrix):
+    # theta.T_w v lies in the span of T_u v, u <= w, and u < w means l(u) < l(w)
+    from blhecke import ParameterSet, standard_system
+    from blhecke.hecke import HeckeAlgebra
+
+    system = standard_system(matrix)
+    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(4), system.n))
+    tau = Character.make([Fraction(v) for v in (3, -5, 7, -3)[: system.rank]])
+    ser = series(alg, tau)
+    dom = LowerSet.closure(enumerate_ball(system, 3)).sorted()
+    for exp in ser._basis_generators():
+        m = ser._theta_matrix(exp, dom)
+        assert all(m[i][j] == 0 for i in range(len(dom)) for j in range(i)), exp
+        assert [m[i][i] for i in range(len(dom))] == [tau.twist(w).of_vector(exp) for w in dom]
+
+
+def test_weight_space_is_first_generalized(alg_a1_adjoint, alg_affine_a1, alg_a2):
+    cases = [
+        (alg_a1_adjoint, Character.make([-1]), 2),
+        (alg_affine_a1, Character.trivial(3), 3),
+        (alg_a2, Character.trivial(2), 3),
+        (alg_a2, Character.make([Fraction(5), Fraction(-7)]), 3),
+    ]
+    for alg, tau, ball in cases:
+        ser = series(alg, tau)
+        dom = LowerSet.closure(enumerate_ball(alg.system, ball))
+        for eigen in (tau, tau.twist(alg.group.simple(0))):
+            assert ser.weight_space(eigen, dom) == ser.generalized_weight_space(eigen, dom, 1)
