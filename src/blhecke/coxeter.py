@@ -14,7 +14,7 @@ and characters, is built lazily from that word.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul
 
@@ -58,6 +58,7 @@ class WeylElement:
     system: RootGeneratingSystem
     mat: Mat
     inv: Mat
+    _left: dict = field(default_factory=dict, repr=False)  # i -> r_i * self
 
     def __eq__(self, other):
         if self is other:
@@ -142,6 +143,13 @@ class WeylElement:
         if self.system is not other.system and self.system != other.system:
             raise IncompatibleData("elements of different Weyl groups")
         return self.group.intern(_mat_mul(self.mat, other.mat), _mat_mul(other.inv, self.inv))
+
+    def left_simple(self, i: int) -> "WeylElement":
+        """r_i * w, remembered on the element."""
+        out = self._left.get(i)
+        if out is None:
+            out = self._left[i] = self.group.simple(i) * self
+        return out
 
     def inverse(self) -> "WeylElement":
         return self.group.intern(self.inv, self.mat)

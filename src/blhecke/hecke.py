@@ -248,9 +248,6 @@ class HeckeElt:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, w: WeylElement) -> RationalElt:
-        return self.coeffs.get(w, RationalElt.from_scalar(0, self.algebra.system.rank))
-
     def support(self) -> tuple[WeylElement, ...]:
         return tuple(sorted(self.coeffs, key=lambda w: w.sort_key))
 
@@ -299,7 +296,8 @@ class HeckeElt:
         return all(self.coeffs[w] == other.coeffs[w] for w in self.coeffs)
 
     def __hash__(self):
-        return hash(tuple(sorted(((w.word, c.key()) for w, c in self.coeffs.items()))))
+        # coefficients hash by value, so equal elements hash equally
+        return hash(frozenset((w, hash(c)) for w, c in self.coeffs.items()))
 
     def __repr__(self):
         if not self.coeffs:
@@ -310,7 +308,6 @@ class HeckeElt:
 def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict[WeylElement, RationalElt]) -> dict:
     """Left multiplication by T_{s_i} of an element in normal form."""
     out: dict[WeylElement, RationalElt] = {}
-    s = alg.group.simple(i)
     sigma2 = alg.params.sigma[i] ** 2
 
     def acc(w, c):
@@ -320,7 +317,7 @@ def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict[WeylElement, RationalElt
             out[w] = c
 
     for w, c in coeffs.items():
-        sw = s * w
+        sw = w.left_simple(i)
         if has_left_descent(w, i):
             # l(sw) = l(w) - 1: T_s T_w = (sigma^2-1) T_w + sigma^2 T_sw
             acc(w, c.scale(sigma2 - 1))
@@ -345,7 +342,7 @@ def _push_through(alg: HeckeAlgebra, theta: RationalElt, v: WeylElement) -> "Hec
         return HeckeElt(alg, {v: theta})
     i = v.word[0]
     s = alg.group.simple(i)
-    rest = s * v
+    rest = v.left_simple(i)
     main = _push_through(alg, theta.twist(s), rest)
     main = HeckeElt(alg, _left_T_gen(alg, i, main.coeffs))
     corr = alg.omega(i, theta)

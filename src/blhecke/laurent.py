@@ -5,10 +5,15 @@ integer exponent vectors to scalars).  `RationalElt` is the fragment of the
 fraction field with denominators kept as factored multisets of binomials
 1 - c Z^mu: every denominator produced by the commutation coefficients and
 their Weyl twists is of this shape, so multivariate GCD is never needed.
+
+Coefficients are in the normal form of `scalars.as_scalar` (integral values
+`int`, other rationals `Fraction`, extension values `QuadExt`), and sums and
+products of ints stay ints.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,13 +25,8 @@ from .scalars import ONE, Scalar, as_scalar, is_zero, scalar_key, scalar_sqrt
 from .scalars import inv as scalar_inv
 
 
-def _vec_gcd(v: IntVec) -> int:
-    g = 0
-    for x in v:
-        x = abs(x)
-        while x:
-            g, x = x, g % x
-    return g
+# at most this many factor splits are kept (one per direction and scale met)
+SPLIT_CACHE_CAP = 4096
 
 
 class LaurentPoly:
@@ -58,10 +58,10 @@ class LaurentPoly:
 
     @staticmethod
     def one(rank: int) -> "LaurentPoly":
-        return LaurentPoly._raw(rank, {(0,) * rank: ONE})
+        return LaurentPoly._raw(rank, {(0,) * rank: 1})
 
     @staticmethod
-    def monomial(exp, coeff=ONE) -> "LaurentPoly":
+    def monomial(exp, coeff=1) -> "LaurentPoly":
         exp = tuple(int(x) for x in exp)
         return LaurentPoly(len(exp), {exp: coeff})
 
@@ -102,10 +102,6 @@ class LaurentPoly:
             return LaurentPoly.zero(self.rank)
         return LaurentPoly._raw(self.rank, {e: v * c for e, v in self.terms.items()})
 
-    def shift(self, exp) -> "LaurentPoly":
-        exp = tuple(int(x) for x in exp)
-        return LaurentPoly._raw(self.rank, {tuple(a + b for a, b in zip(e, exp)): c for e, c in self.terms.items()})
-
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -128,7 +124,7 @@ class LaurentPoly:
     def constant_value(self) -> Scalar | None:
         """The scalar c if self == c * Z^0, else None."""
         if not self.terms:
-            return Fraction(0)
+            return 0
         if len(self.terms) == 1:
             (exp, c), = self.terms.items()
             if not any(exp):
@@ -156,7 +152,7 @@ class BinomialFactor:
         return BinomialFactor(as_scalar(scale), tuple(int(x) for x in direction))
 
     def expand(self, rank: int) -> LaurentPoly:
-        return LaurentPoly(rank, {(0,) * rank: ONE, self.direction: -self.scale})
+        return LaurentPoly(rank, {(0,) * rank: 1, self.direction: -self.scale})
 
     def twist(self, w: WeylElement) -> "BinomialFactor":
         return BinomialFactor(self.scale, w.apply(self.direction))
@@ -174,9 +170,9 @@ class BinomialFactor:
         return f"(1 - {self.scale}*Z^{self.direction})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=SPLIT_CACHE_CAP)
 def _split_factor(factor: BinomialFactor) -> list:
-    g = _vec_gcd(factor.direction)
+    g = math.gcd(*factor.direction)
     if g % 2 == 0:
         root = scalar_sqrt(factor.scale)
         if root is not None:
@@ -209,7 +205,7 @@ def divide_binomial(poly: LaurentPoly, factor: BinomialFactor) -> LaurentPoly | 
         lo = min(coeffs)
         hi = max(coeffs)
         deg = hi - lo
-        p = [coeffs.get(lo + t, Fraction(0)) for t in range(deg + 1)]
+        p = [coeffs.get(lo + t, 0) for t in range(deg + 1)]
         if deg == 0:
             return None  # a single power of t is never divisible by 1 - c t
         q: list[Scalar] = [p[0]]
@@ -253,7 +249,7 @@ class RationalElt:
         return RationalElt(LaurentPoly(rank, {(0,) * rank: as_scalar(c)}))
 
     @staticmethod
-    def monomial(exp, coeff=ONE) -> "RationalElt":
+    def monomial(exp, coeff=1) -> "RationalElt":
         return RationalElt(LaurentPoly.monomial(exp, coeff))
 
     @property
@@ -335,9 +331,6 @@ class RationalElt:
             return hash(self.rank)
         return hash((self.rank, scalar_key(evaluate(point, self))))
 
-    def key(self):
-        return (self.num.key(), tuple(f.sort_key for f in self.den))
-
     # -- structure ----------------------------------------------------------
     def is_polynomial(self) -> LaurentPoly | None:
         if not self.den:
@@ -345,8 +338,10 @@ class RationalElt:
         return None
 
     def twist(self, w: WeylElement) -> "RationalElt":
-        """The Weyl twist ^w: exponents lambda -> w(lambda) everywhere."""
-        return RationalElt(self.num.apply_matrix(w), tuple(f.twist(w) for f in self.den))
+        """The Weyl twist ^w: exponents lambda -> w(lambda) everywhere.  A lattice
+        automorphism keeps a reduced element reduced and split factors split."""
+        den = tuple(sorted((f.twist(w) for f in self.den), key=lambda f: f.sort_key))
+        return RationalElt._raw(self.num.apply_matrix(w), den)
 
     def constant_value(self) -> Scalar | None:
         if self.den:
@@ -360,19 +355,17 @@ class RationalElt:
 
 
 def _reduce(num: LaurentPoly, factors: list[BinomialFactor]) -> tuple[LaurentPoly, list[BinomialFactor]]:
+    """Divide out every factor that divides num, each tried once on the quotient
+    so far: a factor that does not divide p divides no quotient of p."""
     if num.is_zero:
         return num, []
-    remaining = list(factors)
-    changed = True
-    while changed and remaining:
-        changed = False
-        for idx, f in enumerate(remaining):
-            q = divide_binomial(num, f)
-            if q is not None:
-                num = q
-                del remaining[idx]
-                changed = True
-                break
+    remaining = []
+    for f in factors:
+        q = divide_binomial(num, f)
+        if q is None:
+            remaining.append(f)
+        else:
+            num = q
     return num, remaining
 
 

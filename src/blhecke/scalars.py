@@ -1,10 +1,10 @@
 """Exact coefficient scalars: rationals, optionally extended by one square root.
 
-The reference field is Q via `fractions.Fraction`.  A quadratic extension
-Q(sqrt(d)) for one fixed rational non-square d (e.g. sqrt(q) for a non-square
-parameter q, or i for d = -1) is available through `QuadExt`.  Arithmetic
-mixes both freely and collapses back to `Fraction` whenever the sqrt(d)
-component cancels, so pure-rational computations never pay for the extension.
+The reference field is Q: integral values are `int`, other rationals
+`Fraction` (see `as_scalar`).  A quadratic extension Q(sqrt(d)) for one
+rational non-square d (sqrt(q) for a non-square q, or i for d = -1) is
+`QuadExt`.  Arithmetic mixes them and collapses back to `Fraction` when
+sqrt(d) cancels, so pure-rational computations never pay for the extension.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Scalar = Union[Fraction, "QuadExt"]
+Scalar = Union[int, Fraction, "QuadExt"]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -154,11 +154,13 @@ class QuadExt:
 
 
 def as_scalar(x) -> Scalar:
-    # plain ints are kept: integer arithmetic is much cheaper than Fraction
-    # and mixes exactly with both Fraction and QuadExt
+    """Normal form of an exact scalar: integral values are `int` (much cheaper
+    than Fraction, and mixing exactly with it), other rationals `Fraction`,
+    extension values `QuadExt`."""
     if isinstance(x, (int, QuadExt)):
         return x
-    return Fraction(x)
+    x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def is_zero(x: Scalar) -> bool:

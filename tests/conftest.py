@@ -29,6 +29,11 @@ def b2():
 
 
 @pytest.fixture(scope="session")
+def g2():
+    return standard_system([[2, -1], [-3, 2]])
+
+
+@pytest.fixture(scope="session")
 def a1x_a1():
     return standard_system([[2, 0], [0, 2]])
 

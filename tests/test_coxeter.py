@@ -233,3 +233,12 @@ def test_reflection_matrix_reads_root_pairing(affine_a2, b2):
                 word, i = coroot_orbit_witness(sys, c)
                 w = WeylGroup(sys).from_word(word)
                 assert reflection_from_coroot(sys, c) is w * WeylGroup(sys).simple(i) * w.inverse()
+
+
+def test_left_simple_is_the_product(g2, affine_a2):
+    for sys in (g2, affine_a2):
+        group = WeylGroup(sys)
+        for w in enumerate_ball(sys, 3):
+            for i in range(sys.n):
+                assert w.left_simple(i) is group.simple(i) * w
+                assert w.left_simple(i) is w.left_simple(i)

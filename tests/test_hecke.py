@@ -204,3 +204,15 @@ def test_f_word_independence_small(alg_affine_a2):
                 h = h * alg_affine_a2.f_s(i)
             prods.append(h)
         assert all(p == prods[0] for p in prods)
+
+
+def test_equal_elements_hash_equal(alg_affine_a1):
+    # theta(1/(1 - Z^e1)) == theta((1 + Z^e1 + Z^2e1)/(1 - Z^3e1)), stored over different factors
+    alg = alg_affine_a1
+    a = alg.theta(RationalElt(LaurentPoly.one(2), [BinomialFactor.make(1, (1, 0))]))
+    b = alg.theta(RationalElt(LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}), [BinomialFactor.make(1, (3, 0))]))
+    ts = alg.T(alg.group.simple(0))
+    for x, y in ((a, b), (ts * a, ts * b), (a + ts, ts + b)):
+        assert not x.is_zero and x == y
+        assert hash(x) == hash(y)
+        assert len({x, y}) == 1

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, evaluate, weyl_twist
-from blhecke.coxeter import WeylGroup
+from blhecke import Character, ParameterSet, enumerate_coroots, evaluate, laurent, weyl_twist
+from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.errors import PoleAtCharacter
-from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, divide_binomial
-from blhecke.scalars import quadext
+from blhecke.hecke import HeckeAlgebra
+from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, _reduce, divide_binomial
+from blhecke.scalars import QuadExt, as_scalar, quadext
 
 
 def mono(exp, c=1):
@@ -193,3 +194,100 @@ def test_character_with_extension():
     assert tau.of_vector((-1,)) == -i
     p = LaurentPoly(1, {(1,): Fraction(2), (0,): Fraction(1)})
     assert tau.of_poly(p) == 1 + 2 * i
+
+
+def _reduce_restart(num, factors):
+    """Reference: rescan every factor from the start after each division."""
+    if num.is_zero:
+        return num, []
+    remaining = list(factors)
+    changed = True
+    while changed and remaining:
+        changed = False
+        for idx, f in enumerate(remaining):
+            q = divide_binomial(num, f)
+            if q is not None:
+                num = q
+                del remaining[idx]
+                changed = True
+                break
+    return num, remaining
+
+
+def test_reduce_matches_restart_scan(monkeypatch):
+    minus, plus = BinomialFactor.make(1, (1,)), BinomialFactor.make(-1, (1,))
+    # (1 - Z)^2 (1 + Z) over (1 - Z)^3 (1 + Z), in several orders
+    num = minus.expand(1) * minus.expand(1) * plus.expand(1)
+    cases = [(num, [minus, minus, minus, plus]), (num, [plus, minus, minus, minus]), (num, [minus, plus, minus, minus])]
+    # dividends with gaps: 1 - Z^4 and 1 - 9 Z^(2,2) over factors of the gapped direction
+    cases.append((LaurentPoly(1, {(0,): 1, (4,): -1}), [BinomialFactor.make(1, (2,)), minus, plus, minus]))
+    three = BinomialFactor.make(3, (1, 1))
+    gapped = LaurentPoly(2, {(0, 0): 1, (2, 2): -9})
+    cases.append((gapped, [three, BinomialFactor.make(-3, (1, 1)), three]))
+    rng = random.Random(7)
+    pool = [BinomialFactor.make(c, d) for c in (1, -1, 2, Fraction(1, 2)) for d in ((1, 0), (0, 1), (1, -1), (2, 1))]
+    for _ in range(40):
+        p = LaurentPoly(2, {(rng.randint(-1, 1), rng.randint(-1, 1)): rng.randint(-3, 3) for _ in range(2)})
+        for f in rng.sample(pool, rng.randint(0, 3)):
+            p = p * f.expand(2)
+        cases.append((p, [rng.choice(pool) for _ in range(rng.randint(1, 5))]))
+    calls = []
+    real = laurent.divide_binomial
+    monkeypatch.setattr(laurent, "divide_binomial", lambda p, f: calls.append(f) or real(p, f))
+    for p, factors in cases:
+        calls.clear()
+        got_num, got_rest = _reduce(p, factors)
+        want_num, want_rest = _reduce_restart(p, factors)
+        assert got_num.terms == want_num.terms and got_rest == want_rest
+        # one attempt per factor, never a retry
+        assert calls == ([] if p.is_zero else factors)
+    got_num, got_rest = _reduce(num, [minus, minus, minus, plus])
+    assert got_num == LaurentPoly.one(1) and got_rest == [minus]
+
+
+def _twist_samples(alg):
+    """q_s, zeta and inverse-zeta factors and F-word coefficients of an algebra."""
+    sys = alg.system
+    out = [alg.q_s(i) for i in range(sys.n)]
+    for c in enumerate_coroots(sys, 3):
+        if c.positive:
+            z = alg.zeta(c)
+            den = LaurentPoly.one(sys.rank)
+            for f in z.den_factors:
+                den = den * f.expand(sys.rank)
+            out += [alg.zeta_rational(c), RationalElt(den, z.num_factors)]
+    for w in enumerate_ball(sys, 2):
+        out += list(alg.f_w(w).coeffs.values())
+    return out
+
+
+@pytest.mark.parametrize("sigma", [Fraction(2), Fraction(3, 2)])
+def test_twist_equals_reduced_construction(g2, affine_a2, sigma):
+    for sys in (g2, affine_a2):
+        alg = HeckeAlgebra(sys, ParameterSet.equal(sigma, sys.n))
+        samples = _twist_samples(alg)
+        assert any(x.den for x in samples)
+        for w in enumerate_ball(sys, 3):
+            for x in samples:
+                got = x.twist(w)
+                want = RationalElt(x.num.apply_matrix(w), tuple(f.twist(w) for f in x.den))
+                assert got.num.terms == want.num.terms and got.den == want.den
+                assert [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()]
+
+
+def test_integral_coefficients_are_int(alg_a2):
+    assert type(as_scalar(Fraction(6, 3))) is int and type(as_scalar(Fraction(1, 2))) is Fraction
+    ext = quadext(0, 1, 2)
+    assert as_scalar(ext) is ext
+    f = BinomialFactor.make(Fraction(2), (1, 1))
+    assert type(f.scale) is int
+    p = LaurentPoly(2, {(0, 0): Fraction(4, 2), (1, 0): Fraction(-3)})
+    q = LaurentPoly.one(2) + LaurentPoly.monomial((0, 1), 5)
+    for x in (p, q, p + q, p - q, p * q, p.scale(Fraction(4, 2)), divide_binomial(p * f.expand(2), f),
+              RationalElt.from_scalar(Fraction(3), 2).num, RationalElt.monomial((1, 1)).num,
+              alg_a2.q_s(0).num, alg_a2.omega(1, RationalElt(p)).num):
+        assert x.terms and all(type(c) is int for c in x.terms.values())
+    half = LaurentPoly(2, {(0, 0): Fraction(1, 2)})
+    assert all(type(c) is Fraction for c in (half * p).terms.values())
+    assert type((half + q).terms[(0, 0)]) is Fraction
+    assert all(type(c) is QuadExt for c in p.scale(ext).terms.values())
