@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import yaml
@@ -104,13 +104,7 @@ class JobConfig:
             vector.append((word, serial.scalar_from_obj(rec.get("coeff", "1"), square)))
 
         bounds = dict(DEFAULT_BOUNDS)
-        for key, value in (data.get("bounds") or {}).items():
-            if key not in bounds:
-                raise ConfigError(f"unknown bound {key!r}")
-            value = int(value)
-            if value <= 0:
-                raise ConfigError(f"bound {key} must be positive")
-            bounds[key] = value
+        _set_bounds(bounds, data.get("bounds") or {})
         return JobConfig(system, params, character, eigen, vector, bounds, square)
 
     def to_dict(self) -> dict:
@@ -128,6 +122,21 @@ class JobConfig:
             ]
         out["bounds"] = dict(self.bounds)
         return out
+
+
+def _set_bounds(bounds: dict[str, int], overrides: dict) -> None:
+    """Apply overrides to bounds, each a known bound and a positive integer:
+    the one check for bounds from a config, a flag or the environment."""
+    for key, value in overrides.items():
+        if key not in bounds:
+            raise ConfigError(f"unknown bound {key!r}")
+        try:
+            value = int(value)
+        except (TypeError, ValueError):
+            raise ConfigError(f"bound {key} must be an integer, got {value!r}") from None
+        if value <= 0:
+            raise ConfigError(f"bound {key} must be positive")
+        bounds[key] = value
 
 
 def _parse_parameters(block: dict, system: RootGeneratingSystem, square) -> ParameterSet:
@@ -150,7 +159,7 @@ def _parse_parameters(block: dict, system: RootGeneratingSystem, square) -> Para
 def load_config(path: str) -> JobConfig:
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -375,7 +384,7 @@ def cmd_example_lemma37(cfg: JobConfig | None, args) -> int:
         )
     report = _base_report("example-lemma37", None)
     report["result"] = {
-        "determinant": str(lemma37_system()[0].matrix.determinant()),
+        "determinant": str(system.matrix.determinant()),
         "conjugates": records,
         "certified": certified,
         "total": len(conjugators),
@@ -442,10 +451,8 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             if handler is not cmd_validate:  # validate reports violations itself
                 validate_system(cfg.system, cfg.params)
-            if args.bound_coroot:
-                cfg.bounds["coroot_height"] = int(args.bound_coroot)
-            if args.bound_length:
-                cfg.bounds["weyl_length"] = int(args.bound_length)
+            flags = {"coroot_height": args.bound_coroot, "weyl_length": args.bound_length}
+            _set_bounds(cfg.bounds, {key: value for key, value in flags.items() if value is not None})
         return handler(cfg, args)
     except (ConfigError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

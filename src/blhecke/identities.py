@@ -11,20 +11,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import (
-    WeylElement,
-    WeylGroup,
-    all_reduced_words,
-    bruhat_leq,
-    enumerate_ball,
-    inversion_coroots,
-)
-from .hecke import HeckeAlgebra, HeckeElt, max_supp, membership
+from .coxeter import all_reduced_words, bruhat_leq, coroot_of_reflection, enumerate_ball, reflection_from_coroot
+from .errors import KacMoodyViolation
+from .hecke import HeckeAlgebra, HeckeElt, max_supp
 from .laurent import Character, LaurentPoly, RationalElt
-from .linalg import SpanBasis, integer_cone_contains
-from .principal import LowerSet, ModuleVector, PrincipalSeries
-from .scalars import is_zero
-from .stabilizer import TauStabilizer, s_tau_matrix, sigma_tau_minimal_direct, u_c_check
+from .linalg import integer_cone_contains
+from .principal import ModuleVector, PrincipalSeries
+from .stabilizer import TauStabilizer, _reflection_root, s_tau_matrix, sigma_tau_minimal_direct
 
 
 @dataclass(frozen=True)
@@ -231,7 +224,7 @@ def check_k_hecke_rule(alg: HeckeAlgebra, stab: TauStabilizer, ell_bound: int, c
             continue
         ktw = stab.k_tilde_of(w)
         for r in stab.s_tau(coroot_bound):
-            s, _ = alg.sigma_r(_coroot_of(stab, r))
+            s, _ = alg.sigma_r(coroot_of_reflection(r))
             s2 = s * s
             lhs = alg.k_tilde(r) * ktw
             if stab.ell_tau(r * w) == stab.ell_tau(w) + 1:
@@ -243,12 +236,6 @@ def check_k_hecke_rule(alg: HeckeAlgebra, stab: TauStabilizer, ell_bound: int, c
     return CheckResult("k-hecke-rule", True, f"ball {ell_bound}")
 
 
-def _coroot_of(stab: TauStabilizer, r: WeylElement):
-    from .coxeter import coroot_of_reflection
-
-    return coroot_of_reflection(r)
-
-
 def check_k_commutation(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int, samples: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
     refs = stab.s_tau(coroot_bound)
@@ -256,7 +243,7 @@ def check_k_commutation(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: in
         return CheckResult("k-commutation", True, "empty generator set")
     for k in range(samples):
         r = rng.choice(refs)
-        c = _coroot_of(stab, r)
+        c = coroot_of_reflection(r)
         theta = _random_monomial(rng, alg.system.rank, 2)
         kt = alg.k_tilde(r)
         omega = alg.q_r(c) * (theta - theta.twist(r))
@@ -274,8 +261,6 @@ def check_sigma_tau_agreement(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bou
 
 
 def check_sigma_bijection(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int) -> CheckResult:
-    from .coxeter import coroot_of_reflection, reflection_from_coroot
-
     sigma = stab.sigma_tau(coroot_bound)
     refs = [reflection_from_coroot(alg.system, c) for c in sigma]
     if len(set(refs)) != len(refs):
@@ -305,8 +290,6 @@ def check_length_order_compat(stab: TauStabilizer, ell_bound: int, coroot_bound:
 
 def check_weight_formula(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int, samples: int, seed: int) -> CheckResult:
     """tau(Omega_s(Z^lam)) = tau(lam) sigma'' alpha_s(lam) for generators s."""
-    from .coxeter import reflection_from_coroot
-
     rng = random.Random(seed)
     sigma = stab.sigma_tau(coroot_bound)
     if not sigma:
@@ -316,7 +299,7 @@ def check_weight_formula(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: i
         c = rng.choice(sigma)
         r = reflection_from_coroot(sys, c)
         lam = _random_exp(rng, sys.rank, 3)
-        root = _reflection_root_vec(alg, c)
+        root = _reflection_root(alg, c)
         pairing = sum(a * b for a, b in zip(root, lam))
         mono = RationalElt.monomial(lam)
         omega = alg.q_r(c) * (mono - mono.twist(r))
@@ -326,12 +309,6 @@ def check_weight_formula(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: i
         if got is None or got != want:
             return CheckResult("weight-formula", False, f"sample {k} at {c.coords}, lam={lam}")
     return CheckResult("weight-formula", True, f"{samples} samples")
-
-
-def _reflection_root_vec(alg: HeckeAlgebra, coroot):
-    from .stabilizer import _reflection_root
-
-    return _reflection_root(alg, coroot)
 
 
 def check_order_depth(series: PrincipalSeries, ell_bound: int, coroot_bound: int, samples: int, seed: int) -> CheckResult:
@@ -427,8 +404,6 @@ def check_injectivity(series: PrincipalSeries, ell_bound: int, coroot_bound: int
 
 
 def check_sigma_matrix(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int) -> CheckResult:
-    from .errors import KacMoodyViolation
-
     try:
         s_tau_matrix(alg, stab.sigma_tau(coroot_bound))
     except KacMoodyViolation as exc:
@@ -464,7 +439,7 @@ def run_suite(alg: HeckeAlgebra, tau: Character, seed: int, coroot_bound: int = 
         check_weight_formula(alg, stab, coroot_bound, samples, seed + 6),
         check_action_axiom(series, min(samples, 15), seed + 7),
     ]
-    if u_c_check(alg, tau, coroot_bound).ok:
+    if stab.u_c(coroot_bound).ok:
         results += [
             check_order_depth(series, min(ell_bound, 3), coroot_bound, min(samples, 20), seed + 8),
             check_length_decrease(series, min(ell_bound, 3), coroot_bound, min(samples, 15), seed + 9),

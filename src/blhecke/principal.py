@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .coxeter import WeylElement, bruhat_leq, bruhat_lower_closure
+from .coxeter import WeylElement, bruhat_lower_closure
 from .errors import (
     DecompositionFailure,
     DomainNotLowerSet,
@@ -32,12 +32,12 @@ from .errors import (
     NotInUC,
     PoleAtCharacter,
 )
-from .hecke import HeckeAlgebra, HeckeElt, membership
+from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, LaurentPoly, RationalElt, evaluate
 from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
 from .scalars import ONE, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
-from .stabilizer import TauStabilizer, u_c_check
+from .stabilizer import TauStabilizer
 
 NEG_INF = float("-inf")
 # Series whose theta-matrices are kept; the least recently used is evicted
@@ -230,10 +230,10 @@ class PrincipalSeries:
     def itg_basis(self, ell_bound: int, coroot_bound: int) -> list[ModuleVector]:
         """Evaluated modified intertwiners over the relative-length ball; the
         triangular basis of the subsystem part of the generalized weight space."""
-        uc = u_c_check(self.algebra, self.tau, coroot_bound)
+        stab = self.stabilizer()
+        uc = stab.u_c(coroot_bound)
         if not uc.ok:
             raise NotInUC(f"zeta numerator vanishes at tau (witness {uc.witness})", witness=uc.witness)
-        stab = self.stabilizer()
         out = []
         for w in stab.subgroup_ball(ell_bound, coroot_bound):
             out.append(self.ev(stab.k_tilde_of(w)))

@@ -8,6 +8,12 @@ fixed subsystem only in its own coroot, and membership in the reflection
 subgroup is decided by greedy descent along canonical generators harvested
 from the inversion set.  Only the *enumerations* (which coroots, which group
 elements get listed) are truncated by the bounds recorded in every verdict.
+
+Memo policy: a `TauStabilizer` computes each test and enumeration once, in
+one memo it owns, which lives as long as it does (one query) and is bounded
+by the coroots, elements and bounds asked of it.  `kato_check` and `analyze`
+read the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer
+each, so the verdict and the analysis cannot disagree.
 """
 
 from __future__ import annotations
@@ -32,45 +38,43 @@ from .scalars import inv as scalar_inv
 
 
 class TauStabilizer:
-    """Working context for one character over one Hecke algebra."""
+    """Working context for one character over one Hecke algebra.  `_memo`
+    holds each test by (name, coroot or element) and each enumeration by
+    (name, bound); it lives for this stabilizer's one query and holds only
+    what was asked.  `kato_check` and `analyze` read the same tests."""
 
     def __init__(self, algebra: HeckeAlgebra, tau: Character):
         if tau.rank != algebra.system.rank:
             raise ValueError("character rank does not match the lattice rank")
         self.algebra = algebra
         self.tau = tau
-        self._phi: dict[Coroot, bool] = {}
-        self._gen: dict[Coroot, bool] = {}
-        self._ktilde: dict[WeylElement, HeckeElt] = {}
+        self._memo: dict = {}
 
     @property
     def system(self):
         return self.algebra.system
 
+    def _once(self, key, make):
+        """The memoized value at key, computed by make() on first use."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
+
     # -- pointwise tests (exact) ---------------------------------------------
     def phi_contains(self, coroot: Coroot) -> bool:
         """Does some zeta-denominator factor of the coroot vanish at tau?"""
         c = coroot.abs()
-        hit = self._phi.get(c)
-        if hit is None:
-            z = self.algebra.zeta(c)
-            hit = any(is_zero(self.tau.of_factor(f)) for f in z.den_factors)
-            self._phi[c] = hit
-        return hit
+        return self._once(("phi", c), lambda: any(is_zero(self.tau.of_factor(f))
+                                                   for f in self.algebra.zeta(c).den_factors))
 
     def is_canonical_generator(self, coroot: Coroot) -> bool:
         """Canonical-generator criterion: the inversion set of r_{alpha} meets
         the fixed subsystem exactly in {alpha}."""
         c = coroot.abs()
-        hit = self._gen.get(c)
-        if hit is None:
-            if not self.phi_contains(c):
-                hit = False
-            else:
-                r = reflection_from_coroot(self.system, c)
-                hit = all(beta == c or not self.phi_contains(beta) for beta in inversion_coroots(r))
-            self._gen[c] = hit
-        return hit
+        return self._once(("gen", c), lambda: self.phi_contains(c) and all(
+            beta == c or not self.phi_contains(beta)
+            for beta in inversion_coroots(reflection_from_coroot(self.system, c))))
 
     def ell_tau(self, w: WeylElement) -> int:
         """Length in the reflection-subgroup Coxeter system: the number of
@@ -114,7 +118,7 @@ class TauStabilizer:
         return cur.is_identity
 
     def fixes_tau(self, w: WeylElement) -> bool:
-        return self.tau.twist(w) == self.tau
+        return self._once(("fixes", w), lambda: self.tau.twist(w) == self.tau)
 
     def in_r_group(self, w: WeylElement) -> bool:
         """w stabilizes tau and inverts no positive coroot of the subsystem."""
@@ -123,22 +127,41 @@ class TauStabilizer:
         return not any(self.phi_contains(beta) for beta in inversion_coroots(w))
 
     # -- bounded enumerations ---------------------------------------------------
+    def _coroots(self, coroot_bound: int) -> tuple[Coroot, ...]:
+        return self._once(("coroots", coroot_bound), lambda: enumerate_coroots(self.system, coroot_bound))
+
+    def _ball(self, length_bound: int) -> tuple[WeylElement, ...]:
+        return self._once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
+
+    def u_c(self, coroot_bound: int) -> UCResult:
+        """Evaluate every reduced zeta-numerator factor at tau over the
+        enumerated positive coroots."""
+        for c in self._coroots(coroot_bound):
+            if c.positive and any(is_zero(self.tau.of_factor(f)) for f in self.algebra.zeta(c).num_factors):
+                return UCResult("NotInU_C", coroot_bound, c)
+        return UCResult("InU_C", coroot_bound, None)
+
+    def saturated(self, coroot_bound: int, length_bound: int) -> bool:
+        """Did both enumerations end below their bounds (finite type)?"""
+        return (all(w.length < length_bound for w in self._ball(length_bound))
+                and all(c.height < coroot_bound for c in self._coroots(coroot_bound)))
+
     def phi_tau(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return tuple(c for c in enumerate_coroots(self.system, coroot_bound) if self.phi_contains(c))
+        return self._once(("phi_tau", coroot_bound),
+                          lambda: tuple(c for c in self._coroots(coroot_bound) if self.phi_contains(c)))
 
     def sigma_tau(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return tuple(
-            c for c in self.phi_tau(coroot_bound) if c.positive and self.is_canonical_generator(c)
-        )
+        return self._once(("sigma_tau", coroot_bound), lambda: tuple(
+            c for c in self.phi_tau(coroot_bound) if c.positive and self.is_canonical_generator(c)))
 
     def s_tau(self, coroot_bound: int) -> tuple[WeylElement, ...]:
         return tuple(reflection_from_coroot(self.system, c) for c in self.sigma_tau(coroot_bound))
 
     def w_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(w for w in enumerate_ball(self.system, length_bound) if self.fixes_tau(w))
+        return tuple(w for w in self._ball(length_bound) if self.fixes_tau(w))
 
     def w_paren_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(w for w in enumerate_ball(self.system, length_bound) if self.in_reflection_subgroup(w))
+        return tuple(w for w in self._ball(length_bound) if self.in_reflection_subgroup(w))
 
     def r_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
         return tuple(w for w in self.w_tau_ball(length_bound) if self.in_r_group(w))
@@ -165,14 +188,13 @@ class TauStabilizer:
     # -- modified intertwiners ---------------------------------------------------
     def k_tilde_of(self, w: WeylElement) -> HeckeElt:
         """K~_w along the canonical greedy reduced word of w."""
-        hit = self._ktilde.get(w)
-        if hit is None:
+        def make() -> HeckeElt:
             word = self.tau_reduced_word(w)
             if word is None:
                 raise WordNotReduced(f"{w!r} is not in the reflection subgroup of tau")
-            hit = self.algebra.k_tilde_word(word)
-            self._ktilde[w] = hit
-        return hit
+            return self.algebra.k_tilde_word(word)
+
+        return self._once(("ktilde", w), make)
 
     def k_lead_inverse(self, w: WeylElement) -> RationalElt:
         """Factored inverse of the T_w-coefficient of K~_w.
@@ -241,26 +263,17 @@ class UCResult:
 
 
 def u_c_check(algebra: HeckeAlgebra, tau: Character, coroot_bound: int) -> UCResult:
-    """Evaluate every reduced zeta-numerator factor at tau over the enumerated
-    positive coroots."""
-    for c in enumerate_coroots(algebra.system, coroot_bound):
-        if not c.positive:
-            continue
-        z = algebra.zeta(c)
-        if any(is_zero(tau.of_factor(f)) for f in z.num_factors):
-            return UCResult("NotInU_C", coroot_bound, c)
-    return UCResult("InU_C", coroot_bound, None)
+    """The U_C test of one character (`TauStabilizer.u_c`)."""
+    return TauStabilizer(algebra, tau).u_c(coroot_bound)
 
 
 def s_tau_matrix(algebra: HeckeAlgebra, sigma_tau: tuple[Coroot, ...]) -> KacMoodyMatrix:
     """Pairing matrix of the canonical generators; must be Kac-Moody."""
     sys = algebra.system
-    n = len(sigma_tau)
-    witnesses = [reflection_from_coroot(sys, c) for c in sigma_tau]
     entries = []
-    for i, (ci, ri) in enumerate(zip(sigma_tau, witnesses)):
+    for ci in sigma_tau:
         row = []
-        for j, cj in enumerate(sigma_tau):
+        for cj in sigma_tau:
             # alpha_{s_j}(alpha_{s_i}^vee): the root of s_j evaluated on coroot of s_i
             root_j = _reflection_root(algebra, cj)
             val = sum(a * b for a, b in zip(root_j, sys.coroot_to_y(ci.coords)))
@@ -332,13 +345,12 @@ def analyze(algebra: HeckeAlgebra, tau: Character, coroot_bound: int, length_bou
         r_tau_ball=stab.r_tau_ball(length_bound),
         sigma_pp=tuple((c, stab.sigma_pp(c)) for c in sigma),
         rho_witness=stab.rho_check(coroot_bound),
-        u_c=u_c_check(algebra, tau, coroot_bound),
+        u_c=stab.u_c(coroot_bound),
     )
 
 
 IRREDUCIBLE = "Irreducible"
 REDUCIBLE = "Reducible"
-UNDETERMINED = "Undetermined"
 
 
 @dataclass(frozen=True)
@@ -354,19 +366,16 @@ class KatoVerdict:
 def kato_check(algebra: HeckeAlgebra, tau: Character, coroot_bound: int, length_bound: int) -> KatoVerdict:
     """Irreducibility verdict: reducible on a regularity failure or on a
     stabilizer element outside the reflection subgroup; otherwise irreducible,
-    certified up to the bounds (absolutely, in finite type)."""
+    certified up to the bounds (absolutely, in finite type).  It reads the
+    same stabilizer tests as `analyze`."""
     stab = TauStabilizer(algebra, tau)
-    uc = u_c_check(algebra, tau, coroot_bound)
+    uc = stab.u_c(coroot_bound)
     if not uc.ok:
         return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, False, witness_coroot=uc.witness)
     for w in stab.w_tau_ball(length_bound):
         if not stab.in_reflection_subgroup(w):
             return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, False, witness_element=w)
-    ball = enumerate_ball(algebra.system, length_bound)
-    group_saturated = all(w.length < length_bound for w in ball)
-    coroots = enumerate_coroots(algebra.system, coroot_bound)
-    coroots_saturated = all(c.height < coroot_bound for c in coroots)
-    return KatoVerdict(IRREDUCIBLE, coroot_bound, length_bound, group_saturated and coroots_saturated)
+    return KatoVerdict(IRREDUCIBLE, coroot_bound, length_bound, stab.saturated(coroot_bound, length_bound))
 
 
 def semidirect_check(stab: TauStabilizer, length_bound: int, coroot_bound: int) -> bool:

@@ -204,3 +204,35 @@ def test_bad_bound_rejected(tmp_path):
     cfg["bounds"] = {"coroot_height": 0}
     path = write_config(tmp_path, cfg)
     assert main(["validate", "--config", path]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--bound-coroot", "--bound-length"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_bad_bound_flag_rejected(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path, A2)
+    assert main(["kato", "--config", path, flag, value]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert "must be positive" in report.err
+
+
+def test_bad_bound_env_rejected(tmp_path, capsys, monkeypatch):
+    path = write_config(tmp_path, A2)
+    monkeypatch.setenv("BLHECKE_BOUND_LENGTH", "0")
+    assert main(["kato", "--config", path]) == 2
+    assert "bound weyl_length must be positive" in capsys.readouterr().err
+
+
+def test_non_integer_bound_rejected(tmp_path, capsys):
+    path = write_config(tmp_path, dict(A2, bounds={"ball": "two"}))
+    assert main(["weight-space", "--config", path]) == 2
+    assert "bound ball must be an integer" in capsys.readouterr().err
+
+
+def test_malformed_yaml_rejected(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("datum: {matrix: [[2, -1], [-1, 2]]\nparameters: [unclosed\n")
+    assert main(["kato", "--config", str(path)]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert "malformed YAML" in report.err

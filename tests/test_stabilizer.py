@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, Coroot, ParameterSet, RootGeneratingSystem, enumerate_ball
+from blhecke import Character, Coroot, ParameterSet, RootGeneratingSystem, enumerate_ball, quadext, standard_system
+from blhecke import stabilizer
+from blhecke.cli import lemma37_system
 from blhecke.coxeter import WeylGroup
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
@@ -215,7 +217,6 @@ def test_analyze_snapshot(alg_b2):
 
 
 def test_lemma37_conjugates():
-    from blhecke.cli import lemma37_system
     from blhecke.coxeter import inversion_coroots
 
     system, params, tau = lemma37_system()
@@ -233,3 +234,61 @@ def test_lemma37_conjugates():
         assert stab.is_canonical_generator(alpha_v)
         # parity structure from the proof: tau is +1 exactly on the witness
         assert tau.of_vector(system.coroot_to_y(alpha_v.coords)) == 1
+
+
+def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
+    calls = {"enumerate_coroots": 0, "enumerate_ball": 0}
+    for name in calls:
+        original = getattr(stabilizer, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(stabilizer, name, counted)
+    analyze(alg_affine_a2, Character.trivial(4), 8, 3)
+    assert calls == {"enumerate_coroots": 1, "enumerate_ball": 1}
+    # irreducible (both enumerations used), a U_C failure, and -1 at one generator
+    for values in ([1, 1, 1, 1], [4, 1, 1, 1], [-1, 1, 1, 1]):
+        calls.update(dict.fromkeys(calls, 0))
+        kato_check(alg_affine_a2, Character.make(values), 8, 3)
+        assert max(calls.values()) <= 1
+
+
+KATO_SWEEP_DATA = {
+    "affine A2": standard_system([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]),
+    "affine C2": standard_system([[2, -1, 0], [-2, 2, -2], [0, -1, 2]]),
+    "hyperbolic": standard_system([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]),
+    "Lemma 3.7": lemma37_system()[0],
+}
+
+
+def _sweep_characters(rank: int, n: int):
+    """The benchmark's five character kinds, the special value at each generator."""
+    yield "trivial", Character.trivial(rank)
+    yield "all-minus-one", Character.make([-1] * rank)
+    for i in range(n):
+        for kind, value in (("one-minus-one", -1), ("one-sqrt-minus-one", quadext(0, 1, -1)), ("one-q", 4)):
+            values = [1] * rank
+            values[i] = value
+            yield f"{kind}@{i}", Character.make(values)
+
+
+@pytest.mark.parametrize("name", sorted(KATO_SWEEP_DATA))
+def test_kato_agrees_with_analyze(name):
+    system = KATO_SWEEP_DATA[name]
+    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(2), system.n))
+    outcomes = set()
+    for kind, tau in _sweep_characters(system.rank, system.n):
+        verdict = kato_check(alg, tau, 8, 3)
+        result = analyze(alg, tau, 8, 3)
+        outside = set(result.w_tau_ball) - set(result.w_paren_tau_ball)
+        assert (verdict.status == REDUCIBLE) == (not result.u_c.ok or bool(outside)), kind
+        if verdict.witness_coroot is not None:
+            assert verdict.witness_coroot == result.u_c.witness, kind
+        if verdict.witness_element is not None:
+            assert verdict.witness_element in outside, kind
+        outcomes.add((verdict.status, verdict.witness_coroot is not None, verdict.witness_element is not None))
+    # every datum reaches both ends; all but affine A2 also have an element witness here
+    assert {(REDUCIBLE, True, False), (IRREDUCIBLE, False, False)} <= outcomes
+    assert ((REDUCIBLE, False, True) in outcomes) == (name != "affine A2")
