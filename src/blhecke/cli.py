@@ -44,8 +44,6 @@ DEFAULT_BOUNDS = {
     "weyl_length": 5,
     "ball": 4,
     "n_cap": 4,
-    "dominance_cap": 60,
-    "probe_coeff": 5,
 }
 
 
@@ -65,46 +63,49 @@ class JobConfig:
     def parse(data: dict) -> "JobConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        datum = data.get("datum")
-        if not isinstance(datum, dict) or "matrix" not in datum:
+        datum = _block(data, "datum")
+        if "matrix" not in datum:
             raise ConfigError("config needs a datum block with a matrix")
-        matrix = KacMoodyMatrix.make(datum["matrix"])
+        matrix = KacMoodyMatrix.make(_int_rows(datum["matrix"], "datum.matrix"))
         if all(k in datum for k in ("rank", "simple_roots", "simple_coroots")):
+            if type(datum["rank"]) is not int:
+                raise ConfigError(f"datum.rank must be an integer, got {datum['rank']!r}")
             system = RootGeneratingSystem.make(
-                matrix, datum["rank"], datum["simple_roots"], datum["simple_coroots"]
+                matrix,
+                datum["rank"],
+                _int_rows(datum["simple_roots"], "datum.simple_roots"),
+                _int_rows(datum["simple_coroots"], "datum.simple_coroots"),
             )
         else:
             system = standard_system(matrix)
 
         square = None
-        char_block = data.get("character") or {}
-        ext = char_block.get("extension") if isinstance(char_block, dict) else None
+        char_block = _block(data, "character")
+        ext = _block(char_block, "extension", where="character.")
         if ext:
             square = serial.parse_rational(ext.get("square"))
 
-        params = _parse_parameters(data.get("parameters") or {}, system, square)
+        params = _parse_parameters(_block(data, "parameters"), system, square)
 
         character = None
-        if isinstance(char_block, dict) and "values" in char_block:
-            values = [serial.scalar_from_obj(v, square) for v in char_block["values"]]
-            if len(values) != system.rank:
-                raise ConfigError(f"character needs {system.rank} values, got {len(values)}")
-            character = Character.make(values)
-
+        if "values" in char_block:
+            character = _parse_character(char_block, "character", system.rank, square)
         eigen = None
-        eig_block = data.get("eigen_character")
-        if isinstance(eig_block, dict) and "values" in eig_block:
-            eigen = Character.make([serial.scalar_from_obj(v, square) for v in eig_block["values"]])
+        eig_block = _block(data, "eigen_character")
+        if "values" in eig_block:
+            eigen = _parse_character(eig_block, "eigen_character", system.rank, square)
 
         vector = []
-        for rec in data.get("vector") or []:
-            word = [int(i) for i in rec.get("word", [])]
+        for rec in _block(data, "vector", list):
+            if not isinstance(rec, dict):
+                raise ConfigError(f"each vector record must be a mapping, got {rec!r}")
+            word = _ints(rec.get("word", []), "vector word")
             if any(i < 1 or i > system.n for i in word):
                 raise ConfigError(f"vector word {word} has out-of-range generator indices")
             vector.append((word, serial.scalar_from_obj(rec.get("coeff", "1"), square)))
 
         bounds = dict(DEFAULT_BOUNDS)
-        _set_bounds(bounds, data.get("bounds") or {})
+        _set_bounds(bounds, _block(data, "bounds"))
         return JobConfig(system, params, character, eigen, vector, bounds, square)
 
     def to_dict(self) -> dict:
@@ -122,6 +123,40 @@ class JobConfig:
             ]
         out["bounds"] = dict(self.bounds)
         return out
+
+
+def _block(data: dict, key: str, kind: type = dict, where: str = ""):
+    """data[key] if it is a mapping (or a list, by kind); absent or null reads
+    as an empty one."""
+    value = data.get(key)
+    if value is None:
+        return kind()
+    if not isinstance(value, kind):
+        raise ConfigError(f"{where}{key} must be a {'mapping' if kind is dict else 'list'}, got {value!r}")
+    return value
+
+
+def _ints(value, name: str) -> list[int]:
+    """A list of integers; bools, floats and strings are not integers here."""
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ConfigError(f"{name} must be a list of integers, got {value!r}")
+    return value
+
+
+def _int_rows(value, name: str) -> list[list[int]]:
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be a list of integer lists, got {value!r}")
+    return [_ints(row, name) for row in value]
+
+
+def _parse_character(block: dict, name: str, rank: int, square) -> Character:
+    values = [serial.scalar_from_obj(v, square) for v in _block(block, "values", list, f"{name}.")]
+    if len(values) != rank:
+        raise ConfigError(f"{name} needs {rank} values, got {len(values)}")
+    try:
+        return Character.make(values)
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
 def _set_bounds(bounds: dict[str, int], overrides: dict) -> None:
@@ -147,9 +182,9 @@ def _parse_parameters(block: dict, system: RootGeneratingSystem, square) -> Para
         sigma = root if root is not None else quadext(0, 1, q)
         return ParameterSet.equal(sigma, n)
     if "sigma" in block:
-        sigma = tuple(serial.scalar_from_obj(v, square) for v in block["sigma"])
-        prime_block = block.get("sigma_prime", block["sigma"])
-        sigma_prime = tuple(serial.scalar_from_obj(v, square) for v in prime_block)
+        sigma = tuple(serial.scalar_from_obj(v, square) for v in _block(block, "sigma", list, "parameters."))
+        primes = _block(block, "sigma_prime", list, "parameters.")
+        sigma_prime = tuple(serial.scalar_from_obj(v, square) for v in primes) if "sigma_prime" in block else sigma
         if len(sigma) != n or len(sigma_prime) != n:
             raise ConfigError(f"parameter lists must have length {n}")
         return ParameterSet(sigma, sigma_prime)
@@ -408,8 +443,16 @@ COMMANDS = {
 }
 
 
-def _env_default(name: str, fallback=None):
-    return os.environ.get(ENV_PREFIX + name, fallback)
+# flags that a BLHECKE_<FLAG> variable sets when they are absent, with the
+# value taken when neither is given
+ENV_FLAGS = {
+    "config": None,
+    "format": "text",
+    "seed": "0",
+    "bound-coroot": None,
+    "bound-length": None,
+    "expect": None,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,19 +462,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"blhecke {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=_env_default("CONFIG"), help="path to the YAML config")
-    common.add_argument(
-        "--format", choices=("text", "json"), default=_env_default("FORMAT", "text"), help="report format"
-    )
-    common.add_argument("--seed", type=int, default=int(_env_default("SEED", "0")), help="seed for randomized checks")
+    common.add_argument("--config", help="path to the YAML config")
+    common.add_argument("--format", choices=("text", "json"), help="report format (default text)")
+    common.add_argument("--seed", type=int, help="seed for randomized checks (default 0)")
     common.add_argument("--samples", type=int, default=25, help="sample count for randomized checks")
-    common.add_argument("--bound-coroot", type=int, default=_env_default("BOUND_COROOT"), help="override coroot height bound")
-    common.add_argument("--bound-length", type=int, default=_env_default("BOUND_LENGTH"), help="override Weyl length bound")
+    common.add_argument("--bound-coroot", type=int, help="override coroot height bound")
+    common.add_argument("--bound-length", type=int, help="override Weyl length bound")
     common.add_argument(
-        "--expect",
-        choices=("irreducible", "reducible"),
-        default=_env_default("EXPECT"),
-        help="exit 1 when the kato verdict differs",
+        "--expect", choices=("irreducible", "reducible"), help="exit 1 when the kato verdict differs"
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
@@ -439,9 +477,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+PARSER = build_parser()
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv, then give each absent flag its BLHECKE_ variable or its
+    default, parsed as that flag (so a bad value exits 2 like a bad flag)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = PARSER.parse_args(argv)
+    extra = []
+    for flag, fallback in ENV_FLAGS.items():
+        value = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
+        if getattr(args, flag.replace("-", "_")) is None and value is not None:
+            extra.append(f"--{flag}={value}")
+    return PARSER.parse_args(argv + extra)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(argv)
     handler, needs_config = COMMANDS[args.command]
     try:
         cfg = None

@@ -19,6 +19,7 @@ from functools import cached_property
 from operator import mul
 
 from .errors import IncompatibleData, NotARealCoroot
+from .memo import ELEMENT_CAP, GROUP_CAP, Memo
 from .rootdata import Coroot, IntVec, RootGeneratingSystem, root_of_coroot
 
 Mat = tuple[IntVec, ...]
@@ -172,22 +173,18 @@ class WeylElement:
 
 
 class WeylGroup:
-    """Element factory, interning table, and caches for one root datum."""
+    """Element factory and interning table for one root datum, one group per
+    datum (see the `memo` module for both tables)."""
 
-    _instances: dict[RootGeneratingSystem, "WeylGroup"] = {}
+    _instances: Memo = Memo(GROUP_CAP)
 
     def __new__(cls, system: RootGeneratingSystem):
-        inst = cls._instances.get(system)
-        if inst is None:
-            inst = super().__new__(cls)
-            inst._init(system)
-            cls._instances[system] = inst
-        return inst
+        return cls._instances.once(system, lambda: object.__new__(cls)._init(system))
 
-    def _init(self, system: RootGeneratingSystem) -> None:
+    def _init(self, system: RootGeneratingSystem) -> "WeylGroup":
         self.system = system
         n = system.n
-        self._elements: dict[Mat, WeylElement] = {}
+        self._elements = Memo(ELEMENT_CAP)
         ident = _identity(n)
         self.identity = self.intern(ident, ident)
         simples = []
@@ -196,13 +193,10 @@ class WeylGroup:
             mat = tuple(zip(*cols))
             simples.append(self.intern(mat, mat))
         self._simples = tuple(simples)
+        return self
 
     def intern(self, mat: Mat, inv: Mat) -> WeylElement:
-        el = self._elements.get(mat)
-        if el is None:
-            el = WeylElement(self.system, mat, inv)
-            self._elements[mat] = el
-        return el
+        return self._elements.once(mat, lambda: WeylElement(self.system, mat, inv))
 
     def simple(self, i: int) -> WeylElement:
         return self._simples[i]

@@ -26,6 +26,7 @@ from .coxeter import (
 )
 from .errors import IncompatibleData
 from .laurent import BinomialFactor, LaurentPoly, RationalElt
+from .memo import ALGEBRA_CAP, Memo
 from .rootdata import (
     CONE_POSITIVE,
     CONE_UNDETERMINED,
@@ -37,11 +38,6 @@ from .rootdata import (
 )
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
-
-
-# Omega_s(Z^lambda) entries kept per algebra; the oldest is evicted first, so
-# memory stays bounded however many monomials a long session pushes through.
-OMEGA_CACHE_CAP = 1024
 
 
 @dataclass(frozen=True)
@@ -56,8 +52,8 @@ class HeckeAlgebra:
         return WeylGroup(self.system)
 
     @cached_property
-    def _cache(self) -> dict:
-        return {"q": {}, "omega": {}, "f": {}, "fhat": {}, "zeta": {}}
+    def _cache(self) -> dict[str, Memo]:
+        return {name: Memo(ALGEBRA_CAP) for name in ("q", "omega", "f", "fhat", "zeta")}
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "HeckeElt":
@@ -80,10 +76,8 @@ class HeckeAlgebra:
     # -- structural coefficients ---------------------------------------------
     def q_s(self, i: int) -> RationalElt:
         """Q_s^T for a simple generator: the commutation coefficient."""
-        cache = self._cache["q"]
-        if i not in cache:
-            cache[i] = self._q_for(self.system.coroot_to_y(self.system.simple_coroot(i).coords), i)
-        return cache[i]
+        return self._cache["q"].once(
+            i, lambda: self._q_for(self.system.coroot_to_y(self.system.simple_coroot(i).coords), i))
 
     def _q_for(self, coroot_y, i: int) -> RationalElt:
         """Q^T for a reflection with coroot alpha^vee (in Y-coordinates) in the
@@ -108,28 +102,24 @@ class HeckeAlgebra:
 
     def omega(self, i: int, theta: RationalElt) -> RationalElt:
         """Omega_s(theta) = Q_s^T (theta - ^s theta); polynomial on polynomials."""
-        s_elt = self.group.simple(i)
         poly = theta.is_polynomial()
-        if poly is not None:
-            out = RationalElt.from_scalar(0, self.system.rank)
-            cache = self._cache["omega"]
-            for exp, coeff in poly.terms.items():
-                hit = cache.get((i, exp))
-                if hit is None:
-                    mono = RationalElt.monomial(exp)
-                    hit = self.q_s(i) * (mono - mono.twist(s_elt))
-                    if len(cache) >= OMEGA_CACHE_CAP:
-                        del cache[next(iter(cache))]
-                    cache[(i, exp)] = hit
-                out = out + hit.scale(coeff)
-            return out
-        return self.q_s(i) * (theta - theta.twist(s_elt))
+        if poly is None:
+            return self._omega(i, theta)
+        out = RationalElt.from_scalar(0, self.system.rank)
+        cache = self._cache["omega"]
+        for exp, coeff in poly.terms.items():
+            hit = cache.once((i, exp), lambda: self._omega(i, RationalElt.monomial(exp)))
+            out = out + hit.scale(coeff)
+        return out
+
+    def _omega(self, i: int, theta: RationalElt) -> RationalElt:
+        return self.q_s(i) * (theta - theta.twist(self.group.simple(i)))
 
     def zeta(self, coroot: Coroot) -> "ZetaFactors":
         """zeta_r = sigma_r^2 - Q_r^T in fully factored (num, den) form."""
-        cache = self._cache["zeta"]
         c = coroot.abs()
-        if c not in cache:
+
+        def make() -> ZetaFactors:
             s, sp = self.sigma_r(c)
             neg = tuple(-x for x in self.system.coroot_to_y(c.coords))
             num = [BinomialFactor.make(s * sp, neg), BinomialFactor.make(-s * scalar_inv(sp), neg)]
@@ -140,8 +130,9 @@ class HeckeAlgebra:
                 if f in den:
                     num.remove(f)
                     den.remove(f)
-            cache[c] = ZetaFactors(tuple(num), tuple(den))
-        return cache[c]
+            return ZetaFactors(tuple(num), tuple(den))
+
+        return self._cache["zeta"].once(c, make)
 
     def zeta_rational(self, coroot: Coroot) -> RationalElt:
         z = self.zeta(coroot)
@@ -163,13 +154,13 @@ class HeckeAlgebra:
 
     def f_w(self, w: WeylElement) -> "HeckeElt":
         """Intertwiner along the canonical reduced word; word-independent."""
-        cache = self._cache["f"]
-        if w not in cache:
+        def make() -> HeckeElt:
             out = self.one()
             for i in w.word:
                 out = out * self.f_s(i)
-            cache[w] = out
-        return cache[w]
+            return out
+
+        return self._cache["f"].once(w, make)
 
     def f_reflection(self, coroot: Coroot) -> "HeckeElt":
         """Normalized intertwiner for the reflection r at a positive coroot:
@@ -179,9 +170,9 @@ class HeckeAlgebra:
         reflections, where it is empty), which the quadratic relation of the
         modified intertwiners requires.
         """
-        cache = self._cache["fhat"]
         c = coroot.abs()
-        if c not in cache:
+
+        def make() -> HeckeElt:
             r = reflection_from_coroot(self.system, c)
             out = self.f_w(r)
             for beta in inversion_coroots(r):
@@ -191,8 +182,9 @@ class HeckeAlgebra:
                     for f in z.den_factors:
                         num = num * f.expand(self.system.rank)
                     out = out * self.theta(RationalElt(num, z.num_factors))
-            cache[c] = out
-        return cache[c]
+            return out
+
+        return self._cache["fhat"].once(c, make)
 
     def k_tilde(self, reflection_or_coroot) -> "HeckeElt":
         """Modified intertwiner of a reflection: normalized F plus Q^T."""

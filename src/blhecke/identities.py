@@ -414,8 +414,8 @@ def check_sigma_matrix(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int
 def run_suite(alg: HeckeAlgebra, tau: Character, seed: int, coroot_bound: int = 8, ell_bound: int = 3,
               samples: int = 25) -> list[CheckResult]:
     """The identity suite the CLI exposes; deterministic for a fixed seed."""
-    stab = TauStabilizer(alg, tau)
     series = PrincipalSeries(alg, tau)
+    stab = series.stabilizer()
     results = [
         check_quadratic(alg),
         check_braid(alg),

@@ -16,17 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .coxeter import WeylElement
 from .errors import PoleAtCharacter
 from .rootdata import IntVec
 from .scalars import ONE, Scalar, as_scalar, is_zero, scalar_key, scalar_sqrt
 from .scalars import inv as scalar_inv
-
-
-# at most this many factor splits are kept (one per direction and scale met)
-SPLIT_CACHE_CAP = 4096
 
 
 class LaurentPoly:
@@ -170,7 +165,6 @@ class BinomialFactor:
         return f"(1 - {self.scale}*Z^{self.direction})"
 
 
-@lru_cache(maxsize=SPLIT_CACHE_CAP)
 def _split_factor(factor: BinomialFactor) -> list:
     g = math.gcd(*factor.direction)
     if g % 2 == 0:

@@ -1,0 +1,73 @@
+"""The package's one cache policy: every cache is a `Memo` with one owner.
+
+A `Memo` is a dict with a constant `cap`.  `once(key, make)` returns the
+value at key and calls `make()` only when the key is missing; past the cap
+the oldest entry is evicted first.  Every value must be a pure function of
+its key, so an eviction only costs a recomputation, never a different
+answer.  Each cap is set above the largest size the benchmark's seed-1
+workloads reach, so nothing is evicted there, except from the `omega` memo
+on hecke-products and the series table on module-weights, which meet more
+monomials (about 7 500) and characters (one per config) than those caps
+hold; there the caps bound memory.
+
+The caches, their owners and caps:
+
+- `TauStabilizer._memo`, one per stabilizer: its tests by coroot or element
+  and its enumerations by bound, `STABILIZER_CAP`.  A `PrincipalSeries`
+  owns one stabilizer; `analyze` and `kato_check` build one per query.
+- `HeckeAlgebra._cache`, one per algebra: `q` (Q_s^T by generator), `omega`
+  (Omega_s(Z^lambda) by (i, lambda)), `zeta` and `fhat` (by coroot) and `f`
+  (F_w by element), each `ALGEBRA_CAP`.
+- `WeylGroup._elements`, one per group: the intern table by matrix,
+  `ELEMENT_CAP`.
+- `WeylGroup._instances`: the group of each root datum, `GROUP_CAP`.
+- `principal._matrix_cache(series)`: the theta-matrices of one series by
+  (exponent, domain), `THETA_MATRIX_CAP`, in a table of `SERIES_CAP` series.
+
+Two of these tables belong to the process rather than to an object the
+caller passes.  The group registry gives elements their identity: equal
+elements are normally one interned object, so their per-element caches
+(word, inversions, Y-action) are computed once; an element interned again
+after an eviction is equal to, and hashes like, the one it replaces.  The
+series table lets equal series share theta-matrices, since the CLI builds a
+new `PrincipalSeries` on every call; on `module-weights` that saves about
+30 % of the time (4 rounds took 4.9-5.4 s with per-series theta-matrices,
+against 3.5-4.2 s).
+
+Attributes bounded by their object, such as `functools.cached_property`
+values and `WeylElement._left` (at most one entry per generator), are not
+caches in this sense.
+"""
+
+from __future__ import annotations
+
+# largest sizes on the seed-1 benchmark workloads in the comments
+STABILIZER_CAP = 4096  # 551 entries (kato-sweep)
+ALGEBRA_CAP = 1024  # zeta: 226 entries (kato-sweep); omega fills it on hecke-products
+ELEMENT_CAP = 8192  # 315 elements (kato-sweep)
+GROUP_CAP = 64  # 5 groups
+THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)
+SERIES_CAP = 8  # module-weights meets one series per config
+
+_MISSING = object()
+
+
+class Memo(dict):
+    """A dict holding at most `cap` entries, each computed once; past the
+    cap the oldest entry is evicted first."""
+
+    __slots__ = ("cap",)
+
+    def __init__(self, cap: int):
+        super().__init__()
+        self.cap = cap
+
+    def once(self, key, make):
+        """The value at key, computed by make() on first use."""
+        value = self.get(key, _MISSING)
+        if value is _MISSING:
+            value = make()
+            while len(self) >= self.cap:
+                del self[next(iter(self))]
+            self[key] = value
+        return value

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 
 from .coxeter import WeylElement, bruhat_lower_closure
 from .errors import (
@@ -35,14 +35,12 @@ from .errors import (
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, LaurentPoly, RationalElt, evaluate
 from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
+from .memo import SERIES_CAP, THETA_MATRIX_CAP, Memo
 from .scalars import ONE, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
 from .stabilizer import TauStabilizer
 
 NEG_INF = float("-inf")
-# Series whose theta-matrices are kept; the least recently used is evicted
-# first, so memory stays bounded however many characters a session visits.
-MATRIX_CACHE_CAP = 8
 
 
 class ModuleVector:
@@ -170,9 +168,7 @@ class PrincipalSeries:
     def _theta_matrix(self, exp: tuple, dom: tuple[WeylElement, ...]):
         """Matrix of the Z^exp action on the span of a lower set, column j the
         image of T_{dom[j]} v; cached and shared, so callers must not mutate it."""
-        key = (exp, dom)
-        cache = _matrix_cache(self)
-        if key not in cache:
+        def make() -> list:
             index = {w: k for k, w in enumerate(dom)}
             m = [[Fraction(0)] * len(dom) for _ in dom]
             h = self.algebra.monomial(exp)
@@ -181,8 +177,9 @@ class PrincipalSeries:
                     if v not in index:
                         raise DomainNotLowerSet("action left the domain; not a lower set")
                     m[index[v]][j] = c
-            cache[key] = m
-        return cache[key]
+            return m
+
+        return _matrix_cache(self).once((exp, dom), make)
 
     def _shifted_matrices(self, eigen: Character, dom: tuple[WeylElement, ...]) -> list:
         """theta - eigen(theta) on the span of dom, for each generator
@@ -217,14 +214,18 @@ class PrincipalSeries:
     # -- intertwiners ------------------------------------------------------------
     def psi(self, w_r: WeylElement) -> "Intertwiner":
         """Endomorphism sending h.v to h.(F_{w_r}(tau).v), for w_r in the R-group."""
-        stab = TauStabilizer(self.algebra, self.tau)
-        if not stab.in_r_group(w_r):
+        if not self.stabilizer().in_r_group(w_r):
             raise NotInRTau(f"{w_r!r} fails the R-group conditions at tau")
         target = self.ev(self.algebra.f_w(w_r))
         return Intertwiner(self, w_r, target)
 
     # -- the tau-local module structure ---------------------------------------
     def stabilizer(self) -> TauStabilizer:
+        """The one stabilizer of tau this series owns, so its memo is shared."""
+        return self._stabilizer
+
+    @cached_property
+    def _stabilizer(self) -> TauStabilizer:
         return TauStabilizer(self.algebra, self.tau)
 
     def itg_basis(self, ell_bound: int, coroot_bound: int) -> list[ModuleVector]:
@@ -372,6 +373,9 @@ class Intertwiner:
         return out
 
 
-@lru_cache(maxsize=MATRIX_CACHE_CAP)
-def _matrix_cache(series: PrincipalSeries) -> dict:
-    return {}
+# process-level, so equal series share theta-matrices (see the memo module)
+_series_matrices = Memo(SERIES_CAP)
+
+
+def _matrix_cache(series: PrincipalSeries) -> Memo:
+    return _series_matrices.once(series, lambda: Memo(THETA_MATRIX_CAP))

@@ -7,6 +7,7 @@ into cocharacter coordinates is computed on demand.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -209,16 +210,7 @@ class RootGeneratingSystem:
 
     def root_lattice_image_gcd(self, i: int) -> int:
         """Generator of alpha_i(Y) as a subgroup g*Z of Z."""
-        g = 0
-        for x in self.simple_roots[i]:
-            g = _gcd(g, abs(x))
-        return g
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+        return math.gcd(*self.simple_roots[i])
 
 
 def standard_system(matrix) -> RootGeneratingSystem:

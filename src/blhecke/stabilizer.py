@@ -9,11 +9,10 @@ subgroup is decided by greedy descent along canonical generators harvested
 from the inversion set.  Only the *enumerations* (which coroots, which group
 elements get listed) are truncated by the bounds recorded in every verdict.
 
-Memo policy: a `TauStabilizer` computes each test and enumeration once, in
-one memo it owns, which lives as long as it does (one query) and is bounded
-by the coroots, elements and bounds asked of it.  `kato_check` and `analyze`
-read the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer
-each, so the verdict and the analysis cannot disagree.
+A `TauStabilizer` computes each test and enumeration once, in one `Memo` it
+owns (the policy is in the `memo` module).  `kato_check` and `analyze` read
+the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer each,
+so the verdict and the analysis cannot disagree.
 """
 
 from __future__ import annotations
@@ -32,6 +31,7 @@ from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
 from .linalg import cone_contains
+from .memo import STABILIZER_CAP, Memo
 from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots, root_of_coroot
 from .scalars import Scalar, is_positive_real, is_zero, sign_real
 from .scalars import inv as scalar_inv
@@ -40,39 +40,31 @@ from .scalars import inv as scalar_inv
 class TauStabilizer:
     """Working context for one character over one Hecke algebra.  `_memo`
     holds each test by (name, coroot or element) and each enumeration by
-    (name, bound); it lives for this stabilizer's one query and holds only
-    what was asked.  `kato_check` and `analyze` read the same tests."""
+    (name, bound).  `kato_check` and `analyze` read the same tests."""
 
     def __init__(self, algebra: HeckeAlgebra, tau: Character):
         if tau.rank != algebra.system.rank:
             raise ValueError("character rank does not match the lattice rank")
         self.algebra = algebra
         self.tau = tau
-        self._memo: dict = {}
+        self._memo = Memo(STABILIZER_CAP)
 
     @property
     def system(self):
         return self.algebra.system
 
-    def _once(self, key, make):
-        """The memoized value at key, computed by make() on first use."""
-        memo = self._memo
-        if key not in memo:
-            memo[key] = make()
-        return memo[key]
-
     # -- pointwise tests (exact) ---------------------------------------------
     def phi_contains(self, coroot: Coroot) -> bool:
         """Does some zeta-denominator factor of the coroot vanish at tau?"""
         c = coroot.abs()
-        return self._once(("phi", c), lambda: any(is_zero(self.tau.of_factor(f))
-                                                   for f in self.algebra.zeta(c).den_factors))
+        return self._memo.once(("phi", c), lambda: any(is_zero(self.tau.of_factor(f))
+                                                       for f in self.algebra.zeta(c).den_factors))
 
     def is_canonical_generator(self, coroot: Coroot) -> bool:
         """Canonical-generator criterion: the inversion set of r_{alpha} meets
         the fixed subsystem exactly in {alpha}."""
         c = coroot.abs()
-        return self._once(("gen", c), lambda: self.phi_contains(c) and all(
+        return self._memo.once(("gen", c), lambda: self.phi_contains(c) and all(
             beta == c or not self.phi_contains(beta)
             for beta in inversion_coroots(reflection_from_coroot(self.system, c))))
 
@@ -87,11 +79,7 @@ class TauStabilizer:
         word: list[WeylElement] = []
         cur = w
         while not cur.is_identity:
-            cands = [
-                beta
-                for beta in inversion_coroots(cur.inverse())
-                if self.phi_contains(beta) and self.is_canonical_generator(beta)
-            ]
+            cands = [beta for beta in inversion_coroots(cur.inverse()) if self.is_canonical_generator(beta)]
             if not cands:
                 return None
             beta = min(cands, key=lambda c: c.sort_key)
@@ -118,7 +106,7 @@ class TauStabilizer:
         return cur.is_identity
 
     def fixes_tau(self, w: WeylElement) -> bool:
-        return self._once(("fixes", w), lambda: self.tau.twist(w) == self.tau)
+        return self._memo.once(("fixes", w), lambda: self.tau.twist(w) == self.tau)
 
     def in_r_group(self, w: WeylElement) -> bool:
         """w stabilizes tau and inverts no positive coroot of the subsystem."""
@@ -128,10 +116,10 @@ class TauStabilizer:
 
     # -- bounded enumerations ---------------------------------------------------
     def _coroots(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return self._once(("coroots", coroot_bound), lambda: enumerate_coroots(self.system, coroot_bound))
+        return self._memo.once(("coroots", coroot_bound), lambda: enumerate_coroots(self.system, coroot_bound))
 
     def _ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return self._once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
+        return self._memo.once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
 
     def u_c(self, coroot_bound: int) -> UCResult:
         """Evaluate every reduced zeta-numerator factor at tau over the
@@ -147,11 +135,11 @@ class TauStabilizer:
                 and all(c.height < coroot_bound for c in self._coroots(coroot_bound)))
 
     def phi_tau(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return self._once(("phi_tau", coroot_bound),
-                          lambda: tuple(c for c in self._coroots(coroot_bound) if self.phi_contains(c)))
+        return self._memo.once(("phi_tau", coroot_bound),
+                               lambda: tuple(c for c in self._coroots(coroot_bound) if self.phi_contains(c)))
 
     def sigma_tau(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return self._once(("sigma_tau", coroot_bound), lambda: tuple(
+        return self._memo.once(("sigma_tau", coroot_bound), lambda: tuple(
             c for c in self.phi_tau(coroot_bound) if c.positive and self.is_canonical_generator(c)))
 
     def s_tau(self, coroot_bound: int) -> tuple[WeylElement, ...]:
@@ -194,7 +182,7 @@ class TauStabilizer:
                 raise WordNotReduced(f"{w!r} is not in the reflection subgroup of tau")
             return self.algebra.k_tilde_word(word)
 
-        return self._once(("ktilde", w), make)
+        return self._memo.once(("ktilde", w), make)
 
     def k_lead_inverse(self, w: WeylElement) -> RationalElt:
         """Factored inverse of the T_w-coefficient of K~_w.

@@ -236,3 +236,58 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     report = capsys.readouterr()
     assert report.out == ""
     assert "malformed YAML" in report.err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"character": {"values": ["1", "1"], "extension": "-1"}},
+        {"vector": ["1"]},
+        {"bounds": ["ball", 2]},
+        {"parameters": "q=4"},
+        {"datum": {"matrix": "2 -1 -1 2"}},
+        {"datum": {"matrix": [[2, -1], [-1, "two"]]}},
+        {"character": {"values": ["0", "1"]}},
+        {"character": {"values": "11"}},
+        {"eigen_character": {"values": ["1"]}},
+        {"bounds": {"dominance_cap": 60}},
+        {"bounds": {"probe_coeff": 5}},
+    ],
+    ids=[
+        "extension-not-mapping",
+        "vector-record-not-mapping",
+        "bounds-not-mapping",
+        "parameters-not-mapping",
+        "matrix-not-list",
+        "matrix-entry-not-integer",
+        "character-value-zero",
+        "character-values-not-list",
+        "eigen-character-short",
+        "unknown-bound-dominance-cap",
+        "unknown-bound-probe-coeff",
+    ],
+)
+def test_malformed_config_rejected(tmp_path, capsys, change):
+    path = write_config(tmp_path, dict(A2, **change))
+    assert main(["kato", "--config", path]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert report.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "name, value, flag",
+    [
+        ("SEED", "x", ["--seed", "3"]),
+        ("FORMAT", "xml", ["--format", "text"]),
+        ("EXPECT", "maybe", ["--expect", "irreducible"]),
+    ],
+)
+def test_bad_env_value_rejected(tmp_path, capsys, monkeypatch, name, value, flag):
+    path = write_config(tmp_path, A2)
+    monkeypatch.setenv("BLHECKE_" + name, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["kato", "--config", path])
+    assert exc.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+    assert main(["kato", "--config", path, *flag]) == 0  # the flag wins over the variable
