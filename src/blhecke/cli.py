@@ -63,11 +63,16 @@ class JobConfig:
     def parse(data: dict) -> "JobConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a mapping")
-        datum = _block(data, "datum")
+        _known_keys(data, ("datum", "parameters", "character", "eigen_character", "vector", "bounds"), "")
+        explicit = ("rank", "simple_roots", "simple_coroots")  # together they replace standard_system
+        datum = _block(data, "datum", known=("matrix",) + explicit)
         if "matrix" not in datum:
             raise ConfigError("config needs a datum block with a matrix")
         matrix = KacMoodyMatrix.make(_int_rows(datum["matrix"], "datum.matrix"))
-        if all(k in datum for k in ("rank", "simple_roots", "simple_coroots")):
+        given = [k for k in explicit if k in datum]
+        if 0 < len(given) < len(explicit):
+            raise ConfigError(f"datum gives only {', '.join(given)} of {', '.join(explicit)}: give all or none")
+        if given:
             if type(datum["rank"]) is not int:
                 raise ConfigError(f"datum.rank must be an integer, got {datum['rank']!r}")
             system = RootGeneratingSystem.make(
@@ -80,18 +85,18 @@ class JobConfig:
             system = standard_system(matrix)
 
         square = None
-        char_block = _block(data, "character")
-        ext = _block(char_block, "extension", where="character.")
+        char_block = _block(data, "character", known=("values", "extension"))
+        ext = _block(char_block, "extension", where="character.", known=("square",))
         if ext:
             square = serial.parse_rational(ext.get("square"))
 
-        params = _parse_parameters(_block(data, "parameters"), system, square)
+        params = _parse_parameters(_block(data, "parameters", known=("q", "sigma", "sigma_prime")), system, square)
 
         character = None
         if "values" in char_block:
             character = _parse_character(char_block, "character", system.rank, square)
         eigen = None
-        eig_block = _block(data, "eigen_character")
+        eig_block = _block(data, "eigen_character", known=("values",))
         if "values" in eig_block:
             eigen = _parse_character(eig_block, "eigen_character", system.rank, square)
 
@@ -99,6 +104,7 @@ class JobConfig:
         for rec in _block(data, "vector", list):
             if not isinstance(rec, dict):
                 raise ConfigError(f"each vector record must be a mapping, got {rec!r}")
+            _known_keys(rec, ("word", "coeff"), "vector.")
             word = _ints(rec.get("word", []), "vector word")
             if any(i < 1 or i > system.n for i in word):
                 raise ConfigError(f"vector word {word} has out-of-range generator indices")
@@ -125,15 +131,24 @@ class JobConfig:
         return out
 
 
-def _block(data: dict, key: str, kind: type = dict, where: str = ""):
-    """data[key] if it is a mapping (or a list, by kind); absent or null reads
-    as an empty one."""
+def _block(data: dict, key: str, kind: type = dict, where: str = "", known: tuple[str, ...] | None = None):
+    """data[key] if it is a mapping (or a list, by kind), holding no key
+    outside `known` when that is given; absent or null reads as an empty one."""
     value = data.get(key)
     if value is None:
         return kind()
     if not isinstance(value, kind):
         raise ConfigError(f"{where}{key} must be a {'mapping' if kind is dict else 'list'}, got {value!r}")
+    if known is not None:
+        _known_keys(value, known, f"{where}{key}.")
     return value
+
+
+def _known_keys(block: dict, known: tuple[str, ...], where: str) -> None:
+    """Reject a key the parser would ignore, naming it."""
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown key {where}{key}")
 
 
 def _ints(value, name: str) -> list[int]:
@@ -177,6 +192,8 @@ def _set_bounds(bounds: dict[str, int], overrides: dict) -> None:
 def _parse_parameters(block: dict, system: RootGeneratingSystem, square) -> ParameterSet:
     n = system.n
     if "q" in block:
+        if "sigma" in block or "sigma_prime" in block:
+            raise ConfigError("parameters give q beside sigma/sigma_prime: give one or the other")
         q = serial.parse_rational(block["q"])
         root = rational_sqrt(q)
         sigma = root if root is not None else quadext(0, 1, q)
@@ -308,7 +325,7 @@ def _weight_space_common(cfg: JobConfig, args, generalized: bool) -> int:
     alg = HeckeAlgebra(cfg.system, cfg.params)
     series = PrincipalSeries(alg, tau)
     eigen = cfg.eigen_character or tau
-    dom = LowerSet.closure(enumerate_ball(cfg.system, cfg.bounds["ball"]))
+    dom = LowerSet(frozenset(enumerate_ball(cfg.system, cfg.bounds["ball"])))  # a Bruhat ball is a lower set
     if generalized:
         basis = series.generalized_weight_space(eigen, dom, cfg.bounds["n_cap"])
         name = "gen-weight-space"

@@ -25,7 +25,7 @@ from .coxeter import (
     reflection_from_coroot,
 )
 from .errors import IncompatibleData
-from .laurent import BinomialFactor, LaurentPoly, RationalElt
+from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from .memo import ALGEBRA_CAP, Memo
 from .rootdata import (
     CONE_POSITIVE,
@@ -76,24 +76,17 @@ class HeckeAlgebra:
     # -- structural coefficients ---------------------------------------------
     def q_s(self, i: int) -> RationalElt:
         """Q_s^T for a simple generator: the commutation coefficient."""
-        return self._cache["q"].once(
-            i, lambda: self._q_for(self.system.coroot_to_y(self.system.simple_coroot(i).coords), i))
-
-    def _q_for(self, coroot_y, i: int) -> RationalElt:
-        """Q^T for a reflection with coroot alpha^vee (in Y-coordinates) in the
-        orbit of generator i: ((s^2-1) + s(s'-s'^-1) Z^-a) / (1-Z^-a)(1+Z^-a)."""
-        rank = self.system.rank
-        s = self.params.sigma[i]
-        sp = self.params.sigma_prime[i]
-        neg = tuple(-x for x in coroot_y)
-        num = LaurentPoly(rank, {(0,) * rank: s * s - 1, neg: s * (sp - scalar_inv(sp))})
-        den = (BinomialFactor.make(ONE, neg), BinomialFactor.make(-ONE, neg))
-        return RationalElt(num, den)
+        return self._cache["q"].once(i, lambda: self.q_r(self.system.simple_coroot(i)))
 
     def q_r(self, coroot: Coroot) -> RationalElt:
-        """Q^T_r = ^w(Q^T_s) for the reflection r = w s w^{-1} at a positive coroot."""
-        _, i = coroot_orbit_witness(self.system, coroot.abs())
-        return self._q_for(self.system.coroot_to_y(coroot.abs().coords), i)
+        """Q^T_r = ^w(Q^T_s) for the reflection r = w s w^{-1} at a coroot a:
+        ((s^2-1) + s(s'-s'^-1) Z^-a) / (1-Z^-a)(1+Z^-a)."""
+        c = coroot.abs()
+        rank = self.system.rank
+        s, sp = self.sigma_r(c)
+        neg = tuple(-x for x in self.system.coroot_to_y(c.coords))
+        num = LaurentPoly(rank, {(0,) * rank: s * s - 1, neg: s * (sp - scalar_inv(sp))})
+        return RationalElt(num, (BinomialFactor.make(ONE, neg), BinomialFactor.make(-ONE, neg)))
 
     def sigma_r(self, coroot: Coroot) -> tuple[Scalar, Scalar]:
         """(sigma, sigma') of the simple orbit representative of a coroot."""
@@ -115,31 +108,25 @@ class HeckeAlgebra:
     def _omega(self, i: int, theta: RationalElt) -> RationalElt:
         return self.q_s(i) * (theta - theta.twist(self.group.simple(i)))
 
-    def zeta(self, coroot: Coroot) -> "ZetaFactors":
-        """zeta_r = sigma_r^2 - Q_r^T in fully factored (num, den) form."""
-        c = coroot.abs()
+    def zeta(self, coroot: Coroot) -> RationalElt:
+        """zeta_r = sigma_r^2 - Q_r^T = (1 - s s' Z^-a)(1 + (s/s') Z^-a) / ((1 - Z^-a)(1 + Z^-a))
+        at a = alpha_r^vee, reduced (the pairs that cancel are in the `stabilizer` docstring)."""
+        return self._zeta_pair(coroot.abs())[0]
 
-        def make() -> ZetaFactors:
+    def zeta_inverse(self, coroot: Coroot) -> RationalElt:
+        """zeta_r^{-1}, reduced, from the same four binomials swapped."""
+        return self._zeta_pair(coroot.abs())[1]
+
+    def _zeta_pair(self, c: Coroot) -> tuple[RationalElt, RationalElt]:
+        def make() -> tuple[RationalElt, RationalElt]:
             s, sp = self.sigma_r(c)
             neg = tuple(-x for x in self.system.coroot_to_y(c.coords))
-            num = [BinomialFactor.make(s * sp, neg), BinomialFactor.make(-s * scalar_inv(sp), neg)]
-            den = [BinomialFactor.make(ONE, neg), BinomialFactor.make(-ONE, neg)]
-            num = [g for f in num for g in f.split()]
-            den = [g for f in den for g in f.split()]
-            for f in list(num):
-                if f in den:
-                    num.remove(f)
-                    den.remove(f)
-            return ZetaFactors(tuple(num), tuple(den))
+            num = (BinomialFactor.make(s * sp, neg), BinomialFactor.make(-s * scalar_inv(sp), neg))
+            den = (BinomialFactor.make(ONE, neg), BinomialFactor.make(-ONE, neg))
+            one = LaurentPoly.one(self.system.rank)
+            return RationalElt(times_binomials(one, num), den), RationalElt(times_binomials(one, den), num)
 
         return self._cache["zeta"].once(c, make)
-
-    def zeta_rational(self, coroot: Coroot) -> RationalElt:
-        z = self.zeta(coroot)
-        num = LaurentPoly.one(self.system.rank)
-        for f in z.num_factors:
-            num = num * f.expand(self.system.rank)
-        return RationalElt(num, z.den_factors)
 
     # -- intertwiners ----------------------------------------------------------
     def f_s(self, i: int) -> "HeckeElt":
@@ -177,11 +164,7 @@ class HeckeAlgebra:
             out = self.f_w(r)
             for beta in inversion_coroots(r):
                 if beta != c:
-                    z = self.zeta(beta)
-                    num = LaurentPoly.one(self.system.rank)
-                    for f in z.den_factors:
-                        num = num * f.expand(self.system.rank)
-                    out = out * self.theta(RationalElt(num, z.num_factors))
+                    out = out * self.theta(self.zeta_inverse(beta))
             return out
 
         return self._cache["fhat"].once(c, make)
@@ -214,14 +197,6 @@ class HeckeAlgebra:
         for r in reflections:
             out = out * self.k_tilde(r)
         return out
-
-
-@dataclass(frozen=True)
-class ZetaFactors:
-    """Factored numerator and denominator of zeta_r, coprime by construction."""
-
-    num_factors: tuple[BinomialFactor, ...]
-    den_factors: tuple[BinomialFactor, ...]
 
 
 class HeckeElt:

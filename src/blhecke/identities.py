@@ -149,7 +149,7 @@ def check_intertwiner_commutation(alg: HeckeAlgebra, samples: int, seed: int, ma
 def check_intertwiner_square(alg: HeckeAlgebra) -> CheckResult:
     for i in range(alg.system.n):
         fs = alg.f_s(i)
-        z = alg.zeta_rational(alg.system.simple_coroot(i))
+        z = alg.zeta(alg.system.simple_coroot(i))
         zz = z * z.twist(alg.group.simple(i))
         if fs * fs != alg.theta(zz):
             return CheckResult("intertwiner-square", False, f"generator {i + 1}")

@@ -157,22 +157,24 @@ class BinomialFactor:
         return (self.direction, scalar_key(self.scale))
 
     def split(self) -> list["BinomialFactor"]:
-        """Factor 1 - c Z^(2 mu) into (1 - a Z^mu)(1 + a Z^mu) when a = sqrt(c)
-        exists in the working field; keeps tau-vanishing detectable per factor."""
-        return _split_factor(self)
+        """Factor 1 - c Z^(2 mu) into (1 - a Z^mu)(1 + a Z^mu), recursively, when
+        a = sqrt(c) exists in the working field, so that either half can cancel."""
+        if math.gcd(*self.direction) % 2 == 0:
+            root = scalar_sqrt(self.scale)
+            if root is not None:
+                half = tuple(x // 2 for x in self.direction)
+                return BinomialFactor(root, half).split() + BinomialFactor(-root, half).split()
+        return [self]
 
     def __repr__(self):
         return f"(1 - {self.scale}*Z^{self.direction})"
 
 
-def _split_factor(factor: BinomialFactor) -> list:
-    g = math.gcd(*factor.direction)
-    if g % 2 == 0:
-        root = scalar_sqrt(factor.scale)
-        if root is not None:
-            half = tuple(x // 2 for x in factor.direction)
-            return _split_factor(BinomialFactor(root, half)) + _split_factor(BinomialFactor(-root, half))
-    return [factor]
+def times_binomials(p: LaurentPoly, factors) -> LaurentPoly:
+    """p times the binomials 1 - c Z^mu, expanded one at a time in order."""
+    for f in factors:
+        p = p * f.expand(p.rank)
+    return p
 
 
 def divide_binomial(poly: LaurentPoly, factor: BinomialFactor) -> LaurentPoly | None:
@@ -226,10 +228,7 @@ class RationalElt:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
-        factors: list[BinomialFactor] = []
-        for f in den:
-            factors.extend(f.split())
-        num, factors = _reduce(num, factors)
+        num, factors = _reduce(num, [g for f in den for g in f.split()])
         self.num = num
         self.den = tuple(sorted(factors, key=lambda f: f.sort_key))
 
@@ -278,12 +277,7 @@ class RationalElt:
                 rest_self.remove(f)
             except ValueError:
                 rest_other.append(f)
-        left = self.num
-        for f in rest_other:
-            left = left * f.expand(self.rank)
-        right = other.num
-        for f in rest_self:
-            right = right * f.expand(self.rank)
+        left, right = times_binomials(self.num, rest_other), times_binomials(other.num, rest_self)
         return left, right, self.den + tuple(rest_other)
 
     def __neg__(self) -> "RationalElt":

@@ -16,8 +16,9 @@ The caches, their owners and caps:
   and its enumerations by bound, `STABILIZER_CAP`.  A `PrincipalSeries`
   owns one stabilizer; `analyze` and `kato_check` build one per query.
 - `HeckeAlgebra._cache`, one per algebra: `q` (Q_s^T by generator), `omega`
-  (Omega_s(Z^lambda) by (i, lambda)), `zeta` and `fhat` (by coroot) and `f`
-  (F_w by element), each `ALGEBRA_CAP`.
+  (Omega_s(Z^lambda) by (i, lambda)), `zeta` (zeta and its inverse) and
+  `fhat` (by coroot) and `f` (F_w by element), each `ALGEBRA_CAP`.  The
+  stabilizer's tests read no zeta, so no benchmark workload fills `zeta`.
 - `WeylGroup._elements`, one per group: the intern table by matrix,
   `ELEMENT_CAP`.
 - `WeylGroup._instances`: the group of each root datum, `GROUP_CAP`.
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 # largest sizes on the seed-1 benchmark workloads in the comments
 STABILIZER_CAP = 4096  # 551 entries (kato-sweep)
-ALGEBRA_CAP = 1024  # zeta: 226 entries (kato-sweep); omega fills it on hecke-products
+ALGEBRA_CAP = 1024  # omega fills it on hecke-products; zeta: 23 entries (tier-1 tests)
 ELEMENT_CAP = 8192  # 315 elements (kato-sweep)
 GROUP_CAP = 64  # 5 groups
 THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)

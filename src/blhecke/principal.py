@@ -16,6 +16,7 @@ elimination of the stacked equations gives (`linalg.triangular_kernel`).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,7 +34,7 @@ from .errors import (
     PoleAtCharacter,
 )
 from .hecke import HeckeAlgebra, HeckeElt
-from .laurent import Character, LaurentPoly, RationalElt, evaluate
+from .laurent import Character, LaurentPoly, RationalElt, evaluate, times_binomials
 from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
 from .memo import SERIES_CAP, THETA_MATRIX_CAP, Memo
 from .scalars import ONE, Scalar, as_scalar, is_zero
@@ -294,17 +295,11 @@ class PrincipalSeries:
         polynomial small while matching the construction's value at tau.
         """
         ktw = stab.k_tilde_of(w)
-        needed: dict = {}
+        needed: Counter = Counter()
         for _, c in ktw.items():
-            counts: dict = {}
-            for f in c.den:
-                counts[f] = counts.get(f, 0) + 1
-            for f, k in counts.items():
-                needed[f] = max(needed.get(f, 0), k)
-        g = LaurentPoly.one(self.algebra.system.rank)
-        for f, k in sorted(needed.items(), key=lambda fk: fk[0].sort_key):
-            for _ in range(k):
-                g = g * f.expand(self.algebra.system.rank)
+            needed |= Counter(c.den)
+        factors = sorted(needed.elements(), key=lambda f: f.sort_key)
+        g = times_binomials(LaurentPoly.one(self.algebra.system.rank), factors)
         rep = ktw.times_fn(RationalElt.from_poly(g))
         return rep.scale(scalar_inv(self.tau.of_poly(g)))
 

@@ -9,6 +9,16 @@ subgroup is decided by greedy descent along canonical generators harvested
 from the inversion set.  Only the *enumerations* (which coroots, which group
 elements get listed) are truncated by the bounds recorded in every verdict.
 
+Phi_tau and U_C read t = tau(alpha^vee) and the parameters (s, s') of the
+coroot's orbit.  The numerator binomials of zeta_alpha (`HeckeAlgebra.zeta`)
+vanish at t = s s' and t = -s/s', the denominator ones at t = 1 and t = -1,
+and a numerator binomial equals (and cancels) a denominator one exactly when
+they vanish at the same t; splitting changes neither where a binomial
+vanishes nor what cancels.  So the reduced zeta's denominator vanishes iff t
+is in {1, -1} minus {s s', -s/s'}, and its numerator iff t is in
+{s s', -s/s'} minus {1, -1} (s' = s and s' = -s are the cancelling cases
+when |s|, |s'| > 1; the two numerator roots differ unless s'^2 = -1).
+
 A `TauStabilizer` computes each test and enumeration once, in one `Memo` it
 owns (the policy is in the `memo` module).  `kato_check` and `analyze` read
 the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer each,
@@ -33,7 +43,7 @@ from .laurent import Character, RationalElt
 from .linalg import cone_contains
 from .memo import STABILIZER_CAP, Memo
 from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots, root_of_coroot
-from .scalars import Scalar, is_positive_real, is_zero, sign_real
+from .scalars import Scalar, is_positive_real, sign_real
 from .scalars import inv as scalar_inv
 
 
@@ -54,11 +64,21 @@ class TauStabilizer:
         return self.algebra.system
 
     # -- pointwise tests (exact) ---------------------------------------------
-    def phi_contains(self, coroot: Coroot) -> bool:
-        """Does some zeta-denominator factor of the coroot vanish at tau?"""
+    def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar]:
+        """(tau(alpha^vee), sigma, sigma') at a coroot: all the zeta tests and sigma'' read."""
         c = coroot.abs()
-        return self._memo.once(("phi", c), lambda: any(is_zero(self.tau.of_factor(f))
-                                                       for f in self.algebra.zeta(c).den_factors))
+        return self._memo.once(("t", c), lambda: (self.tau.of_vector(self.system.coroot_to_y(c.coords)),
+                                                  *self.algebra.sigma_r(c)))
+
+    def phi_contains(self, coroot: Coroot) -> bool:
+        """Does the reduced zeta denominator vanish: t in {1, -1} minus {s s', -s/s'}?"""
+        t, s, sp = self._values(coroot)
+        return (t == 1 or t == -1) and t * sp != -s and t != s * sp
+
+    def zeta_num_vanishes(self, coroot: Coroot) -> bool:
+        """Does the reduced zeta numerator vanish: t in {s s', -s/s'} minus {1, -1}?"""
+        t, s, sp = self._values(coroot)
+        return t != 1 and t != -1 and (t == s * sp or t * sp == -s)
 
     def is_canonical_generator(self, coroot: Coroot) -> bool:
         """Canonical-generator criterion: the inversion set of r_{alpha} meets
@@ -122,10 +142,9 @@ class TauStabilizer:
         return self._memo.once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
 
     def u_c(self, coroot_bound: int) -> UCResult:
-        """Evaluate every reduced zeta-numerator factor at tau over the
-        enumerated positive coroots."""
+        """The first enumerated positive coroot where `zeta_num_vanishes` holds."""
         for c in self._coroots(coroot_bound):
-            if c.positive and any(is_zero(self.tau.of_factor(f)) for f in self.algebra.zeta(c).num_factors):
+            if c.positive and self.zeta_num_vanishes(c):
                 return UCResult("NotInU_C", coroot_bound, c)
         return UCResult("InU_C", coroot_bound, None)
 
@@ -200,7 +219,7 @@ class TauStabilizer:
             alpha = coroot_of_reflection(r)
             for beta in inversion_coroots(r):
                 if beta != alpha:
-                    inv = inv * self.algebra.zeta_rational(beta)
+                    inv = inv * self.algebra.zeta(beta)
         actual = self.k_tilde_of(w).coeffs[w]
         if actual * inv != RationalElt.from_scalar(1, self.system.rank):
             raise WordNotReduced(f"leading coefficient of K~[{w!r}] is not the tracked normalizer")
@@ -220,9 +239,7 @@ class TauStabilizer:
     # -- scalars -------------------------------------------------------------
     def sigma_pp(self, coroot: Coroot) -> Scalar:
         """The weight-shift scalar ((s^2-1) + s(s'-s'^-1) tau(alpha^vee)) / 2."""
-        c = coroot.abs()
-        s, sp = self.algebra.sigma_r(c)
-        t = self.tau.of_vector(self.system.coroot_to_y(c.coords))
+        t, s, sp = self._values(coroot)
         return ((s * s - 1) + s * (sp - scalar_inv(sp)) * t) * Fraction(1, 2)
 
     def rho_check(self, coroot_bound: int) -> Scalar | None:

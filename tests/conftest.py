@@ -89,5 +89,11 @@ def alg_a1_unequal(a1_adjoint):
 
 
 @pytest.fixture(scope="session")
+def alg_a1_opposite(a1_adjoint):
+    # sigma' = -sigma: the only parameters where tau(alpha^vee) = 1 is not in Phi_tau
+    return HeckeAlgebra(a1_adjoint, ParameterSet((Fraction(2),), (Fraction(-2),)))
+
+
+@pytest.fixture(scope="session")
 def trivial2():
     return Character.trivial(2)

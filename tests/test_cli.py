@@ -252,6 +252,17 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
         {"eigen_character": {"values": ["1"]}},
         {"bounds": {"dominance_cap": 60}},
         {"bounds": {"probe_coeff": 5}},
+        {"bound": {"ball": 1}},
+        {"datum": {"matrix": [[2, -1], [-1, 2]], "ranks": 2}},
+        {"datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[1]]}, "character": {"values": ["-1"]}},
+        {"datum": {"matrix": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}},
+        {"parameters": {"q": "4", "sigma_primes": ["2", "2"]}},
+        {"parameters": {"q": "4", "sigma": ["2", "3"]}},
+        {"parameters": {"q": "4", "sigma_prime": ["2", "3"]}},
+        {"character": {"values": ["1", "1"], "value": ["-1", "-1"]}},
+        {"character": {"values": ["1", "1"], "extension": {"square": "-1", "sqare": "2"}}},
+        {"eigen_character": {"values": ["1", "1"], "extension": {"square": "-1"}}},
+        {"vector": [{"word": [1], "coeff": "1", "coef": "2"}]},
     ],
     ids=[
         "extension-not-mapping",
@@ -265,6 +276,17 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
         "eigen-character-short",
         "unknown-bound-dominance-cap",
         "unknown-bound-probe-coeff",
+        "unknown-top-level-key",
+        "unknown-datum-key",
+        "datum-without-coroots",
+        "datum-coroots-only",
+        "unknown-parameters-key",
+        "q-beside-sigma",
+        "q-beside-sigma-prime",
+        "unknown-character-key",
+        "unknown-extension-key",
+        "unknown-eigen-character-key",
+        "unknown-vector-key",
     ],
 )
 def test_malformed_config_rejected(tmp_path, capsys, change):
@@ -273,6 +295,22 @@ def test_malformed_config_rejected(tmp_path, capsys, change):
     report = capsys.readouterr()
     assert report.out == ""
     assert report.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"bound": {"ball": 1}}, "unknown key bound"),
+        ({"character": {"values": ["1", "1"], "extension": {"sqare": "2"}}}, "unknown key character.extension.sqare"),
+        ({"vector": [{"word": [1], "value": "2"}]}, "unknown key vector.value"),
+        ({"datum": {"matrix": [[2, -1], [-1, 2]], "rank": 2}}, "datum gives only rank of rank, simple_roots, simple_coroots"),
+    ],
+    ids=["top-level", "extension", "vector-record", "partial-datum"],
+)
+def test_ignored_key_named(tmp_path, capsys, change, named):
+    path = write_config(tmp_path, dict(A2, **change))
+    assert main(["weight-space", "--config", path]) == 2
+    assert named in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,23 @@ def test_lower_closure(a2):
     assert {w.word for w in closed} == {(), (0,), (1,), (0, 1)}
 
 
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        [[2, -2], [-2, 2]],
+        [[2, -1], [-3, 2]],
+        [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+        [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]],
+    ],
+    ids=["affine A1", "G2", "affine A2", "hyperbolic"],
+)
+def test_ball_is_a_lower_set(matrix):
+    sys = standard_system(matrix)
+    for length in range(5):
+        ball = frozenset(enumerate_ball(sys, length))
+        assert bruhat_lower_closure(ball) == ball
+
+
 _L37 = [[2, -2, -2, -2], [-2, 2, -2, -2], [-2, -2, 2, -3], [-2, -2, -3, 2]]
 _AFFINE_A2 = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
 # (datum, number of elements of length <= 4)

@@ -3,12 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, Coroot, evaluate, max_supp, membership
-from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball
+from blhecke import (
+    Character,
+    Coroot,
+    ParameterSet,
+    RootGeneratingSystem,
+    enumerate_coroots,
+    evaluate,
+    max_supp,
+    membership,
+    quadext,
+    standard_system,
+)
+from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots, reflection_from_coroot
 from blhecke.errors import IncompatibleData
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import random_element
-from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt
+from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
+from blhecke.scalars import inv as scalar_inv
 
 
 def mono(exp, c=1):
@@ -82,33 +94,104 @@ def test_f_w_examples(alg_a1_adjoint, alg_a2):
 def test_f_square_is_zeta_pair(alg_b2):
     for i in range(2):
         fs = alg_b2.f_s(i)
-        z = alg_b2.zeta_rational(alg_b2.system.simple_coroot(i))
+        z = alg_b2.zeta(alg_b2.system.simple_coroot(i))
         assert fs * fs == alg_b2.theta(z * z.twist(alg_b2.group.simple(i)))
 
 
 def test_zeta_examples(alg_a1_adjoint):
     z = alg_a1_adjoint.zeta(Coroot((1,)))
-    assert [(f.scale, f.direction) for f in z.num_factors] == [(Fraction(4), (-1,))]
-    assert [(f.scale, f.direction) for f in z.den_factors] == [(Fraction(1), (-1,))]
+    # (1 - 4 Z^-a) / (1 - Z^-a): the factor 1 + Z^-a cancels at sigma = sigma'
+    assert z.num == BinomialFactor.make(4, (-1,)).expand(1)
+    assert [(f.scale, f.direction) for f in z.den] == [(Fraction(1), (-1,))]
     tau1 = Character.trivial(1)
-    num_vals = [tau1.of_factor(f) for f in z.num_factors]
-    den_vals = [tau1.of_factor(f) for f in z.den_factors]
-    assert num_vals == [Fraction(-3)]
-    assert den_vals == [Fraction(0)]
+    assert tau1.of_poly(z.num) == Fraction(-3)
+    assert [tau1.of_factor(f) for f in z.den] == [Fraction(0)]
 
 
 def test_zeta_unequal_factorization(alg_a1_unequal):
     z = alg_a1_unequal.zeta(Coroot((1,)))
     # num = (1 - ss' Z^-a)(1 + s/s' Z^-a), den = (1 - Z^-a)(1 + Z^-a)
-    assert {(f.scale, f.direction) for f in z.num_factors} == {
-        (Fraction(6), (-1,)),
-        (Fraction(-2, 3), (-1,)),
-    }
-    assert {(f.scale, f.direction) for f in z.den_factors} == {(Fraction(1), (-1,)), (Fraction(-1), (-1,))}
+    binomials = [BinomialFactor.make(6, (-1,)), BinomialFactor.make(Fraction(-2, 3), (-1,))]
+    assert z.num == times_binomials(LaurentPoly.one(1), binomials)
+    assert {(f.scale, f.direction) for f in z.den} == {(Fraction(1), (-1,)), (Fraction(-1), (-1,))}
     # expansion identity against sigma^2 - Q
     s2 = Fraction(4)
     direct = RationalElt.from_scalar(s2, 1) - alg_a1_unequal.q_s(0)
-    assert alg_a1_unequal.zeta_rational(Coroot((1,))) == direct
+    assert z == direct
+
+
+def _factored_zeta(alg, c):
+    """Reference: zeta_c and zeta_c^{-1} from the split, cancelled binomial lists."""
+    s, sp = alg.sigma_r(c)
+    neg = tuple(-x for x in alg.system.coroot_to_y(c.coords))
+    num = [BinomialFactor.make(s * sp, neg), BinomialFactor.make(-s * scalar_inv(sp), neg)]
+    den = [BinomialFactor.make(1, neg), BinomialFactor.make(-1, neg)]
+    num = [g for f in num for g in f.split()]
+    den = [g for f in den for g in f.split()]
+    for f in list(num):
+        if f in den:
+            num.remove(f)
+            den.remove(f)
+    one = LaurentPoly.one(alg.system.rank)
+    return RationalElt(times_binomials(one, num), den), RationalElt(times_binomials(one, den), num)
+
+
+_ZETA_DATA = {
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "affine A1": [[2, -2], [-2, 2]],
+    "affine A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "affine C2": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "hyperbolic": [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]],
+}
+_SIGMAS = {"q=4": Fraction(2), "q=9": Fraction(3), "q=2": quadext(0, 1, 2)}
+
+
+def zeta_algebras():
+    """The algebras the zeta tests cover: seven data at three equal parameters,
+    A1 with alpha(Y) = 2Z at unequal, opposite and out-of-range ones, and A1
+    with alpha^vee = 2 lambda, where the binomials split."""
+    out = {}
+    for name, matrix in _ZETA_DATA.items():
+        sys = standard_system(matrix)
+        for label, sigma in _SIGMAS.items():
+            out[f"{name} {label}"] = HeckeAlgebra(sys, ParameterSet.equal(sigma, sys.n))
+    adjoint = RootGeneratingSystem.make([[2]], 1, [[2]], [[1]])
+    # (2, 1/2) fails ParameterSet.validate; there s s' = 1 cancels 1 - Z^-a
+    for s, sp in ((2, 2), (2, 3), (2, -2), (3, -2), (2, Fraction(1, 2))):
+        out[f"A1 ({s}, {sp})"] = HeckeAlgebra(adjoint, ParameterSet((Fraction(s),), (Fraction(sp),)))
+    minimal = RootGeneratingSystem.make([[2]], 1, [[1]], [[2]])
+    for s in (2, 3):
+        out[f"A1 minimal ({s}, {s})"] = HeckeAlgebra(minimal, ParameterSet.equal(Fraction(s), 1))
+    return out
+
+
+def _same_form(got, want):
+    assert got.num.terms == want.num.terms and got.den == want.den
+    assert [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()]
+
+
+@pytest.mark.parametrize("name", sorted(zeta_algebras()))
+def test_zeta_matches_factored_construction(name):
+    alg = zeta_algebras()[name]
+    positive = [c for c in enumerate_coroots(alg.system, 6) if c.positive]
+    for c in positive:
+        z, z_inv = _factored_zeta(alg, c)
+        _same_form(alg.zeta(c), z)
+        _same_form(alg.zeta(-c), z)
+        _same_form(alg.zeta_inverse(c), z_inv)
+    if alg.system.n == alg.system.rank:  # finite type: every F_r
+        for c in positive:
+            r = reflection_from_coroot(alg.system, c)
+            want = alg.f_w(r)
+            for beta in inversion_coroots(r):
+                if beta != c:
+                    want = want * alg.theta(_factored_zeta(alg, beta)[1])
+            got = alg.f_reflection(c)
+            assert set(got.coeffs) == set(want.coeffs)
+            for w, x in got.coeffs.items():
+                _same_form(x, want.coeffs[w])
 
 
 def test_k_tilde_simple_is_T(alg_a2):

@@ -251,11 +251,7 @@ def _twist_samples(alg):
     out = [alg.q_s(i) for i in range(sys.n)]
     for c in enumerate_coroots(sys, 3):
         if c.positive:
-            z = alg.zeta(c)
-            den = LaurentPoly.one(sys.rank)
-            for f in z.den_factors:
-                den = den * f.expand(sys.rank)
-            out += [alg.zeta_rational(c), RationalElt(den, z.num_factors)]
+            out += [alg.zeta(c), alg.zeta_inverse(c)]
     for w in enumerate_ball(sys, 2):
         out += list(alg.f_w(w).coeffs.values())
     return out

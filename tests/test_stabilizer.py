@@ -2,12 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, Coroot, ParameterSet, RootGeneratingSystem, enumerate_ball, quadext, standard_system
+from blhecke import (
+    Character,
+    Coroot,
+    ParameterSet,
+    QuadExt,
+    RootGeneratingSystem,
+    enumerate_ball,
+    enumerate_coroots,
+    quadext,
+    standard_system,
+)
 from blhecke import stabilizer
 from blhecke.cli import lemma37_system
 from blhecke.coxeter import WeylGroup
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
+from blhecke.scalars import is_zero
 from blhecke.stabilizer import (
     IRREDUCIBLE,
     REDUCIBLE,
@@ -19,6 +30,7 @@ from blhecke.stabilizer import (
     sigma_tau_minimal_direct,
     u_c_check,
 )
+from test_hecke import zeta_algebras
 
 
 def test_phi_tau_trivial_everything(alg_a2, trivial2):
@@ -292,3 +304,56 @@ def test_kato_agrees_with_analyze(name):
     # every datum reaches both ends; all but affine A2 also have an element witness here
     assert {(REDUCIBLE, True, False), (IRREDUCIBLE, False, False)} <= outcomes
     assert ((REDUCIBLE, False, True) in outcomes) == (name != "affine A2")
+
+
+# with -4, 3 and 3/2, every algebra meets a vanishing zeta numerator
+_RULE_VALUES = (1, -1, 2, -2, 4, Fraction(1, 4), 6, 9, Fraction(-2, 3), Fraction(-3, 2), -4, 3, Fraction(3, 2))
+_GAUSSIAN_VALUES = (quadext(0, 1, -1), quadext(0, -1, -1), quadext(0, 2, -1))
+
+
+def _rule_characters(alg):
+    """Each value at one basis vector of Y and at all of them; the Gaussian
+    values only where the parameters are rational (one extension at a time)."""
+    rank = alg.system.rank
+    values = _RULE_VALUES
+    if not any(isinstance(s, QuadExt) for s in alg.params.sigma):
+        values += _GAUSSIAN_VALUES
+    for v in values:
+        yield Character.make([v] * rank)
+        for k in range(rank):
+            yield Character.make([v if j == k else 1 for j in range(rank)])
+
+
+@pytest.mark.parametrize("name", sorted(zeta_algebras()))
+def test_value_rules_match_reduced_zeta(name):
+    alg = zeta_algebras()[name]
+    coroots = [c for c in enumerate_coroots(alg.system, 8) if c.positive]
+    seen = set()
+    for tau in _rule_characters(alg):
+        stab = TauStabilizer(alg, tau)
+        for c in coroots:
+            z = alg.zeta(c)
+            phi = any(is_zero(tau.of_factor(f)) for f in z.den)
+            num_vanishes = tau.of_poly(z.num) == 0
+            assert stab.phi_contains(c) == phi and stab.phi_contains(-c) == phi, (tau, c)
+            assert stab.zeta_num_vanishes(c) == num_vanishes, (tau, c)
+            seen.add((phi, num_vanishes))
+        witness = next((c for c in coroots if stab.zeta_num_vanishes(c)), None)
+        assert stab.u_c(8).witness == witness
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
+def test_opposite_parameters(alg_a1_opposite):
+    """sigma' = -sigma: t = 1 is not in Phi_tau and t = -4 = sigma sigma' is
+    outside U_C, because zeta = (1 + 4 Z^-a)/(1 + Z^-a)."""
+    s1 = alg_a1_opposite.group.simple(0)
+    cases = {1: (REDUCIBLE, None, s1), -1: (IRREDUCIBLE, None, None), -4: (REDUCIBLE, Coroot((1,)), None),
+             4: (IRREDUCIBLE, None, None)}
+    for value, (status, coroot, element) in cases.items():
+        tau = Character.make([value])
+        verdict = kato_check(alg_a1_opposite, tau, 6, 3)
+        assert (verdict.status, verdict.witness_coroot, verdict.witness_element) == (status, coroot, element), value
+    assert analyze(alg_a1_opposite, Character.make([1]), 6, 3).phi_tau == ()
+    result = analyze(alg_a1_opposite, Character.make([-1]), 6, 3)
+    assert len(result.phi_tau) == 2
+    assert [v for _, v in result.sigma_pp] == [3]
