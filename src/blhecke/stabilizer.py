@@ -13,11 +13,11 @@ Phi_tau and U_C read t = tau(alpha^vee) and the parameters (s, s') of the
 coroot's orbit.  The numerator binomials of zeta_alpha (`HeckeAlgebra.zeta`)
 vanish at t = s s' and t = -s/s', the denominator ones at t = 1 and t = -1,
 and a numerator binomial equals (and cancels) a denominator one exactly when
-they vanish at the same t; splitting changes neither where a binomial
-vanishes nor what cancels.  So the reduced zeta's denominator vanishes iff t
-is in {1, -1} minus {s s', -s/s'}, and its numerator iff t is in
-{s s', -s/s'} minus {1, -1} (s' = s and s' = -s are the cancelling cases
-when |s|, |s'| > 1; the two numerator roots differ unless s'^2 = -1).
+they vanish at the same t, which for |s|, |s'| > 1 means s' = s or s' = -s;
+splitting changes neither.  So the reduced denominator vanishes iff t is in
+{1, -1} minus {s s', -s/s'}, and the numerator iff t is in {s s', -s/s'}
+minus {1, -1}.  The tests compare t with these roots and never multiply it,
+since t and s may lie in different quadratic extensions.
 
 A `TauStabilizer` computes each test and enumeration once, in one `Memo` it
 owns (the policy is in the `memo` module).  `kato_check` and `analyze` read
@@ -64,21 +64,25 @@ class TauStabilizer:
         return self.algebra.system
 
     # -- pointwise tests (exact) ---------------------------------------------
-    def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar]:
-        """(tau(alpha^vee), sigma, sigma') at a coroot: all the zeta tests and sigma'' read."""
+    def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
+        """(t, s, s', s s', -s/s') at a coroot: all the zeta tests and sigma'' read."""
         c = coroot.abs()
-        return self._memo.once(("t", c), lambda: (self.tau.of_vector(self.system.coroot_to_y(c.coords)),
-                                                  *self.algebra.sigma_r(c)))
+
+        def make():
+            s, sp = self.algebra.sigma_r(c)
+            return self.tau.of_vector(self.system.coroot_to_y(c.coords)), s, sp, s * sp, -s * scalar_inv(sp)
+
+        return self._memo.once(("t", c), make)
 
     def phi_contains(self, coroot: Coroot) -> bool:
         """Does the reduced zeta denominator vanish: t in {1, -1} minus {s s', -s/s'}?"""
-        t, s, sp = self._values(coroot)
-        return (t == 1 or t == -1) and t * sp != -s and t != s * sp
+        t, _, _, r1, r2 = self._values(coroot)
+        return (t == 1 or t == -1) and t != r1 and t != r2
 
     def zeta_num_vanishes(self, coroot: Coroot) -> bool:
         """Does the reduced zeta numerator vanish: t in {s s', -s/s'} minus {1, -1}?"""
-        t, s, sp = self._values(coroot)
-        return t != 1 and t != -1 and (t == s * sp or t * sp == -s)
+        t, _, _, r1, r2 = self._values(coroot)
+        return t != 1 and t != -1 and (t == r1 or t == r2)
 
     def is_canonical_generator(self, coroot: Coroot) -> bool:
         """Canonical-generator criterion: the inversion set of r_{alpha} meets
@@ -239,7 +243,7 @@ class TauStabilizer:
     # -- scalars -------------------------------------------------------------
     def sigma_pp(self, coroot: Coroot) -> Scalar:
         """The weight-shift scalar ((s^2-1) + s(s'-s'^-1) tau(alpha^vee)) / 2."""
-        t, s, sp = self._values(coroot)
+        t, s, sp, _, _ = self._values(coroot)
         return ((s * s - 1) + s * (sp - scalar_inv(sp)) * t) * Fraction(1, 2)
 
     def rho_check(self, coroot_bound: int) -> Scalar | None:
@@ -305,14 +309,8 @@ def sigma_tau_minimal_direct(stab: TauStabilizer, coroot_bound: int) -> tuple[Co
     plus = [c for c in stab.phi_tau(coroot_bound) if c.positive]
     out = []
     for beta in plus:
-        dominated = False
-        others = [g for g in plus if g != beta]
-        for idx, gamma in enumerate(others):
-            gens = [g.coords for g in others]
-            if cone_contains(gens, beta.coords, require_positive=idx):
-                dominated = True
-                break
-        if not dominated:
+        gens = [g.coords for g in plus if g != beta]
+        if not any(cone_contains(gens, beta.coords, require_positive=idx) for idx in range(len(gens))):
             out.append(beta)
     return tuple(out)
 

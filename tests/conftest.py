@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, ParameterSet, RootGeneratingSystem, standard_system
+from blhecke import Character, ParameterSet, RootGeneratingSystem, quadext, standard_system
 from blhecke.hecke import HeckeAlgebra
 
 
@@ -97,3 +97,43 @@ def alg_a1_opposite(a1_adjoint):
 @pytest.fixture(scope="session")
 def trivial2():
     return Character.trivial(2)
+
+
+_ZETA_DATA = {
+    "A2": [[2, -1], [-1, 2]],
+    "B2": [[2, -1], [-2, 2]],
+    "G2": [[2, -1], [-3, 2]],
+    "affine A1": [[2, -2], [-2, 2]],
+    "affine A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
+    "affine C2": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
+    "hyperbolic": [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]],
+}
+_SIGMAS = {"q=4": Fraction(2), "q=9": Fraction(3), "q=2": quadext(0, 1, 2)}
+
+
+def _zeta_algebras():
+    """The algebras the zeta tests cover: seven data at three equal parameters,
+    A1 with alpha(Y) = 2Z at unequal, opposite and out-of-range ones, and A1
+    with alpha^vee = 2 lambda, where the binomials split."""
+    out = {}
+    for name, matrix in _ZETA_DATA.items():
+        sys = standard_system(matrix)
+        for label, sigma in _SIGMAS.items():
+            out[f"{name} {label}"] = HeckeAlgebra(sys, ParameterSet.equal(sigma, sys.n))
+    adjoint = RootGeneratingSystem.make([[2]], 1, [[2]], [[1]])
+    # (2, 1/2) fails ParameterSet.validate; there s s' = 1 cancels 1 - Z^-a
+    for s, sp in ((2, 2), (2, 3), (2, -2), (3, -2), (2, Fraction(1, 2))):
+        out[f"A1 ({s}, {sp})"] = HeckeAlgebra(adjoint, ParameterSet((Fraction(s),), (Fraction(sp),)))
+    minimal = RootGeneratingSystem.make([[2]], 1, [[1]], [[2]])
+    for s in (2, 3):
+        out[f"A1 minimal ({s}, {s})"] = HeckeAlgebra(minimal, ParameterSet.equal(Fraction(s), 1))
+    return out
+
+
+ZETA_ALGEBRAS = _zeta_algebras()
+
+
+@pytest.fixture(scope="session", params=sorted(ZETA_ALGEBRAS))
+def zeta_algebra(request):
+    """One of `ZETA_ALGEBRAS`, by name; each test using it runs on all of them."""
+    return ZETA_ALGEBRAS[request.param]

@@ -199,6 +199,16 @@ def test_nonsquare_q_uses_extension(tmp_path, capsys):
     assert "Irreducible" in capsys.readouterr().out
 
 
+def test_nonsquare_q_beside_gaussian_character(tmp_path, capsys):
+    # sigma = sqrt(2) and tau(alpha_1^vee) = i lie in different quadratic extensions
+    cfg = dict(A2, parameters={"q": "2"},
+               character={"values": [{"a": "0", "b": "1"}, "1"], "extension": {"square": "-1"}})
+    path = write_config(tmp_path, cfg)
+    assert main(["kato", "--config", path]) == 0
+    assert "Irreducible" in capsys.readouterr().out
+    assert main(["analyze-tau", "--config", path]) == 0
+
+
 def test_bad_bound_rejected(tmp_path):
     cfg = dict(A2)
     cfg["bounds"] = {"coroot_height": 0}

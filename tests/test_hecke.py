@@ -6,18 +6,13 @@ import pytest
 from blhecke import (
     Character,
     Coroot,
-    ParameterSet,
-    RootGeneratingSystem,
     enumerate_coroots,
     evaluate,
     max_supp,
     membership,
-    quadext,
-    standard_system,
 )
 from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots, reflection_from_coroot
 from blhecke.errors import IncompatibleData
-from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import random_element
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from blhecke.scalars import inv as scalar_inv
@@ -136,45 +131,13 @@ def _factored_zeta(alg, c):
     return RationalElt(times_binomials(one, num), den), RationalElt(times_binomials(one, den), num)
 
 
-_ZETA_DATA = {
-    "A2": [[2, -1], [-1, 2]],
-    "B2": [[2, -1], [-2, 2]],
-    "G2": [[2, -1], [-3, 2]],
-    "affine A1": [[2, -2], [-2, 2]],
-    "affine A2": [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],
-    "affine C2": [[2, -1, 0], [-2, 2, -2], [0, -1, 2]],
-    "hyperbolic": [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]],
-}
-_SIGMAS = {"q=4": Fraction(2), "q=9": Fraction(3), "q=2": quadext(0, 1, 2)}
-
-
-def zeta_algebras():
-    """The algebras the zeta tests cover: seven data at three equal parameters,
-    A1 with alpha(Y) = 2Z at unequal, opposite and out-of-range ones, and A1
-    with alpha^vee = 2 lambda, where the binomials split."""
-    out = {}
-    for name, matrix in _ZETA_DATA.items():
-        sys = standard_system(matrix)
-        for label, sigma in _SIGMAS.items():
-            out[f"{name} {label}"] = HeckeAlgebra(sys, ParameterSet.equal(sigma, sys.n))
-    adjoint = RootGeneratingSystem.make([[2]], 1, [[2]], [[1]])
-    # (2, 1/2) fails ParameterSet.validate; there s s' = 1 cancels 1 - Z^-a
-    for s, sp in ((2, 2), (2, 3), (2, -2), (3, -2), (2, Fraction(1, 2))):
-        out[f"A1 ({s}, {sp})"] = HeckeAlgebra(adjoint, ParameterSet((Fraction(s),), (Fraction(sp),)))
-    minimal = RootGeneratingSystem.make([[2]], 1, [[1]], [[2]])
-    for s in (2, 3):
-        out[f"A1 minimal ({s}, {s})"] = HeckeAlgebra(minimal, ParameterSet.equal(Fraction(s), 1))
-    return out
-
-
 def _same_form(got, want):
     assert got.num.terms == want.num.terms and got.den == want.den
     assert [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()]
 
 
-@pytest.mark.parametrize("name", sorted(zeta_algebras()))
-def test_zeta_matches_factored_construction(name):
-    alg = zeta_algebras()[name]
+def test_zeta_matches_factored_construction(zeta_algebra):
+    alg = zeta_algebra
     positive = [c for c in enumerate_coroots(alg.system, 6) if c.positive]
     for c in positive:
         z, z_inv = _factored_zeta(alg, c)
