@@ -26,7 +26,7 @@ from .coxeter import (
 )
 from .errors import IncompatibleData
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
-from .memo import ALGEBRA_CAP, Memo
+from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 from .rootdata import (
     CONE_POSITIVE,
     CONE_UNDETERMINED,
@@ -38,6 +38,9 @@ from .rootdata import (
 )
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
+
+# process-level, so equal algebras share their memos (see the memo module)
+_algebra_memos = Memo(ALGEBRA_TABLE_CAP)
 
 
 @dataclass(frozen=True)
@@ -53,7 +56,11 @@ class HeckeAlgebra:
 
     @cached_property
     def _cache(self) -> dict[str, Memo]:
-        return {name: Memo(ALGEBRA_CAP) for name in ("q", "omega", "f", "fhat", "zeta")}
+        """The memos of (system, params), shared by equal algebras (see the memo module)."""
+        names = ("q", "omega", "f", "fhat", "zeta")
+        return _algebra_memos.once(
+            (self.system, self.params), lambda: {**{n: Memo(ALGEBRA_CAP) for n in names}, "series": Memo(SERIES_CAP)}
+        )
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "HeckeElt":
@@ -248,8 +255,7 @@ class HeckeElt:
         out = alg.zero()
         for u, theta_u in self.coeffs.items():
             for v, theta_v in other.coeffs.items():
-                part = _push_through(alg, theta_u, v)
-                part = _left_T(alg, u, part)
+                part = HeckeElt(alg, _left_T(alg, u, _push_through(alg, theta_u, v).coeffs))
                 out = out + part.times_fn(theta_v)
         return out
 
@@ -272,9 +278,10 @@ class HeckeElt:
         return " + ".join(f"T[{w!r}]*({c!r})" for w, c in self.items())
 
 
-def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict[WeylElement, RationalElt]) -> dict:
-    """Left multiplication by T_{s_i} of an element in normal form."""
-    out: dict[WeylElement, RationalElt] = {}
+def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict, scale=RationalElt.scale) -> dict:
+    """Left multiplication by T_{s_i} of an element in normal form; scale(c, k)
+    is c times the scalar k (`operator.mul` for scalar coefficients)."""
+    out: dict = {}
     sigma2 = alg.params.sigma[i] ** 2
 
     def acc(w, c):
@@ -287,18 +294,18 @@ def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict[WeylElement, RationalElt
         sw = w.left_simple(i)
         if has_left_descent(w, i):
             # l(sw) = l(w) - 1: T_s T_w = (sigma^2-1) T_w + sigma^2 T_sw
-            acc(w, c.scale(sigma2 - 1))
-            acc(sw, c.scale(sigma2))
+            acc(w, scale(c, sigma2 - 1))
+            acc(sw, scale(c, sigma2))
         else:
             acc(sw, c)
     return out
 
 
-def _left_T(alg: HeckeAlgebra, u: WeylElement, part: "HeckeElt") -> "HeckeElt":
-    coeffs = part.coeffs
+def _left_T(alg: HeckeAlgebra, u: WeylElement, coeffs: dict, scale=RationalElt.scale) -> dict:
+    """Left multiplication by T_u, one generator of u's word at a time."""
     for i in reversed(u.word):
-        coeffs = _left_T_gen(alg, i, coeffs)
-    return HeckeElt(alg, coeffs)
+        coeffs = _left_T_gen(alg, i, coeffs, scale)
+    return coeffs
 
 
 def _push_through(alg: HeckeAlgebra, theta: RationalElt, v: WeylElement) -> "HeckeElt":

@@ -15,25 +15,27 @@ The caches, their owners and caps:
 - `TauStabilizer._memo`, one per stabilizer: its tests by coroot or element
   and its enumerations by bound, `STABILIZER_CAP`.  A `PrincipalSeries`
   owns one stabilizer; `analyze` and `kato_check` build one per query.
-- `HeckeAlgebra._cache`, one per algebra: `q` (Q_s^T by generator), `omega`
-  (Omega_s(Z^lambda) by (i, lambda)), `zeta` (zeta and its inverse) and
-  `fhat` (by coroot) and `f` (F_w by element), each `ALGEBRA_CAP`.  The
-  stabilizer's tests read no zeta, so no benchmark workload fills `zeta`.
+- `HeckeAlgebra._cache`, one per (system, params) in the algebra table
+  `hecke._algebra_memos` of `ALGEBRA_TABLE_CAP` entries: `q` (Q_s^T by
+  generator), `omega` (Omega_s(Z^lambda) by (i, lambda)), `zeta` (zeta and
+  its inverse), `fhat` (by coroot) and `f` (F_w by element), each
+  `ALGEBRA_CAP`, and the series table `series` of `SERIES_CAP` characters.
+  The stabilizer's tests read no zeta, so no benchmark workload fills `zeta`.
+- Per series in that table: `principal._matrix_cache(series)`, the
+  theta-matrices by (exponent, domain), `THETA_MATRIX_CAP`, and the columns
+  Z^lambda T_w v by (lambda, w), `COLUMN_CAP`.
 - `WeylGroup._elements`, one per group: the intern table by matrix,
   `ELEMENT_CAP`.
 - `WeylGroup._instances`: the group of each root datum, `GROUP_CAP`.
-- `principal._matrix_cache(series)`: the theta-matrices of one series by
-  (exponent, domain), `THETA_MATRIX_CAP`, in a table of `SERIES_CAP` series.
 
-Two of these tables belong to the process rather than to an object the
-caller passes.  The group registry gives elements their identity: equal
-elements are normally one interned object, so their per-element caches
-(word, inversions, Y-action) are computed once; an element interned again
-after an eviction is equal to, and hashes like, the one it replaces.  The
-series table lets equal series share theta-matrices, since the CLI builds a
-new `PrincipalSeries` on every call; on `module-weights` that saves about
-30 % of the time (4 rounds took 4.9-5.4 s with per-series theta-matrices,
-against 3.5-4.2 s).
+Two tables belong to the process rather than to an object the caller
+passes.  The group registry gives elements their identity: equal elements
+are normally one interned object, so their per-element caches (word,
+inversions, Y-action) are computed once; an element interned again after an
+eviction is equal to, and hashes like, the one it replaces.  The algebra
+table lets equal algebras share memos, since the CLI builds a new
+`HeckeAlgebra` on every call: `omega` entries (at most 109 per algebra on
+module-weights), columns and theta-matrices outlive the call.
 
 Attributes bounded by their object, such as `functools.cached_property`
 values and `WeylElement._left` (at most one entry per generator), are not
@@ -48,7 +50,9 @@ ALGEBRA_CAP = 1024  # omega fills it on hecke-products; zeta: 23 entries (tier-1
 ELEMENT_CAP = 8192  # 315 elements (kato-sweep)
 GROUP_CAP = 64  # 5 groups
 THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)
-SERIES_CAP = 8  # module-weights meets one series per config
+COLUMN_CAP = 4096  # 382 columns per series (module-weights)
+SERIES_CAP = 4  # per algebra; module-weights meets one series per config
+ALGEBRA_TABLE_CAP = 16  # 4 algebras (module-weights)
 
 _MISSING = object()
 

@@ -12,6 +12,19 @@ upper triangular, with the w-twist of tau on the diagonal: theta.T_w v lies
 in the span of the T_u v with u <= w, and u < w implies l(u) < l(w).  So the
 weight-space kernels are solved by back substitution, in the basis Gaussian
 elimination of the stacked equations gives (`linalg.triangular_kernel`).
+
+The lattice action is computed on evaluated scalars (the Bernstein-Lusztig
+presentation; Lusztig, JAMS 1989, section 3).  The column Z^lambda T_w v,
+a map u -> scalar, comes from Z^lambda v = tau(lambda) v and, for w = s w'
+with s the first letter of w's canonical word,
+
+    Z^lambda T_w v = T_s (Z^(s lambda) T_w' v) + sum_mu c_mu Z^mu T_w' v,
+
+where Omega_s(Z^lambda) = sum_mu c_mu Z^mu and T_s acts on the T_u v by the
+quadratic relation (`hecke._left_T_gen`).  This is exact: it is the
+commutation the algebra's product pushes through, and as Omega_s keeps
+polynomials polynomial, tau may be applied at the bottom of the recursion
+rather than at the end (as `act` does), on memoized columns.
 """
 
 from __future__ import annotations
@@ -20,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .coxeter import WeylElement, bruhat_lower_closure
 from .errors import (
@@ -33,10 +47,10 @@ from .errors import (
     NotInUC,
     PoleAtCharacter,
 )
-from .hecke import HeckeAlgebra, HeckeElt
+from .hecke import HeckeAlgebra, HeckeElt, _left_T, _left_T_gen
 from .laurent import Character, LaurentPoly, RationalElt, evaluate, times_binomials
 from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
-from .memo import SERIES_CAP, THETA_MATRIX_CAP, Memo
+from .memo import COLUMN_CAP, THETA_MATRIX_CAP, Memo
 from .scalars import ONE, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
 from .stabilizer import TauStabilizer
@@ -51,7 +65,7 @@ class ModuleVector:
 
     def __init__(self, character: Character, coeffs: dict[WeylElement, Scalar]):
         self.character = character
-        self.coeffs = {w: as_scalar(c) for w, c in coeffs.items() if not is_zero(as_scalar(c))}
+        self.coeffs = {w: s for w, c in coeffs.items() if not is_zero(s := as_scalar(c))}
 
     @property
     def is_zero(self) -> bool:
@@ -143,7 +157,8 @@ class PrincipalSeries:
         return ModuleVector(self.tau, out)
 
     def act(self, h: HeckeElt, x: ModuleVector) -> ModuleVector:
-        """Module action of a polynomial-coefficient element."""
+        """Module action of a polynomial-coefficient element: the general path,
+        which lifts x, multiplies and evaluates (the scalar engine's reference)."""
         if any(c.is_polynomial() is None for c in h.coeffs.values()):
             raise NotInBLH("action requires polynomial coefficients")
         lift = HeckeElt(
@@ -153,7 +168,38 @@ class PrincipalSeries:
         return self.ev(h * lift)
 
     def act_poly(self, p: LaurentPoly, x: ModuleVector) -> ModuleVector:
-        return self.act(self.algebra.theta(RationalElt.from_poly(p)), x)
+        """p.x, summed from the memoized columns."""
+        out: dict[WeylElement, Scalar] = {}
+        for lam, c in p.terms.items():
+            for w, a in x.coeffs.items():
+                _add_scaled(out, self._column(lam, w), c * a)
+        return ModuleVector(self.tau, out)
+
+    def _column(self, lam: tuple, w: WeylElement) -> dict[WeylElement, Scalar]:
+        """Z^lam T_w v as a map u -> scalar, by the recursion of the module
+        docstring; memoized per series, so callers must not mutate it."""
+        def make() -> dict[WeylElement, Scalar]:
+            if w.is_identity:
+                return {w: as_scalar(self.tau.of_vector(lam))}
+            alg = self.algebra
+            i = w.word[0]
+            rest = w.left_simple(i)
+            out = _left_T_gen(alg, i, self._column(alg.group.simple(i).apply(lam), rest), mul)
+            corr = alg.omega(i, RationalElt.monomial(lam)).is_polynomial()
+            if corr is None:
+                raise NotInBLH(f"Omega_{i}(Z^{lam}) is not a polynomial")
+            for mu, c in corr.terms.items():
+                _add_scaled(out, self._column(mu, rest), c)
+            return {u: s for u, c in out.items() if not is_zero(s := as_scalar(c))}
+
+        return self._memos["column"].once((lam, w), make)
+
+    @cached_property
+    def _memos(self) -> dict[str, Memo]:
+        """The theta-matrices and columns of tau, in the algebra's memos."""
+        return self.algebra._cache["series"].once(
+            self.tau, lambda: {"theta": Memo(THETA_MATRIX_CAP), "column": Memo(COLUMN_CAP)}
+        )
 
     # -- weight spaces ---------------------------------------------------------
     def _basis_generators(self) -> list[tuple]:
@@ -172,9 +218,8 @@ class PrincipalSeries:
         def make() -> list:
             index = {w: k for k, w in enumerate(dom)}
             m = [[Fraction(0)] * len(dom) for _ in dom]
-            h = self.algebra.monomial(exp)
             for j, w in enumerate(dom):
-                for v, c in self.act(h, ModuleVector(self.tau, {w: ONE})).coeffs.items():
+                for v, c in self._column(exp, w).items():
                     if v not in index:
                         raise DomainNotLowerSet("action left the domain; not a lower set")
                     m[index[v]][j] = c
@@ -361,16 +406,19 @@ class Intertwiner:
         self.target = target
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
-        out = ModuleVector(self.series.tau, {})
+        """Sum of c T_w.target over the terms c T_w v of x, by the scalar T_s rule."""
+        out: dict[WeylElement, Scalar] = {}
         for w, c in x.coeffs.items():
-            moved = self.series.act(self.series.algebra.T(w), self.target)
-            out = out + moved.scale(c)
-        return out
+            _add_scaled(out, _left_T(self.series.algebra, w, self.target.coeffs, mul), c)
+        return ModuleVector(self.series.tau, out)
 
 
-# process-level, so equal series share theta-matrices (see the memo module)
-_series_matrices = Memo(SERIES_CAP)
+def _add_scaled(out: dict, vec: dict, c: Scalar) -> None:
+    """out += c * vec, coefficient by coefficient."""
+    for u, a in vec.items():
+        out[u] = out.get(u, 0) + c * a
 
 
 def _matrix_cache(series: PrincipalSeries) -> Memo:
-    return _series_matrices.once(series, lambda: Memo(THETA_MATRIX_CAP))
+    """The theta-matrices of a series by (exponent, domain)."""
+    return series._memos["theta"]

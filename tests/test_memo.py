@@ -1,10 +1,13 @@
 from fractions import Fraction
 
-from blhecke import Character, LowerSet, PrincipalSeries, RationalElt
-from blhecke import principal, stabilizer
+import pytest
+
+from blhecke import Character, LowerSet, ParameterSet, PrincipalSeries, RationalElt, standard_system
+from blhecke import hecke, stabilizer
 from blhecke.coxeter import WeylGroup, enumerate_ball
+from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import run_suite
-from blhecke.memo import ALGEBRA_CAP, SERIES_CAP, Memo
+from blhecke.memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 
 
 def test_memo_makes_once_and_evicts_oldest():
@@ -48,11 +51,44 @@ def test_series_table_stays_at_cap(alg_a2):
     dom = LowerSet.closure(enumerate_ball(alg_a2.system, 1))
     series = [PrincipalSeries(alg_a2, Character.make([Fraction(k + 2), Fraction(-1)])) for k in range(SERIES_CAP + 3)]
     bases = [ser.weight_space(ser.tau, dom) for ser in series]
-    table = principal._series_matrices
+    table = alg_a2._cache["series"]
     assert len(table) == SERIES_CAP
-    assert series[0] not in table and series[-1] in table
-    assert series[0].weight_space(series[0].tau, dom) == bases[0]
+    assert series[0].tau not in table and series[-1].tau in table
+    again = PrincipalSeries(alg_a2, series[0].tau)  # a new series reads the table, not series[0]'s memos
+    assert again.weight_space(again.tau, dom) == bases[0]
     assert len(table) == SERIES_CAP
+
+
+def test_equal_algebras_share_memos(monkeypatch):
+    matrix = [[2, -1], [-1, 2]]
+    first = HeckeAlgebra(standard_system(matrix), ParameterSet.equal(Fraction(5), 2))
+    exps = [(1, 0), (0, -1), (2, 1)]
+    values = [first.omega(0, RationalElt.monomial(e)) for e in exps]
+    second = HeckeAlgebra(standard_system(matrix), ParameterSet.equal(Fraction(5), 2))
+    assert second is not first and second.system is not first.system
+
+    def recomputed(*args):
+        raise AssertionError("omega recomputed for a key the first algebra holds")
+
+    monkeypatch.setattr(HeckeAlgebra, "_omega", recomputed)
+    assert [second.omega(0, RationalElt.monomial(e)) for e in exps] == values
+    with pytest.raises(AssertionError):
+        second.omega(1, RationalElt.monomial((1, 0)))  # a new key is computed
+
+
+def test_algebra_table_stays_at_cap(a2):
+    params = [ParameterSet.equal(Fraction(k + 20), 2) for k in range(ALGEBRA_TABLE_CAP + 3)]
+    algebras = [HeckeAlgebra(a2, p) for p in params]
+    first = algebras[0].omega(0, RationalElt.monomial((1, 0)))
+    for alg in algebras[1:]:
+        alg.omega(0, RationalElt.monomial((1, 0)))
+    table = hecke._algebra_memos
+    assert len(table) == ALGEBRA_TABLE_CAP
+    assert (a2, params[0]) not in table and (a2, params[-1]) in table
+    again = HeckeAlgebra(a2, params[0])
+    assert again._cache is not algebras[0]._cache
+    assert again.omega(0, RationalElt.monomial((1, 0))) == first
+    assert len(table) == ALGEBRA_TABLE_CAP
 
 
 def test_element_identity_survives_evictions(affine_a2, monkeypatch):

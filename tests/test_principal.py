@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, Coroot, LowerSet, ModuleVector, PrincipalSeries
+from conftest import ZETA_ALGEBRAS
+
+from blhecke import Character, Coroot, LowerSet, ModuleVector, PrincipalSeries, quadext
 from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
@@ -13,8 +15,9 @@ from blhecke.errors import (
     NotInUC,
     PoleAtCharacter,
 )
+from blhecke.hecke import HeckeElt
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt
-from blhecke.principal import NEG_INF
+from blhecke.principal import NEG_INF, Intertwiner
 from blhecke.stabilizer import TauStabilizer
 
 
@@ -309,3 +312,89 @@ def test_weight_space_is_first_generalized(alg_a1_adjoint, alg_affine_a1, alg_a2
         dom = LowerSet.closure(enumerate_ball(alg.system, ball))
         for eigen in (tau, tau.twist(alg.group.simple(0))):
             assert ser.weight_space(eigen, dom) == ser.generalized_weight_space(eigen, dom, 1)
+
+
+# six data at sigma = 2 and sigma = sqrt(2), and A1 with alpha(Y) = 2Z at unequal parameters
+ENGINE_ALGEBRAS = [
+    f"{datum} {q}"
+    for datum in ("A2", "G2", "affine A1", "affine A2", "affine C2", "hyperbolic")
+    for q in ("q=4", "q=2")
+] + ["A1 (2, 3)", "A1 (2, -2)"]
+
+
+def _engine_characters(rank: int) -> dict[str, Character]:
+    """Regular, singular (tau(alpha_1^vee) = 1: the simple coroots are the first
+    basis vectors of Y) and Gaussian characters."""
+    regular = [3, -5, 7, 11][:rank]
+    return {
+        "regular": Character.make(regular),
+        "singular": Character.make([1] + regular[1:]),
+        "gaussian": Character.make([quadext(0, 1, -1)] + regular[1:]),
+        "gaussian-all": Character.make([quadext(0, k, -1) for k in range(1, rank + 1)]),
+    }
+
+
+def _theta_matrix_by_act(ser, exp, dom):
+    """The construction the column engine replaced: lift T_w v to the algebra,
+    multiply by Z^exp and evaluate, column by column."""
+    h = ser.algebra.monomial(exp)
+    index = {w: k for k, w in enumerate(dom)}
+    m = [[Fraction(0)] * len(dom) for _ in dom]
+    for j, w in enumerate(dom):
+        for u, c in ser.act(h, ser.vector({w: Fraction(1)})).coeffs.items():
+            m[index[u]][j] = c
+    return m
+
+
+def _typed(m):
+    return [[(type(x), x) for x in row] for row in m]
+
+
+@pytest.mark.parametrize("name", ENGINE_ALGEBRAS)
+def test_theta_matrices_from_columns_match_act(name):
+    alg = ZETA_ALGEBRAS[name]
+    ball = 3 if alg.system.n == 3 else 4
+    dom = LowerSet.closure(enumerate_ball(alg.system, ball)).sorted()
+    for label, tau in _engine_characters(alg.system.rank).items():
+        ser = series(alg, tau)
+        for exp in ser._basis_generators():
+            got = ser._theta_matrix(exp, dom)
+            assert _typed(got) == _typed(_theta_matrix_by_act(ser, exp, dom)), (label, exp)
+
+
+@pytest.mark.parametrize("name", ["G2 q=2", "affine A2 q=4", "A1 (2, -2)"])
+def test_act_poly_and_intertwiner_match_act(name):
+    alg = ZETA_ALGEBRAS[name]
+    rank = alg.system.rank
+    rng = random.Random(name)
+    ball = enumerate_ball(alg.system, 2)
+    for tau in _engine_characters(rank).values():
+        ser = series(alg, tau)
+        for _ in range(4):
+            p = LaurentPoly(rank, {tuple(rng.randint(-2, 2) for _ in range(rank)): rng.randint(1, 3) for _ in range(3)})
+            x = ser.vector({w: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for w in rng.sample(ball, 2)})
+            assert ser.act_poly(p, x) == ser.act(alg.theta(p), x)
+            psi = Intertwiner(ser, alg.group.identity, ser.act_poly(p, ser.v()))
+            want = ModuleVector(tau, {})
+            for w, c in x.coeffs.items():
+                want = want + ser.act(alg.T(w), psi.target).scale(c)
+            assert psi(x) == want
+
+
+def test_weight_queries_never_multiply(monkeypatch):
+    alg = ZETA_ALGEBRAS["affine A2 q=9"]
+    dom = LowerSet.closure(enumerate_ball(alg.system, 3))
+
+    def general_path(*args):
+        raise AssertionError("the weight queries took the general path")
+
+    monkeypatch.setattr(PrincipalSeries, "act", general_path)
+    monkeypatch.setattr(HeckeElt, "__mul__", general_path)
+    for values in ([3, -5, 7, 11], [1, -5, 7, 3]):
+        ser = series(alg, Character.make(values))
+        assert not ser._memos["column"]  # a cold engine, not a memo read
+        basis = ser.weight_space(ser.tau, dom)
+        gen = ser.generalized_weight_space(ser.tau, dom, 2)
+        assert basis and len(gen) >= len(basis)
+        assert all(ser.ord_tau(x) == 1 for x in basis)
+        assert all(1 <= ser.ord_tau(x) <= 2 for x in gen)
