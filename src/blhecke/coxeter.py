@@ -19,8 +19,8 @@ from functools import cached_property
 from operator import mul
 
 from .errors import IncompatibleData, NotARealCoroot
-from .memo import ELEMENT_CAP, GROUP_CAP, Memo
-from .rootdata import Coroot, IntVec, RootGeneratingSystem, root_of_coroot
+from .memo import ELEMENT_CAP, GROUP_CAP, GROUP_DATA_CAP, Memo
+from .rootdata import Coroot, IntVec, RootGeneratingSystem, coroot_orbit_witness
 
 Mat = tuple[IntVec, ...]
 
@@ -174,7 +174,7 @@ class WeylElement:
 
 class WeylGroup:
     """Element factory and interning table for one root datum, one group per
-    datum (see the `memo` module for both tables)."""
+    datum (see the `memo` module for its three tables)."""
 
     _instances: Memo = Memo(GROUP_CAP)
 
@@ -185,6 +185,7 @@ class WeylGroup:
         self.system = system
         n = system.n
         self._elements = Memo(ELEMENT_CAP)
+        self.memo = Memo(GROUP_DATA_CAP)
         ident = _identity(n)
         self.identity = self.intern(ident, ident)
         simples = []
@@ -206,6 +207,34 @@ class WeylGroup:
         for i in word:
             out = out * self._simples[i]
         return out
+
+    def coroot_data(self, coroot: Coroot) -> tuple[IntVec, int]:
+        """(alpha, c) of a positive real coroot alpha^vee = w(alpha_c^vee),
+        from one orbit witness (w, c): the root alpha = w(alpha_c) in
+        simple-root coordinates, reflected along the witness word by
+        r_j(beta) = beta - beta(alpha_j^vee) alpha_j, and the index c."""
+        def make():
+            word, c = coroot_orbit_witness(self.system, coroot)
+            root = [int(k == c) for k in range(self.system.n)]
+            for j in reversed(word):
+                root[j] -= sum(map(mul, root, self.system.matrix.entries[j]))
+            return tuple(root), c
+
+        return self.memo.once(("coroot", coroot), make)
+
+    def reflection(self, coroot: Coroot) -> WeylElement:
+        """The reflection at a positive real coroot: on the coroot lattice,
+        r(gamma) = gamma - alpha(gamma) alpha^vee."""
+        def make():
+            root, _ = self.coroot_data(coroot)
+            cols = []
+            for j, row in enumerate(self.system.matrix.entries):
+                pairing = sum(map(mul, root, row))  # alpha(alpha_j^vee)
+                cols.append(tuple(int(k == j) - pairing * x for k, x in enumerate(coroot.coords)))
+            mat = tuple(zip(*cols))
+            return self.intern(mat, mat)
+
+        return self.memo.once(("reflection", coroot), make)
 
 
 def has_right_descent(w: WeylElement, i: int) -> bool:
@@ -242,15 +271,8 @@ def inversion_coroots(w: WeylElement) -> tuple[Coroot, ...]:
 
 
 def reflection_from_coroot(sys: RootGeneratingSystem, coroot: Coroot) -> WeylElement:
-    """The reflection r_{alpha^vee} attached to a positive real coroot: on the
-    coroot lattice, r(gamma) = gamma - alpha(gamma) alpha^vee."""
-    root = root_of_coroot(sys, coroot)
-    cols = []
-    for j, row in enumerate(sys.matrix.entries):
-        pairing = sum(map(mul, root, row))  # alpha(alpha_j^vee)
-        cols.append(tuple(int(k == j) - pairing * c for k, c in enumerate(coroot.coords)))
-    mat = tuple(zip(*cols))
-    return WeylGroup(sys).intern(mat, mat)
+    """The reflection r_{alpha^vee} attached to a positive real coroot."""
+    return WeylGroup(sys).reflection(coroot)
 
 
 def coroot_of_reflection(r: WeylElement) -> Coroot:

@@ -22,7 +22,6 @@ from .coxeter import (
     coroot_of_reflection,
     has_left_descent,
     inversion_coroots,
-    reflection_from_coroot,
 )
 from .errors import IncompatibleData
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
@@ -33,7 +32,6 @@ from .rootdata import (
     Coroot,
     ParameterSet,
     RootGeneratingSystem,
-    coroot_orbit_witness,
     tits_cone_membership,
 )
 from .scalars import ONE, Scalar
@@ -57,7 +55,7 @@ class HeckeAlgebra:
     @cached_property
     def _cache(self) -> dict[str, Memo]:
         """The memos of (system, params), shared by equal algebras (see the memo module)."""
-        names = ("q", "omega", "f", "fhat", "zeta")
+        names = ("q", "omega", "f", "fhat", "zeta", "sigma")
         return _algebra_memos.once(
             (self.system, self.params), lambda: {**{n: Memo(ALGEBRA_CAP) for n in names}, "series": Memo(SERIES_CAP)}
         )
@@ -97,8 +95,19 @@ class HeckeAlgebra:
 
     def sigma_r(self, coroot: Coroot) -> tuple[Scalar, Scalar]:
         """(sigma, sigma') of the simple orbit representative of a coroot."""
-        _, i = coroot_orbit_witness(self.system, coroot.abs())
-        return self.params.sigma[i], self.params.sigma_prime[i]
+        return self.sigma_values(coroot)[:2]
+
+    def sigma_values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar, Scalar]:
+        """(s, s', s s', -s/s') with (s, s') = sigma_r: the last two are the
+        values of tau(alpha^vee) where the zeta numerator vanishes."""
+        c = coroot.abs()
+
+        def make():
+            _, i = self.group.coroot_data(c)
+            s, sp = self.params.sigma[i], self.params.sigma_prime[i]
+            return s, sp, s * sp, -s * scalar_inv(sp)
+
+        return self._cache["sigma"].once(c, make)
 
     def omega(self, i: int, theta: RationalElt) -> RationalElt:
         """Omega_s(theta) = Q_s^T (theta - ^s theta); polynomial on polynomials."""
@@ -109,7 +118,7 @@ class HeckeAlgebra:
         cache = self._cache["omega"]
         for exp, coeff in poly.terms.items():
             hit = cache.once((i, exp), lambda: self._omega(i, RationalElt.monomial(exp)))
-            out = out + hit.scale(coeff)
+            out = out + (hit if coeff == 1 else hit.scale(coeff))  # 0 + hit is hit itself
         return out
 
     def _omega(self, i: int, theta: RationalElt) -> RationalElt:
@@ -126,9 +135,9 @@ class HeckeAlgebra:
 
     def _zeta_pair(self, c: Coroot) -> tuple[RationalElt, RationalElt]:
         def make() -> tuple[RationalElt, RationalElt]:
-            s, sp = self.sigma_r(c)
+            _, _, r1, r2 = self.sigma_values(c)
             neg = tuple(-x for x in self.system.coroot_to_y(c.coords))
-            num = (BinomialFactor.make(s * sp, neg), BinomialFactor.make(-s * scalar_inv(sp), neg))
+            num = (BinomialFactor.make(r1, neg), BinomialFactor.make(r2, neg))
             den = (BinomialFactor.make(ONE, neg), BinomialFactor.make(-ONE, neg))
             one = LaurentPoly.one(self.system.rank)
             return RationalElt(times_binomials(one, num), den), RationalElt(times_binomials(one, den), num)
@@ -167,7 +176,7 @@ class HeckeAlgebra:
         c = coroot.abs()
 
         def make() -> HeckeElt:
-            r = reflection_from_coroot(self.system, c)
+            r = self.group.reflection(c)
             out = self.f_w(r)
             for beta in inversion_coroots(r):
                 if beta != c:

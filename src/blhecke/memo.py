@@ -12,13 +12,17 @@ hold; there the caps bound memory.
 
 The caches, their owners and caps:
 
-- `TauStabilizer._memo`, one per stabilizer: its tests by coroot or element
-  and its enumerations by bound, `STABILIZER_CAP`.  A `PrincipalSeries`
-  owns one stabilizer; `analyze` and `kato_check` build one per query.
+- `TauStabilizer._memo`, one per stabilizer: what depends on tau, namely
+  its tests by coroot, the twisted character w . tau and the greedy word
+  by element, and Phi_tau and Sigma_tau by bound, `STABILIZER_CAP` (at most
+  708 entries on kato-sweep, 160 of them twists and 160 words).  A
+  `PrincipalSeries` owns one stabilizer; `analyze` and `kato_check` build
+  one per query.
 - `HeckeAlgebra._cache`, one per (system, params) in the algebra table
   `hecke._algebra_memos` of `ALGEBRA_TABLE_CAP` entries: `q` (Q_s^T by
   generator), `omega` (Omega_s(Z^lambda) by (i, lambda)), `zeta` (zeta and
-  its inverse), `fhat` (by coroot) and `f` (F_w by element), each
+  its inverse), `fhat` (by coroot), `f` (F_w by element) and `sigma`
+  ((s, s', s s', -s/s') by coroot, at most 336 entries on kato-sweep), each
   `ALGEBRA_CAP`, and the series table `series` of `SERIES_CAP` characters.
   The stabilizer's tests read no zeta, so no benchmark workload fills `zeta`.
 - Per series in that table: `principal._matrix_cache(series)`, the
@@ -26,13 +30,18 @@ The caches, their owners and caps:
   Z^lambda T_w v by (lambda, w), `COLUMN_CAP`.
 - `WeylGroup._elements`, one per group: the intern table by matrix,
   `ELEMENT_CAP`.
+- `WeylGroup.memo`, one per group: what depends on the datum alone, namely
+  the root and orbit index and the reflection of each coroot met, and the
+  coroots and the Bruhat ball by bound, `GROUP_DATA_CAP` (at most 508
+  entries on kato-sweep, for the Lemma 3.7 datum; 3 on the other workloads).
 - `WeylGroup._instances`: the group of each root datum, `GROUP_CAP`.
 
 Two tables belong to the process rather than to an object the caller
 passes.  The group registry gives elements their identity: equal elements
 are normally one interned object, so their per-element caches (word,
 inversions, Y-action) are computed once; an element interned again after an
-eviction is equal to, and hashes like, the one it replaces.  The algebra
+eviction is equal to, and hashes like, the one it replaces; the group's
+datum data outlive each CLI call with it.  The algebra
 table lets equal algebras share memos, since the CLI builds a new
 `HeckeAlgebra` on every call: `omega` entries (at most 109 per algebra on
 module-weights), columns and theta-matrices outlive the call.
@@ -45,9 +54,10 @@ caches in this sense.
 from __future__ import annotations
 
 # largest sizes on the seed-1 benchmark workloads in the comments
-STABILIZER_CAP = 4096  # 551 entries (kato-sweep)
-ALGEBRA_CAP = 1024  # omega fills it on hecke-products; zeta: 23 entries (tier-1 tests)
+STABILIZER_CAP = 4096  # 708 entries (kato-sweep)
+ALGEBRA_CAP = 1024  # omega fills it on hecke-products; sigma: 336 entries (kato-sweep); zeta: 23 (tier-1)
 ELEMENT_CAP = 8192  # 315 elements (kato-sweep)
+GROUP_DATA_CAP = 2048  # 508 entries per group (kato-sweep)
 GROUP_CAP = 64  # 5 groups
 THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)
 COLUMN_CAP = 4096  # 382 columns per series (module-weights)

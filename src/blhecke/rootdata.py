@@ -215,7 +215,9 @@ class RootGeneratingSystem:
 
 def standard_system(matrix) -> RootGeneratingSystem:
     """Standard realization over Y = Z^(n + corank): simple coroots are the
-    first n basis vectors; roots get extra coordinates restoring independence."""
+    first n basis vectors; roots get extra coordinates restoring independence.
+    Only the matrix is validated: the rest is valid by construction, and a
+    datum read from outside is validated once, by `validate_system`."""
     if not isinstance(matrix, KacMoodyMatrix):
         matrix = KacMoodyMatrix.make(matrix)
     matrix.validate()
@@ -238,7 +240,7 @@ def standard_system(matrix) -> RootGeneratingSystem:
             rows.append([Fraction(matrix[i, k]) for i in range(n)] + [Fraction(int(k == e)) for e in ex])
         return linalg.rank(rows)
 
-    current = fam_rank(extra)
+    current = base_rank  # fam_rank([]): the roots without extra coordinates are the columns
     for j in range(n):
         if len(extra) == corank:
             break
@@ -252,9 +254,7 @@ def standard_system(matrix) -> RootGeneratingSystem:
         if j in extra:
             v[n + extra.index(j)] = 1
         roots.append(tuple(v))
-    sys = RootGeneratingSystem.make(matrix, rank, roots, coroots)
-    sys.validate()
-    return sys
+    return RootGeneratingSystem.make(matrix, rank, roots, coroots)
 
 
 @dataclass(frozen=True)
@@ -356,17 +356,6 @@ def coroot_orbit_witness(sys: RootGeneratingSystem, coroot: Coroot) -> tuple[lis
             raise NotARealCoroot(f"{coroot} admits no height descent; not a real coroot")
         word.append(step[0])
         cur = step[1]
-
-
-def root_of_coroot(sys: RootGeneratingSystem, coroot: Coroot) -> IntVec:
-    """Simple-root coordinates of the real root alpha paired with a positive
-    real coroot alpha^vee = w(alpha_c^vee): alpha = w(alpha_c), reflected
-    along the orbit witness word by r_j(beta) = beta - beta(alpha_j^vee) alpha_j."""
-    word, c = coroot_orbit_witness(sys, coroot)
-    root = [int(k == c) for k in range(sys.n)]
-    for j in reversed(word):
-        root[j] -= sum(x * a for x, a in zip(root, sys.matrix.entries[j]))
-    return tuple(root)
 
 
 CONE_POSITIVE = "InPositiveCone"

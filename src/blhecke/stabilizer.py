@@ -19,10 +19,16 @@ splitting changes neither.  So the reduced denominator vanishes iff t is in
 minus {1, -1}.  The tests compare t with these roots and never multiply it,
 since t and s may lie in different quadratic extensions.
 
-A `TauStabilizer` computes each test and enumeration once, in one `Memo` it
-owns (the policy is in the `memo` module).  `kato_check` and `analyze` read
-the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer each,
-so the verdict and the analysis cannot disagree.
+Each quantity is computed once by the owner of what it depends on (the
+policy is in the `memo` module).  The `WeylGroup` holds what depends on the
+datum alone: the orbit index, root and reflection of each coroot, and the
+coroot and Bruhat-ball enumerations by bound.  The `HeckeAlgebra` holds
+(s, s', s s', -s/s') by coroot.  A `TauStabilizer` holds what depends on
+tau: t and the generator test by coroot, and by element w = r_i w' the
+character w . tau, one reflection away from w' . tau, and the greedy word,
+one reflection longer than the word of r_1 w.  `kato_check` and `analyze`
+read the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer
+each, so the verdict and the analysis cannot disagree.
 """
 
 from __future__ import annotations
@@ -35,14 +41,13 @@ from .coxeter import (
     coroot_of_reflection,
     enumerate_ball,
     inversion_coroots,
-    reflection_from_coroot,
 )
 from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
 from .linalg import cone_contains
 from .memo import STABILIZER_CAP, Memo
-from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots, root_of_coroot
+from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots
 from .scalars import Scalar, is_positive_real, sign_real
 from .scalars import inv as scalar_inv
 
@@ -68,11 +73,8 @@ class TauStabilizer:
         """(t, s, s', s s', -s/s') at a coroot: all the zeta tests and sigma'' read."""
         c = coroot.abs()
 
-        def make():
-            s, sp = self.algebra.sigma_r(c)
-            return self.tau.of_vector(self.system.coroot_to_y(c.coords)), s, sp, s * sp, -s * scalar_inv(sp)
-
-        return self._memo.once(("t", c), make)
+        return self._memo.once(
+            ("t", c), lambda: (self.tau.of_vector(self.system.coroot_to_y(c.coords)), *self.algebra.sigma_values(c)))
 
     def phi_contains(self, coroot: Coroot) -> bool:
         """Does the reduced zeta denominator vanish: t in {1, -1} minus {s s', -s/s'}?"""
@@ -90,7 +92,7 @@ class TauStabilizer:
         c = coroot.abs()
         return self._memo.once(("gen", c), lambda: self.phi_contains(c) and all(
             beta == c or not self.phi_contains(beta)
-            for beta in inversion_coroots(reflection_from_coroot(self.system, c))))
+            for beta in inversion_coroots(self.algebra.group.reflection(c))))
 
     def ell_tau(self, w: WeylElement) -> int:
         """Length in the reflection-subgroup Coxeter system: the number of
@@ -100,17 +102,25 @@ class TauStabilizer:
     def tau_reduced_word(self, w: WeylElement) -> list[WeylElement] | None:
         """Greedy descent factorization w = r_1 ... r_k over canonical
         generators, or None when w is outside the reflection subgroup."""
-        word: list[WeylElement] = []
-        cur = w
-        while not cur.is_identity:
-            cands = [beta for beta in inversion_coroots(cur.inverse()) if self.is_canonical_generator(beta)]
+        word = self._greedy_word(w)
+        return None if word is None else list(word)
+
+    def _greedy_word(self, w: WeylElement) -> tuple[WeylElement, ...] | None:
+        """The greedy word, once per element: r_1 is the reflection at the
+        least canonical generator that w^{-1} inverts, followed by the word of
+        r_1 w (None when no generator is left)."""
+        if w.is_identity:
+            return ()
+
+        def make():
+            cands = [beta for beta in inversion_coroots(w.inverse()) if self.is_canonical_generator(beta)]
             if not cands:
                 return None
-            beta = min(cands, key=lambda c: c.sort_key)
-            r = reflection_from_coroot(self.system, beta)
-            word.append(r)
-            cur = r * cur
-        return word
+            r = self.algebra.group.reflection(min(cands, key=lambda c: c.sort_key))
+            rest = self._greedy_word(r * w)
+            return None if rest is None else (r, *rest)
+
+        return self._memo.once(("word", w), make)
 
     def in_reflection_subgroup(self, w: WeylElement) -> bool:
         return self.tau_reduced_word(w) is not None
@@ -130,7 +140,26 @@ class TauStabilizer:
         return cur.is_identity
 
     def fixes_tau(self, w: WeylElement) -> bool:
-        return self._memo.once(("fixes", w), lambda: self.tau.twist(w) == self.tau)
+        return self._twisted(w) == self.tau
+
+    def _twisted(self, w: WeylElement) -> Character:
+        """w . tau, once per element: for w = r_i w' (i the first letter of
+        w's word), (w . tau)(e_j) = (w' . tau)(e_j) t^(-alpha_i(e_j)) with
+        t = (w' . tau)(alpha_i^vee)."""
+        if w.is_identity:
+            return self.tau
+        i = w.word[0]
+
+        def make() -> Character:
+            prev = self._twisted(w.left_simple(i))
+            t = prev.of_vector(self.system.simple_coroots[i])
+            if t == 1:  # r_i fixes w' . tau
+                return prev
+            t_inv = scalar_inv(t)
+            return Character(tuple(v * (t ** -a if a < 0 else t_inv ** a) if a else v
+                                   for v, a in zip(prev.values, self.system.simple_roots[i])))
+
+        return self._memo.once(("twist", w), make)
 
     def in_r_group(self, w: WeylElement) -> bool:
         """w stabilizes tau and inverts no positive coroot of the subsystem."""
@@ -140,10 +169,11 @@ class TauStabilizer:
 
     # -- bounded enumerations ---------------------------------------------------
     def _coroots(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return self._memo.once(("coroots", coroot_bound), lambda: enumerate_coroots(self.system, coroot_bound))
+        return self.algebra.group.memo.once(
+            ("coroots", coroot_bound), lambda: enumerate_coroots(self.system, coroot_bound))
 
     def _ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return self._memo.once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
+        return self.algebra.group.memo.once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
 
     def u_c(self, coroot_bound: int) -> UCResult:
         """The first enumerated positive coroot where `zeta_num_vanishes` holds."""
@@ -166,7 +196,7 @@ class TauStabilizer:
             c for c in self.phi_tau(coroot_bound) if c.positive and self.is_canonical_generator(c)))
 
     def s_tau(self, coroot_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(reflection_from_coroot(self.system, c) for c in self.sigma_tau(coroot_bound))
+        return tuple(self.algebra.group.reflection(c) for c in self.sigma_tau(coroot_bound))
 
     def w_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
         return tuple(w for w in self._ball(length_bound) if self.fixes_tau(w))
@@ -299,7 +329,7 @@ def s_tau_matrix(algebra: HeckeAlgebra, sigma_tau: tuple[Coroot, ...]) -> KacMoo
 def _reflection_root(algebra: HeckeAlgebra, coroot: Coroot):
     """Root coordinates (dual basis) of the reflection at a positive coroot."""
     sys = algebra.system
-    root = root_of_coroot(sys, coroot.abs())
+    root, _ = algebra.group.coroot_data(coroot.abs())
     return tuple(sum(x * r[b] for x, r in zip(root, sys.simple_roots)) for b in range(sys.rank))
 
 

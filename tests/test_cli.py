@@ -51,6 +51,23 @@ def test_validate_parameter_violation(tmp_path, capsys):
     assert "ParameterConstraintViolation" in report.out or "conjugate" in report.err
 
 
+@pytest.mark.parametrize("command", ["validate", "kato", "analyze-tau"])
+@pytest.mark.parametrize("cfg", [A2, A1_ADJOINT], ids=["standard", "explicit"])
+def test_one_validation_per_call(tmp_path, capsys, monkeypatch, command, cfg):
+    from blhecke.rootdata import RootGeneratingSystem
+
+    calls = []
+    validate = RootGeneratingSystem.validate
+
+    def counted(self):
+        calls.append(self)
+        validate(self)
+
+    monkeypatch.setattr(RootGeneratingSystem, "validate", counted)
+    assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("command", ["kato", "analyze-tau"])
 def test_invalid_config_rejected_before_computing(tmp_path, capsys, command):
     bad = dict(A2, parameters={"sigma": ["2", "3"]})

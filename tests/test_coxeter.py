@@ -16,7 +16,7 @@ from blhecke import (
 )
 from blhecke.coxeter import WeylGroup, bruhat_lower_closure, has_right_descent
 from blhecke.errors import NotARealCoroot
-from blhecke.rootdata import coroot_orbit_witness, root_of_coroot
+from blhecke.rootdata import coroot_orbit_witness
 
 
 def test_multiply_examples(a2):
@@ -245,10 +245,11 @@ def test_reflection_matrix_reads_root_pairing(affine_a2, b2):
     for sys in (affine_a2, b2):
         for c in enumerate_coroots(sys, 6):
             if c.positive:
-                root = root_of_coroot(sys, c)
+                root, index = WeylGroup(sys).coroot_data(c)
                 assert sum(r * sys.root_pairing_coroot(k, c) for k, r in enumerate(root)) == 2
                 word, i = coroot_orbit_witness(sys, c)
                 w = WeylGroup(sys).from_word(word)
+                assert index == i
                 assert reflection_from_coroot(sys, c) is w * WeylGroup(sys).simple(i) * w.inverse()
 
 

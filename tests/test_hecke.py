@@ -52,6 +52,23 @@ def test_omega_examples(alg_a1_adjoint, alg_a1_minimal):
     assert got == mono((1,), 3)
 
 
+def test_omega_reads_the_memo(alg_affine_a2):
+    """A one-term polynomial with coefficient 1 gets the memo entry itself; any
+    polynomial gets the sum of the scaled entries, in the same reduced form."""
+    alg = alg_affine_a2
+    memo = alg._cache["omega"]
+    for i in range(3):
+        for exp in ((1, 0, 0, 0), (0, 2, -1, 1), (-1, 1, 0, 3)):
+            assert alg.omega(i, RationalElt.monomial(exp)) is memo[(i, exp)]
+        poly = LaurentPoly(4, {(1, 0, 0, 0): 1, (0, 2, -1, 1): -3, (2, 0, 1, 0): Fraction(5, 2)})
+        want = RationalElt.from_scalar(0, 4)
+        for exp, c in poly.terms.items():
+            want = want + alg._omega(i, RationalElt.monomial(exp)).scale(c)
+        got = alg.omega(i, RationalElt.from_poly(poly))
+        assert got.num.terms == want.num.terms and got.den == want.den
+        assert [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()]
+
+
 def test_multiply_examples(alg_a1_adjoint):
     alg = alg_a1_adjoint
     s = alg.group.simple(0)

@@ -13,6 +13,7 @@ from blhecke import (
     tits_cone_membership,
     validate_system,
 )
+from blhecke import linalg
 from blhecke.errors import NotARealCoroot, ValidationError
 from blhecke.rootdata import CONE_NEGATIVE, CONE_POSITIVE, CONE_UNDETERMINED, coroot_orbit_witness
 
@@ -212,3 +213,18 @@ def test_find_strictly_dominant(a2, affine_a1):
 def test_standard_system_shape(affine_a2):
     assert affine_a2.rank == 4
     affine_a2.validate()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[2]], [[2, -1], [-1, 2]], [[2, -1], [-3, 2]], [[2, 0], [0, 2]], [[2, -2], [-2, 2]],
+    [[2, -1, 0], [-2, 2, -2], [0, -1, 2]], [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]],
+    [[2, -2, -2, -2], [-2, 2, -2, -2], [-2, -2, 2, -3], [-2, -2, -3, 2]],
+    [[2, -2, 0, 0], [-2, 2, 0, 0], [0, 0, 2, -2], [0, 0, -2, 2]],  # corank 2
+    [[2, 0, 0], [0, 2, -2], [0, -2, 2]],
+])
+def test_standard_system_is_valid_by_construction(matrix):
+    """standard_system validates only the matrix; the realization must pass
+    the full check on its own."""
+    sys = standard_system(matrix)
+    assert sys.rank == 2 * sys.n - linalg.rank([[Fraction(x) for x in row] for row in matrix])
+    sys.validate()

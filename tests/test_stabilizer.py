@@ -14,10 +14,12 @@ from blhecke import (
 )
 from blhecke import stabilizer
 from blhecke.cli import lemma37_system
-from blhecke.coxeter import WeylGroup
+from blhecke.coxeter import WeylGroup, inversion_coroots, reflection_from_coroot
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
-from blhecke.scalars import is_zero
+from blhecke.memo import GROUP_DATA_CAP, Memo
+from blhecke.rootdata import coroot_orbit_witness, validate_system
+from blhecke.scalars import inv, is_zero
 from blhecke.stabilizer import (
     IRREDUCIBLE,
     REDUCIBLE,
@@ -247,6 +249,9 @@ def test_lemma37_conjugates():
 
 
 def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
+    """The enumerations belong to the Weyl group: on a cold group the first
+    query makes each once, and no later query with the same bounds does."""
+    monkeypatch.setattr(alg_affine_a2.group, "memo", Memo(GROUP_DATA_CAP))
     calls = {"enumerate_coroots": 0, "enumerate_ball": 0}
     for name in calls:
         original = getattr(stabilizer, name)
@@ -262,7 +267,10 @@ def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
     for values in ([1, 1, 1, 1], [4, 1, 1, 1], [-1, 1, 1, 1]):
         calls.update(dict.fromkeys(calls, 0))
         kato_check(alg_affine_a2, Character.make(values), 8, 3)
-        assert max(calls.values()) <= 1
+        analyze(alg_affine_a2, Character.make(values), 8, 3)
+        assert calls == {"enumerate_coroots": 0, "enumerate_ball": 0}
+    analyze(alg_affine_a2, Character.trivial(4), 9, 3)  # a new bound is a new enumeration
+    assert calls == {"enumerate_coroots": 1, "enumerate_ball": 0}
 
 
 KATO_SWEEP_DATA = {
@@ -351,3 +359,46 @@ def test_opposite_parameters(alg_a1_opposite):
     result = analyze(alg_a1_opposite, Character.make([-1]), 6, 3)
     assert len(result.phi_tau) == 2
     assert [v for _, v in result.sigma_pp] == [3]
+
+
+# parameters that differ between the generator orbits, where the data allow it
+_ORBIT_SIGMAS = {"affine C2": (2, 3, 5), "Lemma 3.7": (2, 3, 5, 7)}
+
+
+def _greedy_word_loop(stab, w):
+    """The greedy descent as a loop: the reference for the memoized word."""
+    word = []
+    cur = w
+    while not cur.is_identity:
+        cands = [beta for beta in inversion_coroots(cur.inverse()) if stab.is_canonical_generator(beta)]
+        if not cands:
+            return None
+        r = reflection_from_coroot(stab.system, min(cands, key=lambda c: c.sort_key))
+        word.append(r)
+        cur = r * cur
+    return word
+
+
+@pytest.mark.parametrize("name", sorted(KATO_SWEEP_DATA))
+def test_stabilizer_data_match_fresh_constructions(name):
+    system = KATO_SWEEP_DATA[name]
+    group = WeylGroup(system)
+    sigma = tuple(Fraction(s) for s in _ORBIT_SIGMAS.get(name, (2,) * system.n))
+    alg = HeckeAlgebra(system, ParameterSet(sigma, sigma))
+    validate_system(system, alg.params)
+    for c in enumerate_coroots(system, 8):
+        if c.positive:
+            word, i = coroot_orbit_witness(system, c)
+            w = group.from_word(word)
+            assert reflection_from_coroot(system, c) == w * group.simple(i) * w.inverse(), c
+            s = sigma[i]
+            assert alg.sigma_r(c) == alg.sigma_r(-c) == (s, s), c
+            assert alg.sigma_values(c) == (s, s, s * s, -s * inv(s)), c
+    ball = enumerate_ball(system, 3)
+    characters = [tau for _, tau in _sweep_characters(system.rank, system.n)] + list(_rule_characters(alg))
+    for tau in characters:
+        stab = TauStabilizer(alg, tau)
+        for w in ball:
+            assert stab._twisted(w) == tau.twist(w), (tau, w)
+            assert stab.fixes_tau(w) == (tau.twist(w) == tau), (tau, w)
+            assert stab.tau_reduced_word(w) == _greedy_word_loop(stab, w), (tau, w)
