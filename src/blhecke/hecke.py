@@ -25,7 +25,7 @@ from .coxeter import (
 )
 from .errors import IncompatibleData
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
-from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
+from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, COLUMN_CAP, SERIES_CAP, STABILIZER_CAP, THETA_MATRIX_CAP, Memo
 from .rootdata import (
     CONE_POSITIVE,
     CONE_UNDETERMINED,
@@ -59,6 +59,12 @@ class HeckeAlgebra:
         return _algebra_memos.once(
             (self.system, self.params), lambda: {**{n: Memo(ALGEBRA_CAP) for n in names}, "series": Memo(SERIES_CAP)}
         )
+
+    def character_memos(self, tau) -> dict[str, Memo]:
+        """The memos of one character in the `series` table: its stabilizer's
+        tests and its series' theta-matrices and columns (see the memo module)."""
+        return self._cache["series"].once(tau, lambda: {
+            "stabilizer": Memo(STABILIZER_CAP), "theta": Memo(THETA_MATRIX_CAP), "column": Memo(COLUMN_CAP)})
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "HeckeElt":

@@ -50,7 +50,7 @@ from .errors import (
 from .hecke import HeckeAlgebra, HeckeElt, _left_T, _left_T_gen
 from .laurent import Character, LaurentPoly, RationalElt, evaluate, times_binomials
 from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
-from .memo import COLUMN_CAP, THETA_MATRIX_CAP, Memo
+from .memo import Memo
 from .scalars import ONE, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
 from .stabilizer import TauStabilizer
@@ -196,10 +196,8 @@ class PrincipalSeries:
 
     @cached_property
     def _memos(self) -> dict[str, Memo]:
-        """The theta-matrices and columns of tau, in the algebra's memos."""
-        return self.algebra._cache["series"].once(
-            self.tau, lambda: {"theta": Memo(THETA_MATRIX_CAP), "column": Memo(COLUMN_CAP)}
-        )
+        """The memos of tau in the algebra's memos; the series reads `theta` and `column`."""
+        return self.algebra.character_memos(self.tau)
 
     # -- weight spaces ---------------------------------------------------------
     def _basis_generators(self) -> list[tuple]:

@@ -82,8 +82,9 @@ class Coroot:
     def ht_signed(self) -> int:
         return sum(self.coords)
 
-    @property
+    @cached_property
     def positive(self) -> bool:
+        """Computed once per coroot; not a field, so equality, hash and repr read coords alone."""
         return any(c > 0 for c in self.coords) and all(c >= 0 for c in self.coords)
 
     def __neg__(self) -> "Coroot":

@@ -69,7 +69,7 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadext(self.a + o.a, self.b + o.b, self.d)
+        return _in_field(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
@@ -80,19 +80,21 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadext(self.a - o.a, self.b - o.b, self.d)
+        return _in_field(self.a - o.a, self.b - o.b, self.d)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadext(o.a - self.a, o.b - self.b, self.d)
+        return _in_field(o.a - self.a, o.b - self.b, self.d)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _in_field(self.a * other, self.b * other, self.d)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return quadext(
+        return _in_field(
             self.a * o.a + self.b * o.b * self.d,
             self.a * o.b + self.b * o.a,
             self.d,
@@ -110,7 +112,7 @@ class QuadExt:
         if o is None:
             return NotImplemented
         if o.b == 0:
-            return quadext(self.a / o.a, self.b / o.a, self.d)
+            return _in_field(self.a / o.a, self.b / o.a, self.d)
         return self * o.inverse()
 
     def __rtruediv__(self, other):
@@ -120,16 +122,21 @@ class QuadExt:
         return o * self.inverse()
 
     def __pow__(self, n: int):
+        """Square and multiply from the lowest bit: t**1 is t itself, and t**n
+        takes no square after the last bit."""
         if n < 0:
             return self.inverse() ** (-n)
-        result: Scalar = ONE
+        if n == 0:
+            return ONE
+        result: Scalar | None = None
         base: Scalar = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         if isinstance(other, QuadExt):
@@ -151,6 +158,12 @@ class QuadExt:
 
     def __repr__(self):
         return f"({self.a}+{self.b}*sqrt({self.d}))"
+
+
+def _in_field(a: Fraction, b: Fraction, d: Fraction) -> Scalar:
+    """a + b*sqrt(d) for rational a, b and the d of a `QuadExt`, which is
+    known not to be a square: `quadext` without its conversions and checks."""
+    return a if b == 0 else QuadExt(a, b, d)
 
 
 def as_scalar(x) -> Scalar:

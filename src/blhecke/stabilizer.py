@@ -17,18 +17,26 @@ they vanish at the same t, which for |s|, |s'| > 1 means s' = s or s' = -s;
 splitting changes neither.  So the reduced denominator vanishes iff t is in
 {1, -1} minus {s s', -s/s'}, and the numerator iff t is in {s s', -s/s'}
 minus {1, -1}.  The tests compare t with these roots and never multiply it,
-since t and s may lie in different quadratic extensions.
+since t and s may lie in different quadratic extensions.  A coroot's test
+reads its own t, so at -alpha^vee it reads t^-1.  U_C tests the enumerated
+coroots of both signs: it fails when t or t^-1 is in {s s', -s/s'} minus
+{1, -1}, and the witness is the first coroot whose numerator vanishes,
+which is negative when t^-1 matches.  Since I_tau and I_{w . tau}
+have the same composition factors (Kato, Invent. Math. 66, 1982), the
+criterion is W-invariant, and W sends some positive coroots to negative ones.
 
 Each quantity is computed once by the owner of what it depends on (the
 policy is in the `memo` module).  The `WeylGroup` holds what depends on the
 datum alone: the orbit index, root and reflection of each coroot, and the
 coroot and Bruhat-ball enumerations by bound.  The `HeckeAlgebra` holds
-(s, s', s s', -s/s') by coroot.  A `TauStabilizer` holds what depends on
-tau: t and the generator test by coroot, and by element w = r_i w' the
-character w . tau, one reflection away from w' . tau, and the greedy word,
-one reflection longer than the word of r_1 w.  `kato_check` and `analyze`
-read the same tests (U_C, W_tau, membership in W_(tau)) from one stabilizer
-each, so the verdict and the analysis cannot disagree.
+(s, s', s s', -s/s') by coroot, and, in the entry of each character, one
+stabilizer memo per (algebra, tau) with what depends on tau: t and the
+generator test by coroot, and by element w = r_i w' the character w . tau,
+one reflection away from w' . tau, and the greedy word, one reflection
+longer than the word of r_1 w.  `kato_check`, `analyze` and a
+`PrincipalSeries` read the same tests (U_C, W_tau, membership in W_(tau))
+from that memo, within a call and across calls, so the verdict and the
+analysis cannot disagree and neither recomputes what the other made.
 """
 
 from __future__ import annotations
@@ -46,7 +54,6 @@ from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
 from .linalg import cone_contains
-from .memo import STABILIZER_CAP, Memo
 from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots
 from .scalars import Scalar, is_positive_real, sign_real
 from .scalars import inv as scalar_inv
@@ -55,14 +62,16 @@ from .scalars import inv as scalar_inv
 class TauStabilizer:
     """Working context for one character over one Hecke algebra.  `_memo`
     holds each test by (name, coroot or element) and each enumeration by
-    (name, bound).  `kato_check` and `analyze` read the same tests."""
+    (name, bound); it is the one memo of (algebra, tau) in the algebra's
+    character entry, so every stabilizer of an equal (algebra, tau), in
+    `kato_check`, `analyze` or a `PrincipalSeries`, reads the same tests."""
 
     def __init__(self, algebra: HeckeAlgebra, tau: Character):
         if tau.rank != algebra.system.rank:
             raise ValueError("character rank does not match the lattice rank")
         self.algebra = algebra
         self.tau = tau
-        self._memo = Memo(STABILIZER_CAP)
+        self._memo = algebra.character_memos(tau)["stabilizer"]
 
     @property
     def system(self):
@@ -70,11 +79,15 @@ class TauStabilizer:
 
     # -- pointwise tests (exact) ---------------------------------------------
     def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
-        """(t, s, s', s s', -s/s') at a coroot: all the zeta tests and sigma'' read."""
-        c = coroot.abs()
+        """(t, s, s', s s', -s/s') at a coroot, t = tau(coroot): all the zeta
+        tests and sigma'' read.  A negative coroot reads t^-1 from its negative."""
+        def make():
+            if not coroot.positive:
+                t, *sigmas = self._values(-coroot)
+                return scalar_inv(t), *sigmas
+            return self.tau.of_vector(self.system.coroot_to_y(coroot.coords)), *self.algebra.sigma_values(coroot)
 
-        return self._memo.once(
-            ("t", c), lambda: (self.tau.of_vector(self.system.coroot_to_y(c.coords)), *self.algebra.sigma_values(c)))
+        return self._memo.once(("t", coroot), make)
 
     def phi_contains(self, coroot: Coroot) -> bool:
         """Does the reduced zeta denominator vanish: t in {1, -1} minus {s s', -s/s'}?"""
@@ -176,9 +189,9 @@ class TauStabilizer:
         return self.algebra.group.memo.once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
 
     def u_c(self, coroot_bound: int) -> UCResult:
-        """The first enumerated positive coroot where `zeta_num_vanishes` holds."""
+        """The first enumerated coroot, of either sign, where `zeta_num_vanishes` holds."""
         for c in self._coroots(coroot_bound):
-            if c.positive and self.zeta_num_vanishes(c):
+            if self.zeta_num_vanishes(c):
                 return UCResult("NotInU_C", coroot_bound, c)
         return UCResult("InU_C", coroot_bound, None)
 

@@ -1,13 +1,15 @@
+import json
 from fractions import Fraction
 
 import pytest
 
 from blhecke import Character, LowerSet, ParameterSet, PrincipalSeries, RationalElt, standard_system
-from blhecke import hecke, stabilizer
+from blhecke import hecke, serial, stabilizer
 from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import run_suite
 from blhecke.memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
+from blhecke.stabilizer import TauStabilizer, analyze, kato_check
 
 
 def test_memo_makes_once_and_evicts_oldest():
@@ -129,3 +131,53 @@ def test_run_suite_builds_one_stabilizer(alg_a2, trivial2, monkeypatch):
     results = run_suite(alg_a2, trivial2, seed=0, coroot_bound=6, ell_bound=3, samples=5)
     assert all(r.passed for r in results)
     assert len(built) == 1
+
+
+def test_kato_then_analyze_read_one_memo(alg_a2, alg_affine_a2):
+    """One stabilizer memo per (algebra, tau): on A2 at the trivial character
+    `kato_check` tests the whole group, so `analyze` makes no new twist, word
+    or generator entry; anywhere, a repeated pair makes no new entry at all."""
+    cases = [(alg_a2, Character.make([1, 1]))] + [
+        (alg_affine_a2, Character.make(v)) for v in ([1, 1, 1, 1], [-1, 1, 1, 1], [4, 1, 1, 1], [3, 5, 5, 5])]
+    for alg, tau in cases:
+        alg._cache["series"].pop(tau, None)
+        kato_check(alg, tau, 8, 3)
+        memo = alg.character_memos(tau)["stabilizer"]
+        after_kato = set(memo)
+        assert after_kato, tau  # kato_check filled the memo of the character entry
+        analyze(alg, tau, 8, 3)
+        if alg is alg_a2:
+            assert not {key for key in set(memo) - after_kato if key[0] in ("twist", "word", "gen")}
+        after_pair = set(memo)
+        kato_check(alg, tau, 8, 3)
+        analyze(alg, tau, 8, 3)
+        assert set(memo) == after_pair, tau
+
+
+def test_equal_algebras_read_one_stabilizer_memo(a2):
+    tau = Character.make([-1, 1])
+    first = TauStabilizer(HeckeAlgebra(a2, ParameterSet.equal(Fraction(3), 2)), tau)
+    second = TauStabilizer(HeckeAlgebra(standard_system([[2, -1], [-1, 2]]), ParameterSet.equal(Fraction(3), 2)), tau)
+    assert second.algebra is not first.algebra and second._memo is first._memo
+    assert first.sigma_tau(6) and len(second._memo) == len(first._memo)
+
+
+def test_stabilizer_memo_evicted_with_its_character(alg_a2):
+    taus = [Character.make([Fraction(k + 2), 1]) for k in range(SERIES_CAP + 2)]
+    reports = [analyze(alg_a2, tau, 6, 3) for tau in taus]
+    table = alg_a2._cache["series"]
+    assert len(table) == SERIES_CAP and taus[0] not in table and taus[-1] in table
+    assert analyze(alg_a2, taus[0], 6, 3) == reports[0]  # recomputed in a new entry
+    assert taus[0] in table and len(table) == SERIES_CAP
+
+
+def test_trivial_and_all_ones_are_one_key(alg_a2, alg_affine_a2):
+    for alg in (alg_a2, alg_affine_a2):
+        rank = alg.system.rank
+        trivial, ones = Character.trivial(rank), Character.make([1] * rank)
+        assert trivial == ones and hash(trivial) == hash(ones)
+        alg._cache["series"].pop(trivial, None)
+        assert TauStabilizer(alg, trivial)._memo is TauStabilizer(alg, ones)._memo
+        reports = [(serial.verdict_to_obj(kato_check(alg, tau, 8, 3)), serial.analysis_to_obj(analyze(alg, tau, 8, 3)))
+                   for tau in (trivial, ones)]
+        assert json.dumps(reports[0], sort_keys=True) == json.dumps(reports[1], sort_keys=True)

@@ -228,3 +228,15 @@ def test_standard_system_is_valid_by_construction(matrix):
     sys = standard_system(matrix)
     assert sys.rank == 2 * sys.n - linalg.rank([[Fraction(x) for x in row] for row in matrix])
     sys.validate()
+
+
+def test_coroot_sign_once_and_invisible(affine_a1, b2):
+    for system in (affine_a1, b2):
+        coroots = enumerate_coroots(system, 6)
+        for x in (*coroots, *(-c for c in coroots)):
+            assert x.positive == (any(v > 0 for v in x.coords) and all(v >= 0 for v in x.coords)), x
+            assert "positive" in vars(x)  # the sign is kept on the coroot
+            fresh = Coroot(x.coords)
+            assert "positive" not in vars(fresh)
+            assert fresh == x and x == fresh and hash(fresh) == hash(x)
+            assert repr(fresh) == repr(x) and fresh.sort_key == x.sort_key

@@ -76,3 +76,41 @@ def test_complex_embedding():
     i = quadext(0, 1, -1)
     assert to_complex(i) == complex(0, 1)
     assert abs(to_complex(quadext(0, 1, 2)) - 1.41421356) < 1e-6
+
+
+_POW_VALUES = (quadext(0, 1, -1), quadext(1, 2, -1), quadext(0, 1, 2), quadext(Fraction(1, 2), -3, 2))
+
+
+def test_pow_equals_repeated_products():
+    for t in _POW_VALUES:
+        for n in range(-5, 9):
+            want = Fraction(1)
+            for _ in range(abs(n)):
+                want = want * (t if n > 0 else 1 / t)
+            assert t ** n == want, (t, n)
+
+
+def test_rational_products_stay_in_the_field():
+    for t in _POW_VALUES:
+        for r in (3, Fraction(-2, 5)):
+            want = quadext(t.a * r, t.b * r, t.d)
+            assert t * r == want and r * t == want and (t * r) / r == t
+        zero = t * 0
+        assert zero == 0 and isinstance(zero, Fraction)
+
+
+def test_pow_makes_no_extra_products(monkeypatch):
+    t = quadext(1, 2, -1)  # no power of 1 + 2i is rational, so every product is a QuadExt product
+    square, cube = t * t, t * t * t
+    products = []
+    mul = QuadExt.__mul__
+
+    def counted(a, b):
+        products.append((a, b))
+        return mul(a, b)
+
+    monkeypatch.setattr(QuadExt, "__mul__", counted)
+    monkeypatch.setattr(QuadExt, "__rmul__", counted)
+    assert t ** 1 == t and len(products) == 0
+    assert t ** 2 == square and len(products) == 1
+    assert t ** 3 == cube and len(products) == 3

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import yaml
 
 from blhecke import (
     Character,
@@ -14,6 +15,7 @@ from blhecke import (
 )
 from blhecke import stabilizer
 from blhecke.cli import lemma37_system
+from blhecke.cli import main as cli_main
 from blhecke.coxeter import WeylGroup, inversion_coroots, reflection_from_coroot
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
@@ -178,6 +180,30 @@ def test_kato_verdicts(alg_a1_adjoint, alg_a2):
     assert v.status == IRREDUCIBLE and v.absolute
 
 
+def test_u_c_fails_at_inverse_value(alg_a1_adjoint):
+    """At q = 4 and t = tau(alpha^vee) = 1/4, t^-1 = s s' is where the zeta
+    numerator of -alpha^vee vanishes; x = v + T_s v spans a submodule
+    (Z x = 4 x and T_s x = 4 x)."""
+    tau = Character.make([Fraction(1, 4)])
+    assert u_c_check(alg_a1_adjoint, tau, 5).witness == Coroot((-1,))
+    v = kato_check(alg_a1_adjoint, tau, 5, 3)
+    assert (v.status, v.witness_coroot, v.witness_element) == (REDUCIBLE, Coroot((-1,)), None)
+
+
+def test_kato_cli_fails_at_inverse_value(tmp_path, capsys):
+    """The A2 config of the console-script check with tau(alpha_2^vee) = 1/4."""
+    path = tmp_path / "a2.yaml"
+    path.write_text(yaml.safe_dump({
+        "datum": {"matrix": [[2, -1], [-1, 2]]},
+        "parameters": {"q": "4"},
+        "character": {"values": ["1", "1/4"]},
+        "bounds": {"coroot_height": 6, "weyl_length": 4, "ball": 3},
+    }))
+    assert cli_main(["kato", "--config", str(path), "--expect", "reducible"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict: Reducible" in out and "witness coroot: [0, -1]" in out
+
+
 def test_kato_affine_not_absolute(alg_affine_a1):
     v = kato_check(alg_affine_a1, Character.trivial(3), 5, 4)
     assert v.status == IRREDUCIBLE and not v.absolute
@@ -329,19 +355,24 @@ def _rule_characters(alg):
 
 def test_value_rules_match_reduced_zeta(zeta_algebra):
     alg = zeta_algebra
-    coroots = [c for c in enumerate_coroots(alg.system, 8) if c.positive]
+    enumerated = enumerate_coroots(alg.system, 8)
+    coroots = [c for c in enumerated if c.positive]
     seen = set()
     for tau in _rule_characters(alg):
         stab = TauStabilizer(alg, tau)
+        tau_inv = Character(tuple(inv(v) for v in tau.values))  # zeta_c at tau^-1 is zeta_{-c} at tau
+        vanishing = set()
         for c in coroots:
             z = alg.zeta(c)
             phi = any(is_zero(tau.of_factor(f)) for f in z.den)
             num_vanishes = tau.of_poly(z.num) == 0
+            neg_num_vanishes = tau_inv.of_poly(z.num) == 0
             assert stab.phi_contains(c) == phi and stab.phi_contains(-c) == phi, (tau, c)
             assert stab.zeta_num_vanishes(c) == num_vanishes, (tau, c)
+            assert stab.zeta_num_vanishes(-c) == neg_num_vanishes, (tau, c)
+            vanishing.update(w for w, hit in ((c, num_vanishes), (-c, neg_num_vanishes)) if hit)
             seen.add((phi, num_vanishes))
-        witness = next((c for c in coroots if stab.zeta_num_vanishes(c)), None)
-        assert stab.u_c(8).witness == witness
+        assert stab.u_c(8).witness == next((c for c in enumerated if c in vanishing), None)
     assert {(True, False), (False, True), (False, False)} <= seen
 
 
