@@ -8,7 +8,6 @@ from .coxeter import (
     coroot_of_reflection,
     enumerate_ball,
     inversion_coroots,
-    reflection_from_coroot,
 )
 from .hecke import HeckeAlgebra, HeckeElt, Membership, max_supp, membership
 from .laurent import BinomialFactor, Character, LaurentPoly, RationalElt, evaluate, weyl_twist
@@ -21,7 +20,6 @@ from .rootdata import (
     enumerate_coroots,
     find_strictly_dominant,
     standard_system,
-    tits_cone_membership,
     validate_system,
 )
 from .scalars import QuadExt, quadext
@@ -33,7 +31,6 @@ from .stabilizer import (
     kato_check,
     s_tau_matrix,
     semidirect_check,
-    u_c_check,
 )
 
 __version__ = "0.1.0"
@@ -73,12 +70,9 @@ __all__ = [
     "max_supp",
     "membership",
     "quadext",
-    "reflection_from_coroot",
     "s_tau_matrix",
     "semidirect_check",
     "standard_system",
-    "tits_cone_membership",
-    "u_c_check",
     "validate_system",
     "weyl_twist",
     "__version__",

@@ -10,6 +10,13 @@ applied to the dual datum, whose real roots are the coroots).  Descents are
 sign tests on one column, the canonical ShortLex reduced word comes from
 greedy left descents, and the action on Y, needed only to twist exponents
 and characters, is built lazily from that word.
+
+The `WeylGroup` owns the queries that depend on the datum alone: the coroot
+and Bruhat-ball enumerations by bound, the root and reflection of each
+coroot, and the Tits cone.  Callers use the group they hold, and walks step
+along `left_simple` and `left_descents`.  The module functions
+`enumerate_ball` and `inversion_coroots` stay because the benchmark's tracer
+counts and times them there; `enumerate_ball` runs only on a memo miss.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from operator import mul
 
 from .errors import IncompatibleData, NotARealCoroot
 from .memo import ELEMENT_CAP, GROUP_CAP, GROUP_DATA_CAP, Memo
-from .rootdata import Coroot, IntVec, RootGeneratingSystem, coroot_orbit_witness
+from .rootdata import Coroot, IntVec, RootGeneratingSystem, coroot_orbit_witness, enumerate_coroots
 
 Mat = tuple[IntVec, ...]
 
@@ -236,14 +243,62 @@ class WeylGroup:
 
         return self.memo.once(("reflection", coroot), make)
 
+    def reflection_root(self, coroot: Coroot) -> IntVec:
+        """Y-dual coordinates of the root of the reflection at +-coroot."""
+        root, _ = self.coroot_data(coroot.abs())
+        sys = self.system
+        return tuple(sum(x * r[b] for x, r in zip(root, sys.simple_roots)) for b in range(sys.rank))
 
-def has_right_descent(w: WeylElement, i: int) -> bool:
-    """l(w s_i) < l(w), i.e. w . alpha_i^vee is negative."""
-    return i in w.right_descents
+    def coroots(self, height_bound: int) -> tuple[Coroot, ...]:
+        """The real coroots of height <= bound (`enumerate_coroots`), once per bound."""
+        return self.memo.once(("coroots", height_bound), lambda: enumerate_coroots(self.system, height_bound))
+
+    def ball(self, max_length: int) -> tuple[WeylElement, ...]:
+        """The elements of length <= bound (`enumerate_ball`), once per bound."""
+        return self.memo.once(("ball", max_length), lambda: enumerate_ball(self.system, max_length))
+
+    def tits_cone(self, lam, step_cap: int | None = None) -> "ConeResult":
+        """Capped dominance iteration deciding membership in the Tits cone.
+
+        Applies r_i at the smallest i with alpha_i(lam) < 0 until dominant (and
+        the mirror iteration until antidominant); returns Undetermined when
+        neither terminates within the cap.  The witness w satisfies: w(lam) is
+        dominant (resp. antidominant).
+        """
+        sys = self.system
+        if step_cap is None:
+            step_cap = 10 * sum(abs(x) for x in lam) + 10
+
+        def iterate(sign: int):
+            cur = lam
+            w = self.identity
+            for step in range(step_cap + 1):
+                bad = next((i for i in range(sys.n) if sign * sys.root_pairing(i, cur) < 0), None)
+                if bad is None:
+                    return w, step
+                cur = sys.reflect(bad, cur)
+                w = w.left_simple(bad)
+            return None
+
+        pos = iterate(+1)
+        if pos is not None:
+            return ConeResult(CONE_POSITIVE, pos[0], pos[1])
+        neg = iterate(-1)
+        if neg is not None:
+            return ConeResult(CONE_NEGATIVE, neg[0], neg[1])
+        return ConeResult(CONE_UNDETERMINED, None, step_cap)
 
 
-def has_left_descent(w: WeylElement, i: int) -> bool:
-    return i in w.left_descents
+CONE_POSITIVE = "InPositiveCone"
+CONE_NEGATIVE = "InNegativeCone"
+CONE_UNDETERMINED = "Undetermined"
+
+
+@dataclass(frozen=True)
+class ConeResult:
+    status: str
+    witness: WeylElement | None  # w with w(lam) (anti)dominant, or None
+    steps: int
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
@@ -255,24 +310,18 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
         raise IncompatibleData("elements of different Weyl groups")
     if v.length > w.length:
         return False
-    group = WeylGroup(v.system)
     cur = v
     for i in w.word:
         if cur.is_identity:
             return True
-        if has_left_descent(cur, i):
-            cur = group.simple(i) * cur
+        if i in cur.left_descents:
+            cur = cur.left_simple(i)
     return cur.is_identity
 
 
 def inversion_coroots(w: WeylElement) -> tuple[Coroot, ...]:
     """N(w) = set of positive coroots sent negative by w; |N(w)| = l(w)."""
     return w.inversions
-
-
-def reflection_from_coroot(sys: RootGeneratingSystem, coroot: Coroot) -> WeylElement:
-    """The reflection r_{alpha^vee} attached to a positive real coroot."""
-    return WeylGroup(sys).reflection(coroot)
 
 
 def coroot_of_reflection(r: WeylElement) -> Coroot:
@@ -292,7 +341,7 @@ def enumerate_ball(sys: RootGeneratingSystem, max_length: int) -> tuple[WeylElem
         nxt = []
         for w in levels[-1]:
             for i in range(sys.n):
-                if not has_right_descent(w, i):
+                if i not in w.right_descents:
                     cand = w * group.simple(i)
                     if cand not in seen:
                         seen.add(cand)
@@ -306,15 +355,9 @@ def enumerate_ball(sys: RootGeneratingSystem, max_length: int) -> tuple[WeylElem
 
 def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     """Every reduced word of w, by exhaustive left-descent recursion."""
-    group = WeylGroup(w.system)
     if w.is_identity:
         return [()]
-    out = []
-    for i in range(w.system.n):
-        if has_left_descent(w, i):
-            for rest in all_reduced_words(group.simple(i) * w):
-                out.append((i,) + rest)
-    return out
+    return [(i,) + rest for i in sorted(w.left_descents) for rest in all_reduced_words(w.left_simple(i))]
 
 
 def bruhat_lower_closure(elements) -> frozenset[WeylElement]:
@@ -326,10 +369,9 @@ def bruhat_lower_closure(elements) -> frozenset[WeylElement]:
         if w in closed:
             continue
         closed.add(w)
-        group = WeylGroup(w.system)
         word = w.word
         for drop in range(len(word)):
-            sub = group.from_word(word[:drop] + word[drop + 1:])
+            sub = w.group.from_word(word[:drop] + word[drop + 1:])
             if sub not in closed:
                 stack.append(sub)
     return frozenset(closed)

@@ -16,24 +16,18 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coxeter import (
+    CONE_POSITIVE,
+    CONE_UNDETERMINED,
     WeylElement,
     WeylGroup,
     bruhat_leq,
     coroot_of_reflection,
-    has_left_descent,
     inversion_coroots,
 )
 from .errors import IncompatibleData
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, COLUMN_CAP, SERIES_CAP, STABILIZER_CAP, THETA_MATRIX_CAP, Memo
-from .rootdata import (
-    CONE_POSITIVE,
-    CONE_UNDETERMINED,
-    Coroot,
-    ParameterSet,
-    RootGeneratingSystem,
-    tits_cone_membership,
-)
+from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
 
@@ -307,7 +301,7 @@ def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict, scale=RationalElt.scale
 
     for w, c in coeffs.items():
         sw = w.left_simple(i)
-        if has_left_descent(w, i):
+        if i in w.left_descents:
             # l(sw) = l(w) - 1: T_s T_w = (sigma^2-1) T_w + sigma^2 T_sw
             acc(w, scale(c, sigma2 - 1))
             acc(sw, scale(c, sigma2))
@@ -350,7 +344,7 @@ class Membership:
 
 
 def membership(h: HeckeElt, dominance_cap: int | None = None) -> Membership:
-    sys = h.algebra.system
+    group = h.algebra.group
     in_ih: bool | None = True
     for _, c in h.coeffs.items():
         poly = c.is_polynomial()
@@ -359,7 +353,7 @@ def membership(h: HeckeElt, dominance_cap: int | None = None) -> Membership:
         if in_ih is False:
             continue
         for exp in poly.terms:
-            res = tits_cone_membership(sys, exp, dominance_cap)
+            res = group.tits_cone(exp, dominance_cap)
             if res.status == CONE_UNDETERMINED:
                 in_ih = None
             elif res.status != CONE_POSITIVE:

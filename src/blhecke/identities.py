@@ -11,13 +11,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import all_reduced_words, bruhat_leq, coroot_of_reflection, enumerate_ball, reflection_from_coroot
+from .coxeter import all_reduced_words, bruhat_leq, coroot_of_reflection
 from .errors import KacMoodyViolation
 from .hecke import HeckeAlgebra, HeckeElt, max_supp
 from .laurent import Character, LaurentPoly, RationalElt
 from .linalg import integer_cone_contains
 from .principal import ModuleVector, PrincipalSeries
-from .stabilizer import TauStabilizer, _reflection_root, s_tau_matrix, sigma_tau_minimal_direct
+from .stabilizer import TauStabilizer, s_tau_matrix, sigma_tau_minimal_direct
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def check_commutation(alg: HeckeAlgebra, samples: int, seed: int, max_exp: int =
 
 def check_intertwiner_word_independence(alg: HeckeAlgebra, max_len: int = 4) -> CheckResult:
     count = 0
-    for w in enumerate_ball(alg.system, max_len):
+    for w in alg.group.ball(max_len):
         if w.length < 2:
             continue
         words = all_reduced_words(w)
@@ -124,7 +124,7 @@ def check_intertwiner_word_independence(alg: HeckeAlgebra, max_len: int = 4) -> 
 
 
 def check_intertwiner_triangular(alg: HeckeAlgebra, max_len: int = 4) -> CheckResult:
-    for w in enumerate_ball(alg.system, max_len):
+    for w in alg.group.ball(max_len):
         fw = alg.f_w(w)
         if max_supp(fw) != (w,):
             return CheckResult("intertwiner-triangular", False, f"max supp at {w!r}")
@@ -136,7 +136,7 @@ def check_intertwiner_triangular(alg: HeckeAlgebra, max_len: int = 4) -> CheckRe
 
 def check_intertwiner_commutation(alg: HeckeAlgebra, samples: int, seed: int, max_len: int = 3) -> CheckResult:
     rng = random.Random(seed)
-    ball = enumerate_ball(alg.system, max_len)
+    ball = alg.group.ball(max_len)
     for k in range(samples):
         w = rng.choice(ball)
         theta = _random_monomial(rng, alg.system.rank, 2)
@@ -262,7 +262,7 @@ def check_sigma_tau_agreement(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bou
 
 def check_sigma_bijection(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int) -> CheckResult:
     sigma = stab.sigma_tau(coroot_bound)
-    refs = [reflection_from_coroot(alg.system, c) for c in sigma]
+    refs = [alg.group.reflection(c) for c in sigma]
     if len(set(refs)) != len(refs):
         return CheckResult("sigma-bijection", False, "reflections not distinct")
     back = [coroot_of_reflection(r) for r in refs]
@@ -294,12 +294,11 @@ def check_weight_formula(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: i
     sigma = stab.sigma_tau(coroot_bound)
     if not sigma:
         return CheckResult("weight-formula", True, "empty generator set")
-    sys = alg.system
     for k in range(samples):
         c = rng.choice(sigma)
-        r = reflection_from_coroot(sys, c)
-        lam = _random_exp(rng, sys.rank, 3)
-        root = _reflection_root(alg, c)
+        r = alg.group.reflection(c)
+        lam = _random_exp(rng, alg.system.rank, 3)
+        root = alg.group.reflection_root(c)
         pairing = sum(a * b for a, b in zip(root, lam))
         mono = RationalElt.monomial(lam)
         omega = alg.q_r(c) * (mono - mono.twist(r))
@@ -336,7 +335,7 @@ def check_order_depth(series: PrincipalSeries, ell_bound: int, coroot_bound: int
 def check_action_axiom(series: PrincipalSeries, samples: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
     alg = series.algebra
-    ball = enumerate_ball(alg.system, 2)
+    ball = alg.group.ball(2)
     for k in range(samples):
         h1 = _random_poly_element(alg, rng)
         h2 = _random_poly_element(alg, rng)

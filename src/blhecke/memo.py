@@ -25,7 +25,7 @@ The caches, their owners and caps:
   with it: `stabilizer`, the one memo of every `TauStabilizer` of (algebra,
   tau), holding its tests by coroot, the twisted character w . tau and the
   greedy word by element, and Phi_tau and Sigma_tau by bound,
-  `STABILIZER_CAP` (at most 770 entries on kato-sweep, 160 of them twists
+  `STABILIZER_CAP` (at most 724 entries on kato-sweep, 160 of them twists
   and 160 words), so `kato_check`, `analyze` and a `PrincipalSeries` read
   the same tests across calls; `theta` (`principal._matrix_cache(series)`),
   the theta-matrices by (exponent, domain), `THETA_MATRIX_CAP`; and
@@ -34,8 +34,13 @@ The caches, their owners and caps:
   `ELEMENT_CAP`.
 - `WeylGroup.memo`, one per group: what depends on the datum alone, namely
   the root and orbit index and the reflection of each coroot met, and the
-  coroots and the Bruhat ball by bound, `GROUP_DATA_CAP` (at most 508
-  entries on kato-sweep, for the Lemma 3.7 datum; 3 on the other workloads).
+  coroots and the Bruhat ball by bound, `GROUP_DATA_CAP` (at most 406
+  entries on kato-sweep, for the Lemma 3.7 datum; 5 on module-weights).
+  `WeylGroup.coroots` and `WeylGroup.ball` are the only readers of the
+  enumerations, for every caller (stabilizer, CLI, identity checks).  On the
+  seed-1 lists a `coroots` entry holds 66 to 124 coroots (kato-sweep) and a
+  `ball` entry 41 to 161 elements (kato-sweep) or 5 to 20 (module-weights),
+  so each enumeration runs once per (datum, bound), 10 times on module-weights.
 - `WeylGroup._instances`: the group of each root datum, `GROUP_CAP`.
 
 Two tables belong to the process rather than to an object the caller
@@ -57,10 +62,10 @@ caches in this sense.
 from __future__ import annotations
 
 # largest sizes on the seed-1 benchmark workloads in the comments
-STABILIZER_CAP = 4096  # 770 entries per character (kato-sweep)
+STABILIZER_CAP = 4096  # 724 entries per character (kato-sweep)
 ALGEBRA_CAP = 1024  # omega fills it on hecke-products; sigma: 336 entries (kato-sweep); zeta: 23 (tier-1)
 ELEMENT_CAP = 8192  # 315 elements (kato-sweep)
-GROUP_DATA_CAP = 2048  # 508 entries per group (kato-sweep)
+GROUP_DATA_CAP = 2048  # 406 entries per group (kato-sweep)
 GROUP_CAP = 64  # 5 groups
 THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)
 COLUMN_CAP = 4096  # 382 columns per series (module-weights)

@@ -1,4 +1,4 @@
-"""Kac-Moody matrices, root generating systems, real coroots, Tits cone.
+"""Kac-Moody matrices, root generating systems, real coroots.
 
 Coroots are stored in simple-coroot coordinates (integer vectors indexed by
 the generator set), where positivity and height are native; the embedding
@@ -11,9 +11,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from . import linalg
-from .errors import NotARealCoroot, ValidationError
+from .errors import BoundTooSmall, NotARealCoroot, ValidationError
 from .scalars import Scalar, abs_gt_one
 
 IntVec = tuple[int, ...]
@@ -359,63 +360,9 @@ def coroot_orbit_witness(sys: RootGeneratingSystem, coroot: Coroot) -> tuple[lis
         cur = step[1]
 
 
-CONE_POSITIVE = "InPositiveCone"
-CONE_NEGATIVE = "InNegativeCone"
-CONE_UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class ConeResult:
-    status: str
-    witness: object | None  # WeylElement w with w(lam) (anti)dominant, or None
-    steps: int
-
-
-def tits_cone_membership(sys: RootGeneratingSystem, lam, step_cap: int | None = None) -> ConeResult:
-    """Capped dominance iteration deciding membership in the Tits cone.
-
-    Applies r_i at the smallest i with alpha_i(lam) < 0 until dominant (and the
-    mirror iteration until antidominant); returns Undetermined when neither
-    terminates within the cap.  The witness w satisfies: w(lam) is dominant
-    (resp. antidominant).
-    """
-    from .coxeter import WeylGroup
-
-    lam = _as_ivec(lam)
-    if step_cap is None:
-        step_cap = 10 * sum(abs(x) for x in lam) + 10
-    group = WeylGroup(sys)
-
-    def iterate(sign: int):
-        cur = lam
-        w = group.identity
-        for step in range(step_cap + 1):
-            bad = None
-            for i in range(sys.n):
-                if sign * sys.root_pairing(i, cur) < 0:
-                    bad = i
-                    break
-            if bad is None:
-                return w, step
-            cur = sys.reflect(bad, cur)
-            w = group.simple(bad) * w
-        return None
-
-    pos = iterate(+1)
-    if pos is not None:
-        return ConeResult(CONE_POSITIVE, pos[0], pos[1])
-    neg = iterate(-1)
-    if neg is not None:
-        return ConeResult(CONE_NEGATIVE, neg[0], neg[1])
-    return ConeResult(CONE_UNDETERMINED, None, step_cap)
-
-
 def find_strictly_dominant(sys: RootGeneratingSystem, bound: int = 5) -> IntVec:
     """Smallest integer vector in the open dominant chamber, coefficients in
     [-bound, bound]; raises BoundTooSmall when the lattice misses the chamber."""
-    from .errors import BoundTooSmall
-    from itertools import product
-
     best = None
     for cand in product(range(-bound, bound + 1), repeat=sys.rank):
         if all(sys.root_pairing(i, cand) > 0 for i in range(sys.n)):

@@ -26,9 +26,12 @@ have the same composition factors (Kato, Invent. Math. 66, 1982), the
 criterion is W-invariant, and W sends some positive coroots to negative ones.
 
 Each quantity is computed once by the owner of what it depends on (the
-policy is in the `memo` module).  The `WeylGroup` holds what depends on the
-datum alone: the orbit index, root and reflection of each coroot, and the
-coroot and Bruhat-ball enumerations by bound.  The `HeckeAlgebra` holds
+policy is in the `memo` module).  The `WeylGroup` (`algebra.group`) holds
+what depends on the datum alone, and the stabilizer reads it there: the
+orbit index, root and reflection of each coroot (`reflection`,
+`reflection_root`), and the coroot and Bruhat-ball enumerations by bound
+(`coroots`, `ball`), which the CLI and the identity checks read too.  The
+`HeckeAlgebra` holds
 (s, s', s s', -s/s') by coroot, and, in the entry of each character, one
 stabilizer memo per (algebra, tau) with what depends on tau: t and the
 generator test by coroot, and by element w = r_i w' the character w . tau,
@@ -44,17 +47,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import (
-    WeylElement,
-    coroot_of_reflection,
-    enumerate_ball,
-    inversion_coroots,
-)
+from .coxeter import WeylElement, coroot_of_reflection, inversion_coroots
 from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
 from .linalg import cone_contains
-from .rootdata import Coroot, KacMoodyMatrix, enumerate_coroots
+from .rootdata import Coroot, KacMoodyMatrix
 from .scalars import Scalar, is_positive_real, sign_real
 from .scalars import inv as scalar_inv
 
@@ -181,28 +179,21 @@ class TauStabilizer:
         return not any(self.phi_contains(beta) for beta in inversion_coroots(w))
 
     # -- bounded enumerations ---------------------------------------------------
-    def _coroots(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return self.algebra.group.memo.once(
-            ("coroots", coroot_bound), lambda: enumerate_coroots(self.system, coroot_bound))
-
-    def _ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return self.algebra.group.memo.once(("ball", length_bound), lambda: enumerate_ball(self.system, length_bound))
-
     def u_c(self, coroot_bound: int) -> UCResult:
         """The first enumerated coroot, of either sign, where `zeta_num_vanishes` holds."""
-        for c in self._coroots(coroot_bound):
+        for c in self.algebra.group.coroots(coroot_bound):
             if self.zeta_num_vanishes(c):
                 return UCResult("NotInU_C", coroot_bound, c)
         return UCResult("InU_C", coroot_bound, None)
 
     def saturated(self, coroot_bound: int, length_bound: int) -> bool:
         """Did both enumerations end below their bounds (finite type)?"""
-        return (all(w.length < length_bound for w in self._ball(length_bound))
-                and all(c.height < coroot_bound for c in self._coroots(coroot_bound)))
+        return (all(w.length < length_bound for w in self.algebra.group.ball(length_bound))
+                and all(c.height < coroot_bound for c in self.algebra.group.coroots(coroot_bound)))
 
     def phi_tau(self, coroot_bound: int) -> tuple[Coroot, ...]:
-        return self._memo.once(("phi_tau", coroot_bound),
-                               lambda: tuple(c for c in self._coroots(coroot_bound) if self.phi_contains(c)))
+        return self._memo.once(("phi_tau", coroot_bound), lambda: tuple(
+            c for c in self.algebra.group.coroots(coroot_bound) if self.phi_contains(c)))
 
     def sigma_tau(self, coroot_bound: int) -> tuple[Coroot, ...]:
         return self._memo.once(("sigma_tau", coroot_bound), lambda: tuple(
@@ -212,10 +203,14 @@ class TauStabilizer:
         return tuple(self.algebra.group.reflection(c) for c in self.sigma_tau(coroot_bound))
 
     def w_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(w for w in self._ball(length_bound) if self.fixes_tau(w))
+        return tuple(w for w in self.algebra.group.ball(length_bound) if self.fixes_tau(w))
 
     def w_paren_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(w for w in self._ball(length_bound) if self.in_reflection_subgroup(w))
+        """W_(tau) in the ball, scanned inside W_tau: for validated parameters
+        W_(tau) is in W_tau, since every canonical generator's reflection fixes
+        tau.  Its t is 1, or -1 with alpha(Y) in 2Z, because alpha(Y) = Z
+        forces s = s' and puts -1 = -s/s' outside Phi_tau."""
+        return tuple(w for w in self.w_tau_ball(length_bound) if self.in_reflection_subgroup(w))
 
     def r_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
         return tuple(w for w in self.w_tau_ball(length_bound) if self.in_r_group(w))
@@ -314,11 +309,6 @@ class UCResult:
         return self.status == "InU_C"
 
 
-def u_c_check(algebra: HeckeAlgebra, tau: Character, coroot_bound: int) -> UCResult:
-    """The U_C test of one character (`TauStabilizer.u_c`)."""
-    return TauStabilizer(algebra, tau).u_c(coroot_bound)
-
-
 def s_tau_matrix(algebra: HeckeAlgebra, sigma_tau: tuple[Coroot, ...]) -> KacMoodyMatrix:
     """Pairing matrix of the canonical generators; must be Kac-Moody."""
     sys = algebra.system
@@ -327,7 +317,7 @@ def s_tau_matrix(algebra: HeckeAlgebra, sigma_tau: tuple[Coroot, ...]) -> KacMoo
         row = []
         for cj in sigma_tau:
             # alpha_{s_j}(alpha_{s_i}^vee): the root of s_j evaluated on coroot of s_i
-            root_j = _reflection_root(algebra, cj)
+            root_j = algebra.group.reflection_root(cj)
             val = sum(a * b for a, b in zip(root_j, sys.coroot_to_y(ci.coords)))
             row.append(int(val))
         entries.append(tuple(row))
@@ -337,13 +327,6 @@ def s_tau_matrix(algebra: HeckeAlgebra, sigma_tau: tuple[Coroot, ...]) -> KacMoo
     except Exception as exc:
         raise KacMoodyViolation(f"pairing matrix over Sigma_tau failed validation: {exc}") from exc
     return matrix
-
-
-def _reflection_root(algebra: HeckeAlgebra, coroot: Coroot):
-    """Root coordinates (dual basis) of the reflection at a positive coroot."""
-    sys = algebra.system
-    root, _ = algebra.group.coroot_data(coroot.abs())
-    return tuple(sum(x * r[b] for x, r in zip(root, sys.simple_roots)) for b in range(sys.rank))
 
 
 def sigma_tau_minimal_direct(stab: TauStabilizer, coroot_bound: int) -> tuple[Coroot, ...]:
@@ -404,23 +387,26 @@ class KatoVerdict:
     status: str
     coroot_bound: int
     length_bound: int
-    absolute: bool  # True when the enumerations saturated (finite type)
+    absolute: bool  # the verdict holds whatever the bounds: always for Reducible, on saturation for Irreducible
     witness_coroot: Coroot | None = None
     witness_element: WeylElement | None = None
 
 
 def kato_check(algebra: HeckeAlgebra, tau: Character, coroot_bound: int, length_bound: int) -> KatoVerdict:
     """Irreducibility verdict: reducible on a regularity failure or on a
-    stabilizer element outside the reflection subgroup; otherwise irreducible,
-    certified up to the bounds (absolutely, in finite type).  It reads the
-    same stabilizer tests as `analyze`."""
+    stabilizer element outside the reflection subgroup, proven by that
+    witness whatever the bounds (a real coroot whose zeta numerator
+    vanishes, or an element of W_tau that the exact greedy descent puts
+    outside W_(tau)); otherwise irreducible, certified up to the bounds
+    (absolutely, in finite type).  It reads the same stabilizer tests as
+    `analyze`."""
     stab = TauStabilizer(algebra, tau)
     uc = stab.u_c(coroot_bound)
     if not uc.ok:
-        return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, False, witness_coroot=uc.witness)
+        return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, True, witness_coroot=uc.witness)
     for w in stab.w_tau_ball(length_bound):
         if not stab.in_reflection_subgroup(w):
-            return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, False, witness_element=w)
+            return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, True, witness_element=w)
     return KatoVerdict(IRREDUCIBLE, coroot_bound, length_bound, stab.saturated(coroot_bound, length_bound))
 
 

@@ -33,7 +33,6 @@ from blhecke.stabilizer import (
     TauStabilizer,
     kato_check,
     s_tau_matrix,
-    u_c_check,
 )
 
 
@@ -356,9 +355,6 @@ def test_criterion_09_action_extension(systems):
 
 def test_criterion_10_weight_shift_formula(systems):
     rng = random.Random(111)
-    from blhecke.coxeter import reflection_from_coroot
-    from blhecke.stabilizer import _reflection_root
-
     cases = [
         ("a2", Character.trivial(2)),
         ("affine_a1", Character.trivial(3)),
@@ -375,9 +371,9 @@ def test_criterion_10_weight_shift_formula(systems):
             _report(10, "weight shift formula", False, f"no generators for {key}")
         for _ in range(40):
             c = rng.choice(sigma)
-            r = reflection_from_coroot(alg.system, c)
+            r = alg.group.reflection(c)
             lam = tuple(rng.randint(-3, 3) for _ in range(alg.system.rank))
-            root = _reflection_root(alg, c)
+            root = alg.group.reflection_root(c)
             pairing = sum(a * b for a, b in zip(root, lam))
             mono = RationalElt.monomial(lam)
             omega = alg.q_r(c) * (mono - mono.twist(r))

@@ -127,6 +127,41 @@ def test_roots_subcommand(tmp_path, capsys):
     assert report["result"]["count"] == 6
 
 
+def test_one_enumeration_per_bound_across_calls(tmp_path, capsys, monkeypatch):
+    """The enumerations belong to the datum's Weyl group: on a cold group
+    memo, five subcommands on one config (coroot height 6, Weyl length 4,
+    ball 3) enumerate the coroots once and each ball once."""
+    import sys
+
+    from blhecke import coxeter, rootdata
+    from blhecke.memo import GROUP_DATA_CAP, Memo
+
+    group = coxeter.WeylGroup(JobConfig.parse(A2).system)
+    monkeypatch.setattr(group, "memo", Memo(GROUP_DATA_CAP))
+    calls = []
+    for owner, name in ((coxeter, "enumerate_ball"), (rootdata, "enumerate_coroots")):
+        original = getattr(owner, name)
+
+        def counted(system, bound, _name=name, _original=original):
+            calls.append((_name, bound))
+            return _original(system, bound)
+
+        for module_name, module in list(sys.modules.items()):  # every binding, as `from x import f` makes
+            if module_name.startswith("blhecke") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    path = write_config(tmp_path, A2)
+    for command in ("roots", "weight-space", "gen-weight-space", "kato", "analyze-tau"):
+        assert main([command, "--config", path]) == 0
+    assert sorted(calls) == [("enumerate_ball", 3), ("enumerate_ball", 4), ("enumerate_coroots", 6)]
+
+
+def test_kato_reducible_reported_as_proven(tmp_path, capsys):
+    assert main(["kato", "--config", write_config(tmp_path, A1_ADJOINT), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["absolute"] is True
+    assert main(["kato", "--config", write_config(tmp_path, A1_ADJOINT)]) == 0
+    assert "proven by its witness" in capsys.readouterr().out
+
+
 def test_analyze_tau_json_deterministic(tmp_path, capsys):
     path = write_config(tmp_path, A2)
     assert main(["analyze-tau", "--config", path, "--format", "json"]) == 0

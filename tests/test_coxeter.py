@@ -10,11 +10,11 @@ from blhecke import (
     coroot_of_reflection,
     enumerate_ball,
     enumerate_coroots,
+    find_strictly_dominant,
     inversion_coroots,
-    reflection_from_coroot,
     standard_system,
 )
-from blhecke.coxeter import WeylGroup, bruhat_lower_closure, has_right_descent
+from blhecke.coxeter import CONE_NEGATIVE, CONE_POSITIVE, CONE_UNDETERMINED, WeylGroup, bruhat_lower_closure
 from blhecke.errors import NotARealCoroot
 from blhecke.rootdata import coroot_orbit_witness
 
@@ -109,11 +109,11 @@ def test_inversion_count_equals_length(a2, affine_a1, b2):
 
 def test_reflection_from_coroot_examples(a2, affine_a1):
     g = WeylGroup(a2)
-    assert reflection_from_coroot(a2, Coroot((1, 0))) == g.simple(0)
-    theta = reflection_from_coroot(a2, Coroot((1, 1)))
+    assert g.reflection(Coroot((1, 0))) == g.simple(0)
+    theta = g.reflection(Coroot((1, 1)))
     assert theta == g.from_word([0, 1, 0])
     ga = WeylGroup(affine_a1)
-    r = reflection_from_coroot(affine_a1, Coroot((2, 1)))
+    r = ga.reflection(Coroot((2, 1)))
     assert r == ga.from_word([0, 1, 0])
 
 
@@ -122,7 +122,7 @@ def test_reflection_roundtrip(affine_a1, b2):
         for c in enumerate_coroots(sys, 5):
             if not c.positive:
                 continue
-            r = reflection_from_coroot(sys, c)
+            r = WeylGroup(sys).reflection(c)
             assert r * r == WeylGroup(sys).identity
             assert r.apply_coroot(c) == -c
             assert c in inversion_coroots(r)
@@ -131,7 +131,7 @@ def test_reflection_roundtrip(affine_a1, b2):
 
 def test_reflection_rejects_negative(a2):
     with pytest.raises(NotARealCoroot):
-        reflection_from_coroot(a2, Coroot((-1, 0)))
+        WeylGroup(a2).reflection(Coroot((-1, 0)))
 
 
 def test_enumerate_ball_counts(a2, affine_a1):
@@ -153,7 +153,7 @@ def test_right_descent_criterion(a2, affine_a1):
         for w in enumerate_ball(sys, 4):
             for i in range(sys.n):
                 shorter = (w * g.simple(i)).length < w.length
-                assert has_right_descent(w, i) == shorter
+                assert (i in w.right_descents) == shorter
 
 
 def test_length_subadditive_and_parity(a2, affine_a1):
@@ -250,7 +250,7 @@ def test_reflection_matrix_reads_root_pairing(affine_a2, b2):
                 word, i = coroot_orbit_witness(sys, c)
                 w = WeylGroup(sys).from_word(word)
                 assert index == i
-                assert reflection_from_coroot(sys, c) is w * WeylGroup(sys).simple(i) * w.inverse()
+                assert WeylGroup(sys).reflection(c) is w * WeylGroup(sys).simple(i) * w.inverse()
 
 
 def test_left_simple_is_the_product(g2, affine_a2):
@@ -260,3 +260,59 @@ def test_left_simple_is_the_product(g2, affine_a2):
             for i in range(sys.n):
                 assert w.left_simple(i) is group.simple(i) * w
                 assert w.left_simple(i) is w.left_simple(i)
+
+
+def test_tits_cone_finite_type(a2):
+    res = WeylGroup(a2).tits_cone((1, 1), 10)
+    assert res.status == CONE_POSITIVE
+    res = WeylGroup(a2).tits_cone((-1, -2), 10)
+    # every vector is in the Tits cone in finite type
+    assert res.status == CONE_POSITIVE
+    assert all(a2.root_pairing(i, res.witness.apply((-1, -2))) >= 0 for i in range(2))
+
+
+def test_tits_cone_zero():
+    sys = standard_system([[2, -1], [-1, 2]])
+    res = WeylGroup(sys).tits_cone((0, 0), 1)
+    assert res.status == CONE_POSITIVE and res.witness.is_identity
+
+
+def test_tits_cone_affine(affine_a1):
+    # the central direction is fixed by the whole group and lies in the closed
+    # dominant chamber, so the dominance oracle reports the positive cone
+    c = tuple(a + b for a, b in zip(affine_a1.simple_coroots[0], affine_a1.simple_coroots[1]))
+    res = WeylGroup(affine_a1).tits_cone(c, 50)
+    assert res.status == CONE_POSITIVE and res.witness.is_identity
+    # a null-level non-central vector lies outside both cones
+    assert WeylGroup(affine_a1).tits_cone(affine_a1.simple_coroots[0], 60).status == CONE_UNDETERMINED
+    # deep points of the cone interior resolve, with a valid witness
+    lam = find_strictly_dominant(affine_a1)
+    down = tuple(-x for x in lam)
+    res = WeylGroup(affine_a1).tits_cone(down, 100)
+    assert res.status == CONE_NEGATIVE
+    assert all(affine_a1.root_pairing(i, res.witness.apply(down)) <= 0 for i in range(2))
+
+
+def test_walks_hold_the_group(affine_a2, monkeypatch):
+    """bruhat_leq, all_reduced_words and bruhat_lower_closure step along the
+    elements they hold: after a warm-up, no walk looks its group up."""
+    ball = WeylGroup(affine_a2).ball(4)
+
+    def walk():
+        for w in ball:
+            all_reduced_words(w)
+            bruhat_lower_closure([w])
+            for v in ball:
+                bruhat_leq(v, w)
+
+    walk()
+    lookups = []
+    original = WeylGroup.__new__
+
+    def counted(cls, system):
+        lookups.append(system)
+        return original(cls, system)
+
+    monkeypatch.setattr(WeylGroup, "__new__", counted)
+    walk()
+    assert lookups == []

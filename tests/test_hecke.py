@@ -11,7 +11,7 @@ from blhecke import (
     max_supp,
     membership,
 )
-from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots, reflection_from_coroot
+from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots
 from blhecke.errors import IncompatibleData
 from blhecke.identities import random_element
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
@@ -163,7 +163,7 @@ def test_zeta_matches_factored_construction(zeta_algebra):
         _same_form(alg.zeta_inverse(c), z_inv)
     if alg.system.n == alg.system.rank:  # finite type: every F_r
         for c in positive:
-            r = reflection_from_coroot(alg.system, c)
+            r = alg.group.reflection(c)
             want = alg.f_w(r)
             for beta in inversion_coroots(r):
                 if beta != c:

@@ -10,12 +10,11 @@ from blhecke import (
     enumerate_coroots,
     find_strictly_dominant,
     standard_system,
-    tits_cone_membership,
     validate_system,
 )
 from blhecke import linalg
 from blhecke.errors import NotARealCoroot, ValidationError
-from blhecke.rootdata import CONE_NEGATIVE, CONE_POSITIVE, CONE_UNDETERMINED, coroot_orbit_witness
+from blhecke.rootdata import coroot_orbit_witness
 
 
 def test_validate_rank1_ok(a1_minimal):
@@ -170,37 +169,6 @@ def test_orbit_witness_roundtrip(affine_a1):
 def test_orbit_witness_rejects_non_coroot(a2):
     with pytest.raises(NotARealCoroot):
         coroot_orbit_witness(a2, Coroot((2, 0)))
-
-
-def test_tits_cone_finite_type(a2):
-    res = tits_cone_membership(a2, (1, 1), 10)
-    assert res.status == CONE_POSITIVE
-    res = tits_cone_membership(a2, (-1, -2), 10)
-    # every vector is in the Tits cone in finite type
-    assert res.status == CONE_POSITIVE
-    assert all(a2.root_pairing(i, res.witness.apply((-1, -2))) >= 0 for i in range(2))
-
-
-def test_tits_cone_zero():
-    sys = standard_system([[2, -1], [-1, 2]])
-    res = tits_cone_membership(sys, (0, 0), 1)
-    assert res.status == CONE_POSITIVE and res.witness.is_identity
-
-
-def test_tits_cone_affine(affine_a1):
-    # the central direction is fixed by the whole group and lies in the closed
-    # dominant chamber, so the dominance oracle reports the positive cone
-    c = tuple(a + b for a, b in zip(affine_a1.simple_coroots[0], affine_a1.simple_coroots[1]))
-    res = tits_cone_membership(affine_a1, c, 50)
-    assert res.status == CONE_POSITIVE and res.witness.is_identity
-    # a null-level non-central vector lies outside both cones
-    assert tits_cone_membership(affine_a1, affine_a1.simple_coroots[0], 60).status == CONE_UNDETERMINED
-    # deep points of the cone interior resolve, with a valid witness
-    lam = find_strictly_dominant(affine_a1)
-    down = tuple(-x for x in lam)
-    res = tits_cone_membership(affine_a1, down, 100)
-    assert res.status == CONE_NEGATIVE
-    assert all(affine_a1.root_pairing(i, res.witness.apply(down)) <= 0 for i in range(2))
 
 
 def test_find_strictly_dominant(a2, affine_a1):

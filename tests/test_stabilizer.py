@@ -13,10 +13,10 @@ from blhecke import (
     quadext,
     standard_system,
 )
-from blhecke import stabilizer
+from blhecke import coxeter
 from blhecke.cli import lemma37_system
 from blhecke.cli import main as cli_main
-from blhecke.coxeter import WeylGroup, inversion_coroots, reflection_from_coroot
+from blhecke.coxeter import WeylGroup, inversion_coroots
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
 from blhecke.memo import GROUP_DATA_CAP, Memo
@@ -31,7 +31,6 @@ from blhecke.stabilizer import (
     s_tau_matrix,
     semidirect_check,
     sigma_tau_minimal_direct,
-    u_c_check,
 )
 
 
@@ -163,10 +162,10 @@ def test_rho_check_mixed_signs(a1x_a1):
 
 
 def test_u_c_examples(alg_a1_adjoint):
-    assert not u_c_check(alg_a1_adjoint, Character.make([4]), 5).ok
-    assert u_c_check(alg_a1_adjoint, Character.make([4]), 5).witness == Coroot((1,))
-    assert u_c_check(alg_a1_adjoint, Character.trivial(1), 5).ok
-    assert u_c_check(alg_a1_adjoint, Character.make([-1]), 5).ok
+    assert not TauStabilizer(alg_a1_adjoint, Character.make([4])).u_c(5).ok
+    assert TauStabilizer(alg_a1_adjoint, Character.make([4])).u_c(5).witness == Coroot((1,))
+    assert TauStabilizer(alg_a1_adjoint, Character.trivial(1)).u_c(5).ok
+    assert TauStabilizer(alg_a1_adjoint, Character.make([-1])).u_c(5).ok
 
 
 def test_kato_verdicts(alg_a1_adjoint, alg_a2):
@@ -185,7 +184,7 @@ def test_u_c_fails_at_inverse_value(alg_a1_adjoint):
     numerator of -alpha^vee vanishes; x = v + T_s v spans a submodule
     (Z x = 4 x and T_s x = 4 x)."""
     tau = Character.make([Fraction(1, 4)])
-    assert u_c_check(alg_a1_adjoint, tau, 5).witness == Coroot((-1,))
+    assert TauStabilizer(alg_a1_adjoint, tau).u_c(5).witness == Coroot((-1,))
     v = kato_check(alg_a1_adjoint, tau, 5, 3)
     assert (v.status, v.witness_coroot, v.witness_element) == (REDUCIBLE, Coroot((-1,)), None)
 
@@ -207,6 +206,17 @@ def test_kato_cli_fails_at_inverse_value(tmp_path, capsys):
 def test_kato_affine_not_absolute(alg_affine_a1):
     v = kato_check(alg_affine_a1, Character.trivial(3), 5, 4)
     assert v.status == IRREDUCIBLE and not v.absolute
+
+
+def test_reducible_verdict_is_absolute(alg_affine_a1):
+    """A witness proves reducibility whatever the bounds: a coroot whose zeta
+    numerator vanishes (affine A1 at tau(alpha_1^vee) = q), and an element of
+    W_tau outside W_(tau) (the Lemma 3.7 parity character)."""
+    v = kato_check(alg_affine_a1, Character.make([4, 1, 1]), 5, 4)
+    assert (v.status, v.witness_coroot, v.absolute) == (REDUCIBLE, Coroot((1, 0)), True)
+    system, params, tau = lemma37_system()
+    v = kato_check(HeckeAlgebra(system, params), tau, 6, 3)
+    assert v.status == REDUCIBLE and v.witness_element is not None and v.absolute
 
 
 def test_semidirect_examples(alg_a2, alg_a1_adjoint, alg_b2, trivial2):
@@ -280,13 +290,13 @@ def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
     monkeypatch.setattr(alg_affine_a2.group, "memo", Memo(GROUP_DATA_CAP))
     calls = {"enumerate_coroots": 0, "enumerate_ball": 0}
     for name in calls:
-        original = getattr(stabilizer, name)
+        original = getattr(coxeter, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(stabilizer, name, counted)
+        monkeypatch.setattr(coxeter, name, counted)
     analyze(alg_affine_a2, Character.trivial(4), 8, 3)
     assert calls == {"enumerate_coroots": 1, "enumerate_ball": 1}
     # irreducible (both enumerations used), a U_C failure, and -1 at one generator
@@ -396,6 +406,25 @@ def test_opposite_parameters(alg_a1_opposite):
 _ORBIT_SIGMAS = {"affine C2": (2, 3, 5), "Lemma 3.7": (2, 3, 5, 7)}
 
 
+@pytest.mark.parametrize("name", sorted(KATO_SWEEP_DATA) + ["A1 unequal"])
+def test_w_paren_tau_lies_in_w_tau(name, alg_a1_unequal):
+    """W_(tau) in the ball, scanned inside W_tau, is the whole ball's scan:
+    with validated parameters every canonical generator's reflection fixes
+    tau.  A1 with alpha(Y) = 2Z and s != s' puts t = -1 into Phi_tau."""
+    if name == "A1 unequal":
+        alg = alg_a1_unequal
+    else:
+        system = KATO_SWEEP_DATA[name]
+        sigma = tuple(Fraction(s) for s in _ORBIT_SIGMAS.get(name, (2,) * system.n))
+        alg = HeckeAlgebra(system, ParameterSet(sigma, sigma))
+    validate_system(alg.system, alg.params)
+    characters = [tau for _, tau in _sweep_characters(alg.system.rank, alg.system.n)] + list(_rule_characters(alg))
+    for tau in characters:
+        stab = TauStabilizer(alg, tau)
+        whole = tuple(w for w in alg.group.ball(3) if stab.in_reflection_subgroup(w))
+        assert stab.w_paren_tau_ball(3) == whole, tau
+
+
 def _greedy_word_loop(stab, w):
     """The greedy descent as a loop: the reference for the memoized word."""
     word = []
@@ -404,7 +433,7 @@ def _greedy_word_loop(stab, w):
         cands = [beta for beta in inversion_coroots(cur.inverse()) if stab.is_canonical_generator(beta)]
         if not cands:
             return None
-        r = reflection_from_coroot(stab.system, min(cands, key=lambda c: c.sort_key))
+        r = stab.algebra.group.reflection(min(cands, key=lambda c: c.sort_key))
         word.append(r)
         cur = r * cur
     return word
@@ -421,7 +450,7 @@ def test_stabilizer_data_match_fresh_constructions(name):
         if c.positive:
             word, i = coroot_orbit_witness(system, c)
             w = group.from_word(word)
-            assert reflection_from_coroot(system, c) == w * group.simple(i) * w.inverse(), c
+            assert group.reflection(c) == w * group.simple(i) * w.inverse(), c
             s = sigma[i]
             assert alg.sigma_r(c) == alg.sigma_r(-c) == (s, s), c
             assert alg.sigma_values(c) == (s, s, s * s, -s * inv(s)), c
