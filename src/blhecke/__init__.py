@@ -10,7 +10,7 @@ from .coxeter import (
     inversion_coroots,
 )
 from .hecke import HeckeAlgebra, HeckeElt, Membership, max_supp, membership
-from .laurent import BinomialFactor, Character, LaurentPoly, RationalElt, evaluate, weyl_twist
+from .laurent import BinomialFactor, Character, LaurentPoly, RationalElt, evaluate
 from .principal import LowerSet, ModuleVector, PrincipalSeries, VectorStats
 from .rootdata import (
     Coroot,
@@ -74,6 +74,5 @@ __all__ = [
     "semidirect_check",
     "standard_system",
     "validate_system",
-    "weyl_twist",
     "__version__",
 ]

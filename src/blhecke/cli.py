@@ -237,17 +237,17 @@ def _base_report(command: str, cfg: JobConfig | None, seed: int | None = None) -
 
 # -- subcommands ---------------------------------------------------------------
 
-def cmd_validate(cfg: JobConfig, args) -> int:
+def cmd_validate(cfg: JobConfig | None, args, violation: ValidationError | None = None) -> int:
+    """The validate report; `main` passes the violation of a datum that fails
+    validation as it is parsed (a bare matrix) or after (`validate_system`)."""
     report = _base_report("validate", cfg)
-    try:
-        validate_system(cfg.system, cfg.params)
-    except ValidationError as exc:
-        report["result"] = {"ok": False, "violation": exc.code, "message": str(exc)}
-        _emit(report, args.format, [f"validation failed: {exc.code}: {exc}"])
-        return 2
-    report["result"] = {"ok": True}
-    _emit(report, args.format, ["ok"])
-    return 0
+    if violation is None:
+        report["result"] = {"ok": True}
+        _emit(report, args.format, ["ok"])
+        return 0
+    report["result"] = {"ok": False, "violation": violation.code, "message": str(violation)}
+    _emit(report, args.format, [f"validation failed: {violation.code}: {violation}"])
+    return 2
 
 
 def cmd_roots(cfg: JobConfig, args) -> int:
@@ -513,20 +513,21 @@ def main(argv=None) -> int:
         if needs_config:
             if not args.config:
                 raise ConfigError("missing --config (or BLHECKE_CONFIG)")
-            cfg = load_config(args.config)
-            if handler is not cmd_validate:  # validate reports violations itself
+            try:
+                cfg = load_config(args.config)
                 validate_system(cfg.system, cfg.params)
+            except ValidationError as exc:
+                if handler is cmd_validate:
+                    return cmd_validate(cfg, args, exc)
+                raise
             flags = {"coroot_height": args.bound_coroot, "weyl_length": args.bound_length}
             _set_bounds(cfg.bounds, {key: value for key, value in flags.items() if value is not None})
         return handler(cfg, args)
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KacMoodyViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except BLHeckeError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except BLHeckeError as exc:  # a ValidationError is named by its code
+        print(f"error: {getattr(exc, 'code', type(exc).__name__)}: {exc}", file=sys.stderr)
         return 2
 
 

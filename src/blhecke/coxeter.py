@@ -13,17 +13,27 @@ and characters, is built lazily from that word.
 
 The `WeylGroup` owns the queries that depend on the datum alone: the coroot
 and Bruhat-ball enumerations by bound, the root and reflection of each
-coroot, and the Tits cone.  Callers use the group they hold, and walks step
-along `left_simple` and `left_descents`.  The module functions
-`enumerate_ball` and `inversion_coroots` stay because the benchmark's tracer
-counts and times them there; `enumerate_ball` runs only on a memo miss.
+coroot, and the Tits cone.  Callers use the group they hold.  The module
+functions `enumerate_ball` and `inversion_coroots` stay because the
+benchmark's tracer counts and times them there; `enumerate_ball` runs only
+on a memo miss.
+
+The three walks of a Coxeter system, the ball by levels (`coxeter_ball`),
+the Bruhat order by lifting (`lifts_below`) and reduced words by descent
+(`reduced_words`), take a generator list and a length function.  W calls
+them with (simple reflections, length).  The reflection subgroup W_(tau)
+generated by the reflections of Phi_tau is a Coxeter system in its own
+right, with the canonical generators S_tau and the length ell_tau (Dyer,
+"Reflection subgroups of Coxeter systems", J. Algebra 135, 1990; Deodhar,
+Arch. Math. 53, 1989), so the stabilizer calls the same walks with
+(S_tau, ell_tau).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import IncompatibleData, NotARealCoroot
 from .memo import ELEMENT_CAP, GROUP_CAP, GROUP_DATA_CAP, Memo
@@ -302,21 +312,12 @@ class ConeResult:
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
-    """Subword criterion via the lifting property along the canonical word of w.
-
-    >>> # identity is below everything; see tests for worked instances
-    """
+    """Subword criterion via the lifting property along the canonical word of w."""
     if v.system != w.system:
         raise IncompatibleData("elements of different Weyl groups")
     if v.length > w.length:
         return False
-    cur = v
-    for i in w.word:
-        if cur.is_identity:
-            return True
-        if i in cur.left_descents:
-            cur = cur.left_simple(i)
-    return cur.is_identity
+    return lifts_below(v, [w.group.simple(i) for i in w.word], _length)
 
 
 def inversion_coroots(w: WeylElement) -> tuple[Coroot, ...]:
@@ -335,29 +336,51 @@ def coroot_of_reflection(r: WeylElement) -> Coroot:
 def enumerate_ball(sys: RootGeneratingSystem, max_length: int) -> tuple[WeylElement, ...]:
     """All elements of length <= max_length, in (length, ShortLex word) order."""
     group = WeylGroup(sys)
-    levels = [[group.identity]]
-    seen = {group.identity}
-    for _ in range(max_length):
-        nxt = []
-        for w in levels[-1]:
-            for i in range(sys.n):
-                if i not in w.right_descents:
-                    cand = w * group.simple(i)
-                    if cand not in seen:
-                        seen.add(cand)
-                        nxt.append(cand)
-        if not nxt:
-            break
-        levels.append(nxt)
-    out = [w for level in levels for w in level]
-    return tuple(sorted(out, key=lambda w: w.sort_key))
+    return coxeter_ball(group.identity, group._simples, _length, max_length)
 
 
 def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
-    """Every reduced word of w, by exhaustive left-descent recursion."""
+    """Every reduced word of w, as tuples of generator indices."""
+    simples = w.group._simples
+    return [tuple(map(simples.index, word)) for word in reduced_words(w, simples, _length)]
+
+
+# -- walks of a Coxeter system (gens, length) ---------------------------------------
+
+_length = attrgetter("length")
+
+
+def coxeter_ball(identity: WeylElement, gens, length, max_length: int) -> tuple[WeylElement, ...]:
+    """The elements of length <= max_length, level by level: level k holds
+    the products r * w (r in gens, w in level k - 1) of length k, in
+    `sort_key` order."""
+    levels = [(identity,)]
+    for k in range(1, max_length + 1):
+        level = {u for w in levels[-1] for u in (r * w for r in gens) if length(u) == k}
+        if not level:
+            break
+        levels.append(tuple(sorted(level, key=lambda u: u.sort_key)))
+    return tuple(w for level in levels for w in level)
+
+
+def lifts_below(v: WeylElement, word, length) -> bool:
+    """Is v below r_1 ... r_k (a reduced word) in the Bruhat order?  By the
+    lifting property: strip r from v when length(r v) < length(v)."""
+    cur = v
+    for r in word:
+        if cur.is_identity:
+            return True
+        lower = r * cur
+        if length(lower) < length(cur):
+            cur = lower
+    return cur.is_identity
+
+
+def reduced_words(w: WeylElement, gens, length) -> list[tuple[WeylElement, ...]]:
+    """Every reduced word of w over gens, by descent: r starts one iff length(r w) < length(w)."""
     if w.is_identity:
         return [()]
-    return [(i,) + rest for i in sorted(w.left_descents) for rest in all_reduced_words(w.left_simple(i))]
+    return [(r,) + rest for r in gens if length(rw := r * w) < length(w) for rest in reduced_words(rw, gens, length)]
 
 
 def bruhat_lower_closure(elements) -> frozenset[WeylElement]:

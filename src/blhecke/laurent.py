@@ -409,10 +409,6 @@ class Character:
         return f"Character{self.values}"
 
 
-def weyl_twist(w: WeylElement, x: RationalElt) -> RationalElt:
-    return x.twist(w)
-
-
 def evaluate(tau: Character, x: RationalElt) -> Scalar:
     """Value of a reduced rational element at a character; the membership test
     for the local ring at tau."""

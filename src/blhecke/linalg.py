@@ -1,10 +1,12 @@
 """Exact linear algebra over the pluggable scalar field.
 
-Gaussian elimination with exact division gives nullspaces, ranks and
-determinants of the small matrices this library meets. The common kernel of
-upper-triangular matrices, which the weight-space queries need, is solved by
-back substitution instead (`triangular_kernel`), with elimination only on the
-few columns that back substitution leaves free. Products skip zero entries.
+One Gaussian elimination with exact division, `rref`, gives the nullspaces
+and ranks of the small matrices this library meets, and the spans that
+`PrincipalSeries.ord_tau` iterates (the nonzero rows of `rref`). The common
+kernel of upper-triangular matrices, which the weight-space queries need, is
+solved by back substitution instead (`triangular_kernel`), with `rref` only
+on the few columns that back substitution leaves free. Products skip zero
+entries; `det` eliminates without reducing.
 """
 
 from __future__ import annotations
@@ -169,35 +171,6 @@ def det(rows: Matrix) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return sign * d
-
-
-class SpanBasis:
-    """Incrementally row-reduced basis of a span of exact vectors."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows: list[list[Scalar]] = []
-        self.pivots: list[int] = []
-
-    def add(self, vec) -> bool:
-        """Insert a vector; return True if it enlarged the span."""
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            if not is_zero(v[p]):
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        for c in range(self.ncols):
-            if not is_zero(v[c]):
-                inv = _inv(v[c])
-                v = [x * inv for x in v]
-                self.rows.append(v)
-                self.pivots.append(c)
-                return True
-        return False
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def cone_contains(generators: list[tuple], target: tuple, require_positive: int | None = None) -> bool:

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .hecke import HeckeAlgebra, HeckeElt, _left_T, _left_T_gen
 from .laurent import Character, LaurentPoly, RationalElt, evaluate, times_binomials
-from .linalg import SpanBasis, mat_pow, mat_vec, triangular_kernel
+from .linalg import mat_pow, mat_vec, rref, triangular_kernel
 from .memo import Memo
 from .scalars import ONE, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
@@ -361,11 +361,8 @@ class PrincipalSeries:
             k += 1
             if k > n + 1:
                 raise NotInGenWeightSpace("span iteration failed to vanish")
-            basis = SpanBasis(n)
-            for vec in current:
-                for m in mats:
-                    basis.add(mat_vec(m, vec))
-            current = basis.rows
+            span, pivots = rref([mat_vec(m, vec) for vec in current for m in mats])
+            current = span[:len(pivots)]
         return k
 
     def stats(self, x: ModuleVector) -> "VectorStats":

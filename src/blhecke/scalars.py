@@ -189,12 +189,6 @@ def inv(x: Scalar) -> Scalar:
     return 1 / x
 
 
-def to_complex(x: Scalar) -> complex:
-    if isinstance(x, QuadExt):
-        return complex(x)
-    return complex(float(x))
-
-
 def scalar_sqrt(x: Scalar):
     """Square root of x inside Q or Q(sqrt(d)), or None if unavailable."""
     if isinstance(x, QuadExt):

@@ -25,6 +25,11 @@ which is negative when t^-1 matches.  Since I_tau and I_{w . tau}
 have the same composition factors (Kato, Invent. Math. 66, 1982), the
 criterion is W-invariant, and W sends some positive coroots to negative ones.
 
+The reflection subgroup W_(tau) is a Coxeter system with generators S_tau
+and length ell_tau (Dyer, J. Algebra 135, 1990), so its ball, reduced words
+and Bruhat order are the Coxeter walks of the `coxeter` module called with
+(S_tau, ell_tau); this module holds no walk of its own.
+
 Each quantity is computed once by the owner of what it depends on (the
 policy is in the `memo` module).  The `WeylGroup` (`algebra.group`) holds
 what depends on the datum alone, and the stabilizer reads it there: the
@@ -47,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import WeylElement, coroot_of_reflection, inversion_coroots
+from .coxeter import WeylElement, coroot_of_reflection, coxeter_ball, inversion_coroots, lifts_below, reduced_words
 from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
@@ -142,13 +147,7 @@ class TauStabilizer:
         word = self.tau_reduced_word(w)
         if word is None or not self.in_reflection_subgroup(v):
             raise WordNotReduced("both arguments must lie in the reflection subgroup")
-        cur = v
-        for r in word:
-            if cur.is_identity:
-                return True
-            if self.ell_tau(r * cur) < self.ell_tau(cur):
-                cur = r * cur
-        return cur.is_identity
+        return lifts_below(v, word, self.ell_tau)
 
     def fixes_tau(self, w: WeylElement) -> bool:
         return self._twisted(w) == self.tau
@@ -216,23 +215,10 @@ class TauStabilizer:
         return tuple(w for w in self.w_tau_ball(length_bound) if self.in_r_group(w))
 
     def subgroup_ball(self, ell_bound: int, coroot_bound: int) -> tuple[WeylElement, ...]:
-        """Elements of the reflection subgroup with relative length <= bound,
-        generated from the bounded canonical generator set."""
-        gens = self.s_tau(coroot_bound)
-        levels = [[self.algebra.group.identity]]
-        seen = {self.algebra.group.identity}
-        for _ in range(ell_bound):
-            nxt = []
-            for w in levels[-1]:
-                for r in gens:
-                    cand = r * w
-                    if cand not in seen and self.ell_tau(cand) == self.ell_tau(w) + 1:
-                        seen.add(cand)
-                        nxt.append(cand)
-            if not nxt:
-                break
-            levels.append(sorted(nxt, key=lambda w: w.sort_key))
-        return tuple(w for level in levels for w in level)
+        """Elements of the reflection subgroup with relative length <= bound:
+        the ball of the Coxeter system (S_tau, ell_tau) over the bounded
+        canonical generator set."""
+        return coxeter_ball(self.algebra.group.identity, self.s_tau(coroot_bound), self.ell_tau, ell_bound)
 
     # -- modified intertwiners ---------------------------------------------------
     def k_tilde_of(self, w: WeylElement) -> HeckeElt:
@@ -269,14 +255,7 @@ class TauStabilizer:
 
     def tau_reduced_words(self, w: WeylElement, coroot_bound: int) -> list[tuple[WeylElement, ...]]:
         """All reduced words of w over the bounded canonical generator set."""
-        if w.is_identity:
-            return [()]
-        out = []
-        for r in self.s_tau(coroot_bound):
-            if self.ell_tau(r * w) == self.ell_tau(w) - 1:
-                for rest in self.tau_reduced_words(r * w, coroot_bound):
-                    out.append((r,) + rest)
-        return out
+        return reduced_words(w, self.s_tau(coroot_bound), self.ell_tau)
 
     # -- scalars -------------------------------------------------------------
     def sigma_pp(self, coroot: Coroot) -> Scalar:

@@ -37,7 +37,29 @@ def test_validate_diagonal_violation(tmp_path, capsys):
     bad = {"datum": {"matrix": [[1]]}, "parameters": {"q": "4"}}
     path = write_config(tmp_path, bad)
     assert main(["validate", "--config", path]) == 2
-    assert "a[0,0]" in capsys.readouterr().err
+    out = capsys.readouterr().out
+    assert "DiagonalNot2" in out and "a[0,0]" in out
+
+
+@pytest.mark.parametrize("datum", [
+    {"matrix": [[2, 1], [-1, 2]]},
+    {"matrix": [[2, 1], [-1, 2]], "rank": 2, "simple_roots": [[2, -1], [1, 2]], "simple_coroots": [[1, 0], [0, 1]]},
+], ids=["bare", "explicit"])
+def test_validate_reports_sign_violation(tmp_path, capsys, datum):
+    path = write_config(tmp_path, {"datum": datum, "parameters": {"q": "4"}})
+    assert main(["validate", "--config", path, "--format", "json"]) == 2
+    report = capsys.readouterr()
+    result = json.loads(report.out)["result"]
+    assert result["ok"] is False and result["violation"] == "SignViolation"
+    assert "a[0,1]" in result["message"]
+    assert main(["kato", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: SignViolation: ")
+
+
+def test_config_error_named_on_stderr(tmp_path, capsys):
+    path = write_config(tmp_path, dict(A2, bounds={"x": 1}))
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().err == "error: ConfigError: unknown bound 'x'\n"
 
 
 def test_validate_parameter_violation(tmp_path, capsys):

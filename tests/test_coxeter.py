@@ -316,3 +316,32 @@ def test_walks_hold_the_group(affine_a2, monkeypatch):
     monkeypatch.setattr(WeylGroup, "__new__", counted)
     walk()
     assert lookups == []
+
+
+def _right_multiplication_ball(sys, max_length):
+    """The ball by the walk `enumerate_ball` used before the shared Coxeter
+    walks: right multiplication by the simple reflections that are not right
+    descents, then one sort of the whole ball."""
+    group = WeylGroup(sys)
+    levels = [[group.identity]]
+    seen = {group.identity}
+    for _ in range(max_length):
+        nxt = []
+        for w in levels[-1]:
+            for i in range(sys.n):
+                if i not in w.right_descents:
+                    cand = w * group.simple(i)
+                    if cand not in seen:
+                        seen.add(cand)
+                        nxt.append(cand)
+        if not nxt:
+            break
+        levels.append(nxt)
+    return tuple(sorted((w for level in levels for w in level), key=lambda w: w.sort_key))
+
+
+@pytest.mark.parametrize("name", sorted(_BALLS))
+def test_enumerate_ball_matches_right_multiplication_walk(name):
+    sys, _ = _BALLS[name]
+    for length in range(5):
+        assert enumerate_ball(sys, length) == _right_multiplication_ball(sys, length)

@@ -3,9 +3,9 @@
 On a finite Weyl group W, I_tau has the basis T_w v (w in W), and the
 algebra acts by the theta-matrices Z^(+-e_j) (`PrincipalSeries._theta_matrix`)
 and the T_s matrices (`hecke._left_T_gen`).  The oracle decides from these
-matrices alone, exactly over Q, whether I_tau is irreducible, by Norton's
-test (Holt and Rees, J. Austral. Math. Soc. A 57, 1994) on the joint
-eigenspaces of the commuting Z's:
+matrices alone, exactly over Q or Q(i), whether I_tau is irreducible, by
+Norton's test (Holt and Rees, J. Austral. Math. Soc. A 57, 1994) on the
+joint eigenspaces of the commuting Z's:
 
 - Take a weight chi of I_tau, its joint eigenspace K and the joint
   eigenspace K' of the transposes.  A proper submodule U either has the
@@ -18,7 +18,8 @@ eigenspaces of the commuting Z's:
   endomorphism X is fixed by X v = u in K, with X (a v) = a u.
 
 Every verdict of the oracle is proven; a character it cannot decide fails
-the test.
+the test.  For tau in U_C the same endomorphism count gives dim End_H(I_tau),
+which must equal |R_tau| (`analyze`).
 """
 
 import itertools
@@ -27,20 +28,34 @@ from operator import mul
 
 import pytest
 
-from blhecke import Character, ParameterSet, PrincipalSeries, RootGeneratingSystem, kato_check, standard_system
+from blhecke import Character, ParameterSet, PrincipalSeries, RootGeneratingSystem, kato_check, quadext, standard_system
 from blhecke.hecke import HeckeAlgebra, _left_T_gen
 from blhecke.scalars import ONE
-from blhecke.stabilizer import IRREDUCIBLE
+from blhecke.stabilizer import IRREDUCIBLE, analyze
 
-DATA = {
-    "A1 adjoint": RootGeneratingSystem.make([[2]], 1, [[2]], [[1]]),
-    "A1 minimal": RootGeneratingSystem.make([[2]], 1, [[1]], [[2]]),
-    "A1xA1": standard_system([[2, 0], [0, 2]]),
-    "A2": standard_system([[2, -1], [-1, 2]]),
-    "B2": standard_system([[2, -1], [-2, 2]]),
-}
+A1_ADJOINT = RootGeneratingSystem.make([[2]], 1, [[2]], [[1]])  # alpha(Y) = 2Z
 # at q = 4 every edge of the rules: t = 1 and -1 (Phi_tau), q and 1/q (U_C)
 VALUES = (1, -1, 4, Fraction(1, 4), 2, -2, 16, -4)
+I = quadext(0, 1, -1)
+# (system, parameters, values per coordinate of Y); sigma = 2 unless given
+CASES = {
+    "A1 adjoint": (A1_ADJOINT, None, VALUES),
+    "A1 minimal": (RootGeneratingSystem.make([[2]], 1, [[1]], [[2]]), None, VALUES),
+    "A1xA1": (standard_system([[2, 0], [0, 2]]), None, VALUES),
+    "A2": (standard_system([[2, -1], [-1, 2]]), None, VALUES),
+    "B2": (standard_system([[2, -1], [-2, 2]]), None, VALUES),
+    # every rule edge at q = 4, on a subset that keeps the time small
+    "G2": (standard_system([[2, -1], [-3, 2]]), None, (1, -1, 4, Fraction(1, 4))),
+    # Gaussian values: on A2 and B2, i * i = -1 and i * -i = 1 meet Phi_tau off the rational points
+    "A1 adjoint Gaussian": (A1_ADJOINT, None, (I, -I, 2 * I)),
+    "A2 Gaussian": (standard_system([[2, -1], [-1, 2]]), None, (I, -I, 2 * I, 1, -1)),
+    "B2 Gaussian": (standard_system([[2, -1], [-2, 2]]), None, (I, -I, 2 * I)),
+    # unequal parameters: s s' = 6 and -s/s' = -2/3
+    "A1 adjoint (2, 3)": (A1_ADJOINT, ParameterSet((Fraction(2),), (Fraction(3),)),
+                          VALUES + (6, Fraction(1, 6), Fraction(-2, 3), Fraction(-3, 2), 3, -3)),
+    # opposite parameters: s s' = -4 and -s/s' = 1, so t = 1 is outside Phi_tau
+    "A1 adjoint (2, -2)": (A1_ADJOINT, ParameterSet((Fraction(2),), (Fraction(-2),)), VALUES + (Fraction(-1, 4),)),
+}
 
 
 def _add(basis: dict, vec) -> bool:
@@ -48,15 +63,16 @@ def _add(basis: dict, vec) -> bool:
     for p, row in basis.items():
         if vec[p]:
             c = vec[p]
-            vec = [a - c * b for a, b in zip(vec, row)]
+            vec = [a - c * b if b else a for a, b in zip(vec, row)]
     p = next((k for k, x in enumerate(vec) if x), None)
     if p is None:
         return False
-    vec = [x / vec[p] for x in vec]
+    scale = Fraction(1) / vec[p]  # exact for int, Fraction and QuadExt entries
+    vec = [x * scale if x else x for x in vec]
     for q, row in basis.items():
         if row[p]:
             c = row[p]
-            basis[q] = [a - c * b for a, b in zip(row, vec)]
+            basis[q] = [a - c * b if b else a for a, b in zip(row, vec)]
     basis[p] = vec
     return True
 
@@ -126,10 +142,10 @@ def _endomorphism_dim(mats, ker) -> int:
 
 def module_matrices(alg: HeckeAlgebra, tau: Character):
     """The Z^(e_j), Z^(-e_j) and T_s matrices on the basis T_w v, w in W by length."""
-    dom = alg.group.ball(8)  # all of W: the longest element of B2 has length 4
+    dom = alg.group.ball(8)  # all of W: the longest element of G2 has length 6
     series = PrincipalSeries(alg, tau)
     rank = alg.system.rank
-    zs = [[[Fraction(x) for x in row] for row in series._theta_matrix(tuple(s * int(k == j) for k in range(rank)), dom)]
+    zs = [[list(row) for row in series._theta_matrix(tuple(s * int(k == j) for k in range(rank)), dom)]
           for j in range(rank) for s in (1, -1)]
     index = {w: k for k, w in enumerate(dom)}
     ts = []
@@ -137,36 +153,56 @@ def module_matrices(alg: HeckeAlgebra, tau: Character):
         m = [[Fraction(0)] * len(dom) for _ in dom]
         for j, w in enumerate(dom):
             for u, c in _left_T_gen(alg, i, {w: ONE}, mul).items():
-                m[index[u]][j] = Fraction(c)
+                m[index[u]][j] = c
         ts.append(m)
     return zs, ts
 
 
-def irreducible(alg: HeckeAlgebra, tau: Character) -> bool:
-    zs, ts = module_matrices(alg, tau)
+def _joint_eigenspaces(zs, chi):
+    """Bases of the joint eigenspaces at chi of the Z's and of their transposes."""
+    n = len(zs[0])
+    shifted = [[[x - (c if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(z)]
+               for c, z in zip(chi, zs)]
+    return _kernel([row for z in shifted for row in z], n), _kernel([row for z in shifted for row in _transpose(z)], n)
+
+
+def irreducible(zs, ts) -> bool:
     mats = zs + ts
     transposes = [_transpose(g) for g in mats]
     n = len(zs[0])
     for chi in dict.fromkeys(tuple(z[k][k] for z in zs) for k in range(n)):
-        shifted = [[[x - (c if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(z)]
-                   for c, z in zip(chi, zs)]
-        ker = _kernel([row for z in shifted for row in z], n)
-        ker_t = _kernel([row for z in shifted for row in _transpose(z)], n)
+        ker, ker_t = _joint_eigenspaces(zs, chi)
         if any(len(_spin(mats, v)) < n for v in ker) or any(len(_spin(transposes, f)) < n for f in ker_t):
             return False
         if len(ker) == len(ker_t) == 1:
             return True
         if _endomorphism_dim(mats, ker) > 1:
             return False
-    raise AssertionError(f"the oracle cannot decide {tau}")
+    raise AssertionError("the oracle cannot decide this character")
 
 
-@pytest.mark.parametrize("name", sorted(DATA))
+def endomorphism_dim(zs, ts) -> int:
+    """dim End_H(I_tau): I_tau = H v with v = T_e v in the tau-eigenspace K,
+    so the cyclic vector goes first in K's basis.  An endomorphism is fixed
+    by its value on v, which lies in K, so a line K gives dimension 1."""
+    v = [Fraction(int(k == 0)) for k in range(len(zs[0]))]
+    basis: dict = {}
+    ker = [u for u in [v] + _joint_eigenspaces(zs, tuple(z[0][0] for z in zs))[0] if _add(basis, list(u))]
+    return 1 if len(ker) == 1 else _endomorphism_dim(zs + ts, ker)
+
+
+@pytest.mark.parametrize("name", list(CASES))
 def test_kato_verdict_matches_the_module(name):
-    system = DATA[name]
-    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(2), system.n))
-    for values in itertools.product(VALUES, repeat=system.rank):
-        tau = Character.make(list(values))
+    """The verdict agrees with the oracle, and for tau in U_C the
+    endomorphisms of I_tau number |R_tau|."""
+    system, params, values = CASES[name]
+    alg = HeckeAlgebra(system, params or ParameterSet.equal(Fraction(2), system.n))
+    for vals in itertools.product(values, repeat=system.rank):
+        tau = Character.make(list(vals))
+        zs, ts = module_matrices(alg, tau)
         verdict = kato_check(alg, tau, 10, 8)
-        assert verdict.absolute, values
-        assert (verdict.status == IRREDUCIBLE) == irreducible(alg, tau), values
+        assert verdict.absolute, vals
+        assert (verdict.status == IRREDUCIBLE) == irreducible(zs, ts), vals
+        analysis = analyze(alg, tau, 10, 8)
+        if analysis.u_c.ok:
+            assert endomorphism_dim(zs, ts) == len(analysis.r_tau_ball), vals

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,67 @@ def test_bruhat_leq_tau(alg_affine_a1):
         for w in ball:
             if stab.bruhat_leq_tau(v, w):
                 assert bruhat_leq(v, w)
+
+
+FINITE_DATA = {
+    "A2": standard_system([[2, -1], [-1, 2]]),
+    "B2": standard_system([[2, -1], [-2, 2]]),
+    "G2": standard_system([[2, -1], [-3, 2]]),
+}
+# the module oracle's characters: at q = 4, t = 1 and -1 (Phi_tau), q and 1/q (U_C)
+_ORACLE_VALUES = (1, -1, 4, Fraction(1, 4), 2, -2, 16, -4)
+
+
+def _whole_group(group):
+    """All of a finite W, closed under right multiplication by the simple reflections."""
+    out = {group.identity}
+    frontier = [group.identity]
+    while frontier:
+        frontier = [u for w in frontier for i in range(group.system.n) if (u := w * group.simple(i)) not in out]
+        out.update(frontier)
+    return out
+
+
+def _product(group, word):
+    out = group.identity
+    for r in word:
+        out = out * r
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_DATA))
+def test_reflection_subgroup_walks_match_brute_force(name):
+    """On a finite W at saturating bounds, the W_(tau) ball, its reduced words
+    and its Bruhat order agree with references over the whole group: the
+    elements of W in W_(tau) by ell_tau, the words over S_tau of length
+    ell_tau that multiply to w, and the subword property along the greedy word."""
+    system = FINITE_DATA[name]
+    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(2), system.n))
+    group = alg.group
+    whole = _whole_group(group)
+    characters = [Character.make(list(v)) for v in itertools.product(_ORACLE_VALUES, repeat=system.rank)]
+    for tau in characters + list(_rule_characters(alg)):
+        stab = TauStabilizer(alg, tau)
+        inside = [w for w in whole if stab.in_reflection_subgroup(w)]
+        top = max(stab.ell_tau(w) for w in inside)
+        for bound in (top - 1, top):
+            ball = stab.subgroup_ball(bound, 10)
+            assert [stab.ell_tau(w) for w in ball] == sorted(stab.ell_tau(w) for w in ball), tau
+            for k in range(bound + 1):
+                level = [w for w in ball if stab.ell_tau(w) == k]
+                assert level == sorted(level, key=lambda w: w.sort_key)
+                assert set(level) == {w for w in inside if stab.ell_tau(w) == k}, (tau, k)
+        gens = stab.s_tau(10)
+        for w in inside:
+            words = stab.tau_reduced_words(w, 10)
+            brute = [word for word in itertools.product(gens, repeat=stab.ell_tau(w)) if _product(group, word) == w]
+            assert all(len(word) == stab.ell_tau(w) and _product(group, word) == w for word in words)
+            assert len(words) == len(brute) and set(words) == set(brute), (tau, w)
+            greedy = stab.tau_reduced_word(w)
+            below = {_product(group, sub) for keep in itertools.product((0, 1), repeat=len(greedy))
+                     for sub in [[r for r, k in zip(greedy, keep) if k]]}
+            for v in inside:
+                assert stab.bruhat_leq_tau(v, w) == (v in below), (tau, v, w)
 
 
 def test_analyze_snapshot(alg_b2):
