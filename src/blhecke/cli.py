@@ -509,6 +509,8 @@ def main(argv=None) -> int:
     args = _parse_args(argv)
     handler, needs_config = COMMANDS[args.command]
     try:
+        if args.samples <= 0:
+            raise ConfigError(f"--samples must be a positive integer, got {args.samples}")
         cfg = None
         if needs_config:
             if not args.config:

@@ -123,11 +123,6 @@ class WeylElement:
         return self.mat == self.group.identity.mat
 
     @cached_property
-    def right_descents(self) -> frozenset[int]:
-        """Indices i with l(w s_i) < l(w), i.e. w . alpha_i^vee negative."""
-        return _negative_columns(self.mat)
-
-    @cached_property
     def left_descents(self) -> frozenset[int]:
         return _negative_columns(self.inv)
 

@@ -13,6 +13,15 @@ in the span of the T_u v with u <= w, and u < w implies l(u) < l(w).  So the
 weight-space kernels are solved by back substitution, in the basis Gaussian
 elimination of the stacked equations gives (`linalg.triangular_kernel`).
 
+The queries act by the rank generators Z^(e_j) - chi(e_j) of the maximal
+ideal of a character chi: Z^(-e_j) - chi(e_j)^(-1) is -chi(e_j)^(-1) Z^(-e_j)
+(Z^(e_j) - chi(e_j)), and Z^(-e_j) acts invertibly on the span of a lower set
+(a finite-dimensional C[Y]-submodule) and commutes with Z^(e_j).  So the n-th
+powers of the two shifted matrices differ by a unit factor: the same kernel and
+the same zero diagonal entries, hence the same canonical basis from
+`triangular_kernel` as all 2*rank Z^(+-e_j) give.  The k-fold products of
+either set generate the k-th power of the ideal, so `ord_tau` stops at the same k.
+
 The lattice action is computed on evaluated scalars (the Bernstein-Lusztig
 presentation; Lusztig, JAMS 1989, section 3).  The column Z^lambda T_w v,
 a map u -> scalar, comes from Z^lambda v = tau(lambda) v and, for w = s w'
@@ -200,16 +209,6 @@ class PrincipalSeries:
         return self.algebra.character_memos(self.tau)
 
     # -- weight spaces ---------------------------------------------------------
-    def _basis_generators(self) -> list[tuple]:
-        rank = self.algebra.system.rank
-        gens = []
-        for j in range(rank):
-            for sign in (1, -1):
-                exp = [0] * rank
-                exp[j] = sign
-                gens.append(tuple(exp))
-        return gens
-
     def _theta_matrix(self, exp: tuple, dom: tuple[WeylElement, ...]):
         """Matrix of the Z^exp action on the span of a lower set, column j the
         image of T_{dom[j]} v; cached and shared, so callers must not mutate it."""
@@ -226,10 +225,13 @@ class PrincipalSeries:
         return _matrix_cache(self).once((exp, dom), make)
 
     def _shifted_matrices(self, eigen: Character, dom: tuple[WeylElement, ...]) -> list:
-        """theta - eigen(theta) on the span of dom, for each generator
-        theta = Z^(+-e_j); fresh matrices, upper triangular in dom's order."""
+        """Z^(e_j) - eigen(e_j) on the span of dom for each basis vector e_j of Y,
+        the rank generators that give the kernels and ord of all 2*rank Z^(+-e_j)
+        (module docstring); fresh matrices, upper triangular in dom's order."""
+        rank = self.algebra.system.rank
         mats = []
-        for exp in self._basis_generators():
+        for j in range(rank):
+            exp = tuple(int(i == j) for i in range(rank))
             lam = eigen.of_vector(exp)
             shifted = [list(row) for row in self._theta_matrix(exp, dom)]
             for i, row in enumerate(shifted):
@@ -349,7 +351,7 @@ class PrincipalSeries:
     # -- statistics ------------------------------------------------------------
     def ord_tau(self, x: ModuleVector) -> int:
         """Least k with every k-fold product of vanishing lattice elements
-        killing x, by iterated spans of the 2*rank shifted generators."""
+        killing x, by iterated spans of the rank shifted generators."""
         if x.is_zero:
             return 0
         dom = LowerSet.closure(x.support()).sorted()
@@ -360,7 +362,8 @@ class PrincipalSeries:
         while current:
             k += 1
             if k > n + 1:
-                raise NotInGenWeightSpace("span iteration failed to vanish")
+                values = ", ".join(map(str, self.tau.values))
+                raise NotInGenWeightSpace(f"span iteration failed to vanish on support {list(x.support())} at tau = ({values})")
             span, pivots = rref([mat_vec(m, vec) for vec in current for m in mats])
             current = span[:len(pivots)]
         return k

@@ -137,3 +137,22 @@ ZETA_ALGEBRAS = _zeta_algebras()
 def zeta_algebra(request):
     """One of `ZETA_ALGEBRAS`, by name; each test using it runs on all of them."""
     return ZETA_ALGEBRAS[request.param]
+
+
+def unit_exponents(rank):
+    """The 2*rank exponents +-e_j of the basis vectors of Y, in the order
+    (e_1, -e_1, e_2, -e_2, ...)."""
+    return [tuple(sign * int(i == j) for i in range(rank)) for j in range(rank) for sign in (1, -1)]
+
+
+def shifted_both_signs(series, eigen, dom):
+    """theta - eigen(theta) on the span of dom for all 2*rank generators
+    Z^(+-e_j), built from the theta-matrices: the generator set the rank
+    generators Z^(e_j) of the weight-space queries replace."""
+    mats = []
+    for exp in unit_exponents(series.algebra.system.rank):
+        m = [list(row) for row in series._theta_matrix(exp, dom)]
+        for i, row in enumerate(m):
+            row[i] -= eigen.of_vector(exp)
+        mats.append(m)
+    return mats

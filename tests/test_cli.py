@@ -142,6 +142,17 @@ def test_ord_subcommand(tmp_path, capsys):
     assert "ord_tau = 2" in capsys.readouterr().out
 
 
+def test_ord_failure_names_vector_and_character(tmp_path, capsys):
+    # tau = (1, 4): T_s2 v lies in no generalized weight space of tau
+    cfg = dict(A2, character={"values": ["1", "4"]}, vector=[{"word": [2]}])
+    path = write_config(tmp_path, cfg)
+    assert main(["ord", "--config", path]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert report.err.startswith("error: NotInGenWeightSpace: ")
+    assert "support [s2]" in report.err and "tau = (1, 4)" in report.err
+
+
 def test_roots_subcommand(tmp_path, capsys):
     path = write_config(tmp_path, A2)
     assert main(["roots", "--config", path, "--format", "json"]) == 0
@@ -204,6 +215,15 @@ def test_verify_identities(tmp_path, capsys):
     assert code == 0
     assert "FAIL" not in out
     assert "(seed 5)" in out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_nonpositive_samples_rejected(tmp_path, capsys, samples):
+    path = write_config(tmp_path, A2)
+    assert main(["verify-identities", "--config", path, "--samples", samples]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert "--samples must be a positive integer" in report.err
 
 
 def test_verify_identities_seeded_reports_identical(tmp_path, capsys):

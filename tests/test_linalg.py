@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import shifted_both_signs
+
 from blhecke import Character, LowerSet, ParameterSet, PrincipalSeries, standard_system
 from blhecke.coxeter import enumerate_ball
 from blhecke.hecke import HeckeAlgebra
@@ -43,7 +45,7 @@ def test_triangular_kernel_is_stacked_nullspace(name):
         series = PrincipalSeries(alg, tau)
         for ball in (1, 2, 3):
             dom = LowerSet.closure(enumerate_ball(system, ball)).sorted()
-            shifted = series._shifted_matrices(tau, dom)
+            shifted = shifted_both_signs(series, tau, dom)
             for k in (1, 2, 3):
                 mats = [mat_pow(m, k) for m in shifted]
                 want = nullspace([row for m in mats for row in m], len(dom))

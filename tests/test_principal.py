@@ -3,20 +3,22 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import ZETA_ALGEBRAS
+from conftest import ZETA_ALGEBRAS, shifted_both_signs, unit_exponents
 
-from blhecke import Character, Coroot, LowerSet, ModuleVector, PrincipalSeries, quadext
+from blhecke import Character, Coroot, LowerSet, ModuleVector, ParameterSet, PrincipalSeries, quadext, standard_system
 from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
     NotInBLH,
+    NotInGenWeightSpace,
     NotInItgSpan,
     NotInRTau,
     NotInUC,
     PoleAtCharacter,
 )
-from blhecke.hecke import HeckeElt
+from blhecke.hecke import HeckeAlgebra, HeckeElt
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt
+from blhecke.linalg import mat_pow, mat_vec, rref, triangular_kernel
 from blhecke.principal import NEG_INF, Intertwiner
 from blhecke.stabilizer import TauStabilizer
 
@@ -294,7 +296,7 @@ def test_theta_matrices_upper_triangular(matrix):
     tau = Character.make([Fraction(v) for v in (3, -5, 7, -3)[: system.rank]])
     ser = series(alg, tau)
     dom = LowerSet.closure(enumerate_ball(system, 3)).sorted()
-    for exp in ser._basis_generators():
+    for exp in unit_exponents(system.rank):
         m = ser._theta_matrix(exp, dom)
         assert all(m[i][j] == 0 for i in range(len(dom)) for j in range(i)), exp
         assert [m[i][i] for i in range(len(dom))] == [tau.twist(w).of_vector(exp) for w in dom]
@@ -357,7 +359,7 @@ def test_theta_matrices_from_columns_match_act(name):
     dom = LowerSet.closure(enumerate_ball(alg.system, ball)).sorted()
     for label, tau in _engine_characters(alg.system.rank).items():
         ser = series(alg, tau)
-        for exp in ser._basis_generators():
+        for exp in unit_exponents(alg.system.rank):
             got = ser._theta_matrix(exp, dom)
             assert _typed(got) == _typed(_theta_matrix_by_act(ser, exp, dom)), (label, exp)
 
@@ -398,3 +400,95 @@ def test_weight_queries_never_multiply(monkeypatch):
         assert basis and len(gen) >= len(basis)
         assert all(ser.ord_tau(x) == 1 for x in basis)
         assert all(1 <= ser.ord_tau(x) <= 2 for x in gen)
+
+
+def _kernel_both_signs(ser, eigen, dom, n_cap):
+    mats = [mat_pow(m, n_cap) for m in shifted_both_signs(ser, eigen, dom)]
+    return [ModuleVector(ser.tau, dict(zip(dom, v))) for v in triangular_kernel(mats, len(dom))]
+
+
+def _ord_both_signs(ser, x):
+    """ord_tau by iterated spans of the 2*rank shifted generators; the
+    failure as its class."""
+    dom = LowerSet.closure(x.support()).sorted()
+    mats = shifted_both_signs(ser, ser.tau, dom)
+    current = [[x.coeffs.get(w, Fraction(0)) for w in dom]]
+    k = 0
+    while current:
+        k += 1
+        if k > len(dom) + 1:
+            return NotInGenWeightSpace
+        span, pivots = rref([mat_vec(m, vec) for vec in current for m in mats])
+        current = span[:len(pivots)]
+    return k
+
+
+def _ord_or_failure(ser, x):
+    try:
+        return ser.ord_tau(x)
+    except NotInGenWeightSpace:
+        return NotInGenWeightSpace
+
+
+def _typed_basis(basis):
+    return [[(w, type(c), c) for w, c in x.items()] for x in basis]
+
+
+A3 = HeckeAlgebra(standard_system([[2, -1, 0], [-1, 2, -1], [0, -1, 2]]), ParameterSet.equal(Fraction(2), 3))
+RANK_GENERATOR_ALGEBRAS = {
+    **{name: ZETA_ALGEBRAS[f"{name} q=4"] for name in ("A2", "B2", "G2", "affine A1", "affine A2", "hyperbolic")},
+    "A3": A3,
+}
+RANK_GENERATOR_VALUES = (1, -1, 4, Fraction(1, 4), 3, quadext(0, 1, -1))
+
+
+@pytest.mark.parametrize("name", sorted(RANK_GENERATOR_ALGEBRAS))
+def test_rank_generators_match_both_signs(name):
+    # the weight spaces, generalized weight spaces and ord of the rank
+    # generators Z^(e_j) equal those of all 2*rank Z^(+-e_j), basis by basis
+    alg = RANK_GENERATOR_ALGEBRAS[name]
+    rank = alg.system.rank
+    rng = random.Random(name)
+    dom = LowerSet.closure(enumerate_ball(alg.system, 3 if rank == 2 else 2))
+    dom_sorted = dom.sorted()
+    taus = [Character.trivial(rank), Character.make([-1] * rank)]
+    taus += [Character.make([rng.choice(RANK_GENERATOR_VALUES) for _ in range(rank)]) for _ in range(4)]
+    nontrivial = ords = 0
+    for tau in taus:
+        ser = series(alg, tau)
+        for w in dom_sorted[:3]:
+            eigen = tau.twist(w)
+            got = ser.weight_space(eigen, dom)
+            assert _typed_basis(got) == _typed_basis(_kernel_both_signs(ser, eigen, dom_sorted, 1)), (tau, w)
+            for n_cap in (2, 3):
+                gen = ser.generalized_weight_space(eigen, dom, n_cap)
+                want = _kernel_both_signs(ser, eigen, dom_sorted, n_cap)
+                assert _typed_basis(gen) == _typed_basis(want), (tau, w, n_cap)
+            nontrivial += len(gen) > 1
+        vectors = ser.generalized_weight_space(tau, dom, 3)[:3]
+        vectors += [ser.vector({w: Fraction(1)}) for w in dom_sorted[:4]]
+        vectors += [x + y for i, x in enumerate(vectors) for y in vectors[i + 1:]]
+        for x in vectors:
+            if not x.is_zero:
+                assert _ord_or_failure(ser, x) == _ord_both_signs(ser, x), (tau, x)
+                ords += 1
+    assert nontrivial and ords
+
+
+def test_weight_queries_ask_only_positive_unit_exponents(monkeypatch):
+    alg = ZETA_ALGEBRAS["affine A2 q=4"]
+    dom = LowerSet.closure(enumerate_ball(alg.system, 2))
+    asked = []
+    theta_matrix = PrincipalSeries._theta_matrix
+
+    def recording(self, exp, dom):
+        asked.append(exp)
+        return theta_matrix(self, exp, dom)
+
+    monkeypatch.setattr(PrincipalSeries, "_theta_matrix", recording)
+    rank = alg.system.rank
+    ser = series(alg, Character.make([1, -1, 4, 3][:rank]))
+    ser.weight_space(ser.tau, dom)
+    ser.generalized_weight_space(ser.tau, dom, 2)
+    ser.ord_tau(ser.vector({alg.group.simple(0): Fraction(1)}))
+    assert set(asked) == {exp for exp in unit_exponents(rank) if sum(exp) == 1}
