@@ -167,15 +167,14 @@ def _parse_character(block: dict, name: str, rank: int, square) -> Character:
 
 
 def _set_bounds(bounds: dict[str, int], overrides: dict) -> None:
-    """Apply overrides to bounds, each a known bound and a positive integer:
-    the one check for bounds from a config, a flag or the environment."""
+    """Apply overrides to bounds, each a known bound and a positive integer
+    (bools, floats and strings are not integers here): the one check for
+    bounds from a config, a flag or the environment."""
     for key, value in overrides.items():
         if key not in bounds:
             raise ConfigError(f"unknown bound {key!r}")
-        try:
-            value = int(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"bound {key} must be an integer, got {value!r}") from None
+        if type(value) is not int:
+            raise ConfigError(f"bound {key} must be an integer, got {value!r}")
         if value <= 0:
             raise ConfigError(f"bound {key} must be positive")
         bounds[key] = value

@@ -36,7 +36,7 @@ from functools import cached_property
 from operator import attrgetter, mul
 
 from .errors import IncompatibleData, NotARealCoroot
-from .memo import ELEMENT_CAP, GROUP_CAP, GROUP_DATA_CAP, Memo
+from .memo import GROUP_CAP, Memo
 from .rootdata import Coroot, IntVec, RootGeneratingSystem, coroot_orbit_witness, enumerate_coroots
 
 Mat = tuple[IntVec, ...]
@@ -68,9 +68,9 @@ class WeylElement:
     Q^vee is faithful, since an element sending every simple coroot to a
     positive coroot has length 0 (Kac, 3.11-3.13, for the dual datum).
 
-    Elements are interned per group, so equal elements are normally the same
-    object and per-element caches (word, descents, inversions, Y-action) are
-    computed once.
+    Elements are interned per group, so equal elements are the same object
+    while their group lives, and per-element caches (word, descents,
+    inversions, Y-action) are computed once.
     """
 
     system: RootGeneratingSystem
@@ -186,7 +186,8 @@ class WeylElement:
 
 class WeylGroup:
     """Element factory and interning table for one root datum, one group per
-    datum (see the `memo` module for its three tables)."""
+    datum (see the `memo` module: its intern table and datum memo live as
+    long as the group)."""
 
     _instances: Memo = Memo(GROUP_CAP)
 
@@ -196,8 +197,8 @@ class WeylGroup:
     def _init(self, system: RootGeneratingSystem) -> "WeylGroup":
         self.system = system
         n = system.n
-        self._elements = Memo(ELEMENT_CAP)
-        self.memo = Memo(GROUP_DATA_CAP)
+        self._elements = Memo()
+        self.memo = Memo()
         ident = _identity(n)
         self.identity = self.intern(ident, ident)
         simples = []

@@ -26,7 +26,7 @@ from .coxeter import (
 )
 from .errors import IncompatibleData
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
-from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, COLUMN_CAP, SERIES_CAP, STABILIZER_CAP, THETA_MATRIX_CAP, Memo
+from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, COLUMN_CAP, SERIES_CAP, THETA_MATRIX_CAP, Memo
 from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
@@ -58,7 +58,7 @@ class HeckeAlgebra:
         """The memos of one character in the `series` table: its stabilizer's
         tests and its series' theta-matrices and columns (see the memo module)."""
         return self._cache["series"].once(tau, lambda: {
-            "stabilizer": Memo(STABILIZER_CAP), "theta": Memo(THETA_MATRIX_CAP), "column": Memo(COLUMN_CAP)})
+            "stabilizer": Memo(), "theta": Memo(THETA_MATRIX_CAP), "column": Memo(COLUMN_CAP)})
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "HeckeElt":

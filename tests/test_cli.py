@@ -167,10 +167,10 @@ def test_one_enumeration_per_bound_across_calls(tmp_path, capsys, monkeypatch):
     import sys
 
     from blhecke import coxeter, rootdata
-    from blhecke.memo import GROUP_DATA_CAP, Memo
+    from blhecke.memo import Memo
 
     group = coxeter.WeylGroup(JobConfig.parse(A2).system)
-    monkeypatch.setattr(group, "memo", Memo(GROUP_DATA_CAP))
+    monkeypatch.setattr(group, "memo", Memo())
     calls = []
     for owner, name in ((coxeter, "enumerate_ball"), (rootdata, "enumerate_coroots")):
         original = getattr(owner, name)
@@ -328,9 +328,12 @@ def test_bad_bound_env_rejected(tmp_path, capsys, monkeypatch):
 
 
 def test_non_integer_bound_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, dict(A2, bounds={"ball": "two"}))
-    assert main(["weight-space", "--config", path]) == 2
-    assert "bound ball must be an integer" in capsys.readouterr().err
+    for value in ("two", 6.9, True, "3"):  # int() would read the last three as 6, 1 and 3
+        path = write_config(tmp_path, dict(A2, bounds={"ball": value}))
+        assert main(["weight-space", "--config", path]) == 2, value
+        report = capsys.readouterr()
+        assert report.out == ""
+        assert f"bound ball must be an integer, got {value!r}" in report.err
 
 
 def test_malformed_yaml_rejected(tmp_path, capsys):

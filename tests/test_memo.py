@@ -5,11 +5,13 @@ import pytest
 
 from blhecke import Character, LowerSet, ParameterSet, PrincipalSeries, RationalElt, standard_system
 from blhecke import hecke, serial, stabilizer
+from blhecke.cli import lemma37_system
 from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import run_suite
 from blhecke.memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 from blhecke.stabilizer import TauStabilizer, analyze, kato_check
+from conftest import q4
 
 
 def test_memo_makes_once_and_evicts_oldest():
@@ -112,6 +114,45 @@ def test_element_identity_survives_evictions(affine_a2, monkeypatch):
             assert prod == u * v and hash(prod) == hash(u * v)
     assert len(group._elements) <= 5
     assert len({*ball, *again}) == len(ball)
+
+
+def test_stabilizer_makes_each_key_once_at_scale(monkeypatch):
+    """The stabilizer memo lives as long as its character entry: on the
+    hyperbolic datum at tau = -1, `kato_check` then `analyze` at bounds
+    (64, 12) fill thousands of entries (W_tau has 655 elements of length <= 12),
+    and none is made twice, as a capped recursive memo would."""
+    alg = HeckeAlgebra(standard_system([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]), q4(3))
+    tau = Character.make([-1, -1, -1])
+    alg._cache["series"].pop(tau, None)
+    memo = alg.character_memos(tau)["stabilizer"]
+    made = []
+    once = Memo.once
+
+    def counted(self, key, make):
+        if self is not memo:
+            return once(self, key, make)
+
+        def logged():
+            made.append(key)
+            return make()
+
+        return once(self, key, logged)
+
+    monkeypatch.setattr(Memo, "once", counted)
+    kato_check(alg, tau, 64, 12)
+    analyze(alg, tau, 64, 12)
+    assert len(made) > 4096
+    assert len(made) == len(set(made))
+
+
+def test_ball_elements_are_their_groups_interned_objects():
+    """The intern table lives as long as its group: after a ball of 13 121
+    elements every one is the object the group interns for its matrix."""
+    system, _, _ = lemma37_system()
+    group = WeylGroup(system)
+    ball = group.ball(8)
+    assert len(ball) > 8192
+    assert all(group.intern(w.mat, w.inv) is w for w in ball)
 
 
 def test_series_owns_one_stabilizer(alg_a2, trivial2):

@@ -20,7 +20,7 @@ from blhecke.cli import main as cli_main
 from blhecke.coxeter import WeylGroup, inversion_coroots
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
-from blhecke.memo import GROUP_DATA_CAP, Memo
+from blhecke.memo import Memo
 from blhecke.rootdata import coroot_orbit_witness, validate_system
 from blhecke.scalars import inv, is_zero
 from blhecke.stabilizer import (
@@ -349,7 +349,7 @@ def test_lemma37_conjugates():
 def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
     """The enumerations belong to the Weyl group: on a cold group the first
     query makes each once, and no later query with the same bounds does."""
-    monkeypatch.setattr(alg_affine_a2.group, "memo", Memo(GROUP_DATA_CAP))
+    monkeypatch.setattr(alg_affine_a2.group, "memo", Memo())
     calls = {"enumerate_coroots": 0, "enumerate_ball": 0}
     for name in calls:
         original = getattr(coxeter, name)
