@@ -24,9 +24,9 @@ from .coxeter import (
     coroot_of_reflection,
     inversion_coroots,
 )
-from .errors import IncompatibleData
+from .errors import IncompatibleData, NotInBLH
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
-from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, COLUMN_CAP, SERIES_CAP, THETA_MATRIX_CAP, Memo
+from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, THETA_MATRIX_CAP, Memo
 from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
@@ -50,15 +50,14 @@ class HeckeAlgebra:
     def _cache(self) -> dict[str, Memo]:
         """The memos of (system, params), shared by equal algebras (see the memo module)."""
         names = ("q", "omega", "f", "fhat", "zeta", "sigma")
-        return _algebra_memos.once(
-            (self.system, self.params), lambda: {**{n: Memo(ALGEBRA_CAP) for n in names}, "series": Memo(SERIES_CAP)}
-        )
+        return _algebra_memos.once((self.system, self.params), lambda: {
+            **{n: Memo(ALGEBRA_CAP) for n in names}, "walk": Memo(), "series": Memo(SERIES_CAP)})
 
     def character_memos(self, tau) -> dict[str, Memo]:
         """The memos of one character in the `series` table: its stabilizer's
         tests and its series' theta-matrices and columns (see the memo module)."""
         return self._cache["series"].once(tau, lambda: {
-            "stabilizer": Memo(), "theta": Memo(THETA_MATRIX_CAP), "column": Memo(COLUMN_CAP)})
+            "stabilizer": Memo(), "theta": Memo(THETA_MATRIX_CAP), "column": Memo()})
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "HeckeElt":
@@ -120,6 +119,19 @@ class HeckeAlgebra:
             hit = cache.once((i, exp), lambda: self._omega(i, RationalElt.monomial(exp)))
             out = out + (hit if coeff == 1 else hit.scale(coeff))  # 0 + hit is hit itself
         return out
+
+    def omega_walk(self, i: int, lam: tuple) -> tuple[tuple, int, dict[int, Scalar]]:
+        """(step, |n|, {j: c_j}) with Omega_s(Z^lam) = sum_j c_j Z^(lam + j step), memoized (`principal` docstring)."""
+        def make():
+            n = self.system.root_pairing(i, lam)
+            step = tuple(-a if n > 0 else a for a in self.system.simple_coroots[i])
+            path = {tuple(x + j * a for x, a in zip(lam, step)): j for j in range(abs(n) + 1)}
+            poly = self.omega(i, RationalElt.monomial(lam)).is_polynomial()
+            if poly is None or not poly.terms.keys() <= path.keys():
+                raise NotInBLH(f"Omega_{i}(Z^{lam}) is not a polynomial on the walk from Z^{lam} to its s_{i}-twist")
+            return step, abs(n), {path[mu]: c for mu, c in poly.terms.items()}
+
+        return self._cache["walk"].once((i, lam), make)
 
     def _omega(self, i: int, theta: RationalElt) -> RationalElt:
         return self.q_s(i) * (theta - theta.twist(self.group.simple(i)))

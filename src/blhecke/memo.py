@@ -19,12 +19,14 @@ queries enumerated, not by a constant per memo:
   enumerations, for every caller (stabilizer, CLI, identity checks).
 - `hecke._algebra_memos`: the memos of each (system, params),
   `ALGEBRA_TABLE_CAP`, and in each the character table `series`,
-  `SERIES_CAP` characters.  Per character (`HeckeAlgebra.character_memos`),
-  with no cap: `stabilizer`, the one memo of every `TauStabilizer` of
-  (algebra, tau), holding its tests by coroot of the coroot sets asked,
-  the twisted character w . tau and the greedy word by element of the
-  balls asked, and Phi_tau and Sigma_tau by bound, so `kato_check`,
-  `analyze` and a `PrincipalSeries` read the same tests across calls.
+  `SERIES_CAP` characters.  With no cap: per algebra, `walk`, the walks of
+  `HeckeAlgebra.omega_walk` (2 * rank * n at most); per character
+  (`HeckeAlgebra.character_memos`), `column`, the columns Z^(+-e_k) T_w v
+  (2 * rank per element at most), and `stabilizer`, the one memo of every
+  `TauStabilizer` of (algebra, tau), holding its tests by coroot of the
+  coroot sets asked, the twisted character w . tau and the greedy word by
+  element of the balls asked, and Phi_tau and Sigma_tau by bound, so
+  `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
 
 The caps that remain, each with its reason:
 
@@ -35,8 +37,6 @@ The caps that remain, each with its reason:
 - `theta` (`principal._matrix_cache(series)`), the theta-matrices of a
   character by (exponent, domain), `THETA_MATRIX_CAP`: its keys are lower
   sets, and every `ord` vector brings its own.
-- `column`, the columns Z^lambda T_w v of a character by (lambda, w),
-  `COLUMN_CAP`: it is recursive, but its keys are unbounded monomials.
 
 Two tables belong to the process rather than to an object the caller
 passes.  The group registry gives elements their identity: equal elements
@@ -44,8 +44,8 @@ are one interned object while their group lives, so their per-element
 caches (word, inversions, Y-action) are computed once, and the group's
 datum data outlive each CLI call with it.  The algebra table lets equal
 algebras share memos, since the CLI builds a new `HeckeAlgebra` on every
-call: `omega` entries, columns, theta-matrices and stabilizer tests outlive
-the call.
+call: `omega` entries and walks, and the columns, theta-matrices and
+stabilizer tests of the characters in the table outlive the call.
 
 Attributes bounded by their object, such as `functools.cached_property`
 values and `WeylElement._left` (at most one entry per generator), are not
@@ -58,7 +58,6 @@ from __future__ import annotations
 ALGEBRA_CAP = 1024  # omega fills it on hecke-products; sigma: 336 entries (kato-sweep); zeta: 23 (tier-1)
 GROUP_CAP = 64  # 5 groups
 THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)
-COLUMN_CAP = 4096  # 382 columns per series (module-weights)
 SERIES_CAP = 4  # per algebra; module-weights meets one series per config
 ALGEBRA_TABLE_CAP = 16  # 4 algebras (module-weights)
 

@@ -23,17 +23,20 @@ the same zero diagonal entries, hence the same canonical basis from
 either set generate the k-th power of the ideal, so `ord_tau` stops at the same k.
 
 The lattice action is computed on evaluated scalars (the Bernstein-Lusztig
-presentation; Lusztig, JAMS 1989, section 3).  The column Z^lambda T_w v,
-a map u -> scalar, comes from Z^lambda v = tau(lambda) v and, for w = s w'
-with s the first letter of w's canonical word,
+presentation; Lusztig, JAMS 1989, section 3) from the generator columns
+Z^(+-e_k) T_w v, maps u -> scalar, into which `_apply` factors any Z^mu.  For
+w = s w' with s = s_i the first letter of w's canonical word, n = alpha_i(lambda)
+and step = -sign(n) alpha_i^vee, so that s lambda = lambda + |n| step,
 
-    Z^lambda T_w v = T_s (Z^(s lambda) T_w' v) + sum_mu c_mu Z^mu T_w' v,
+    Z^lambda T_w v = T_s v_|n| + sum_j c_j v_j,  v_0 = Z^lambda T_w' v,  v_j = Z^step v_(j-1),
 
-where Omega_s(Z^lambda) = sum_mu c_mu Z^mu and T_s acts on the T_u v by the
-quadratic relation (`hecke._left_T_gen`).  This is exact: it is the
-commutation the algebra's product pushes through, and as Omega_s keeps
-polynomials polynomial, tau may be applied at the bottom of the recursion
-rather than at the end (as `act` does), on memoized columns.
+with T_s acting by the quadratic relation (`hecke._left_T_gen`) and Omega_s(Z^lambda)
+= Z^lambda Q_s^T (1 - Z^(|n| step)) = sum_j c_j Z^(lambda + j step), 0 <= j <= |n|:
+Q_s^T is a rational function of Z^step finite at 0 and at infinity (`omega_walk`
+checks each j).  Where lambda + j step is 0 or some +-e_k, v_j is read from the
+columns instead.  From lambda = +-e_k the walk reads only generator columns
+Z^(+-e_k) T_u v, u <= w': at most 2 * rank per element.  This is exact, and as
+Omega_s keeps polynomials polynomial, tau is applied at the bottom of the walk.
 """
 
 from __future__ import annotations
@@ -177,29 +180,32 @@ class PrincipalSeries:
         return self.ev(h * lift)
 
     def act_poly(self, p: LaurentPoly, x: ModuleVector) -> ModuleVector:
-        """p.x, summed from the memoized columns."""
-        out: dict[WeylElement, Scalar] = {}
-        for lam, c in p.terms.items():
-            for w, a in x.coeffs.items():
-                _add_scaled(out, self._column(lam, w), c * a)
-        return ModuleVector(self.tau, out)
+        """p.x, each monomial applied by the generator columns."""
+        return ModuleVector(self.tau, _combine((self._apply(lam, x.coeffs), c) for lam, c in p.terms.items()))
+
+    def _apply(self, mu: tuple, vec: dict[WeylElement, Scalar]) -> dict[WeylElement, Scalar]:
+        """Z^mu on a coefficient map, one factor Z^(+-e_k), a sum of generator columns, at a time."""
+        for k, m in enumerate(mu):
+            for _ in range(abs(m)):
+                gen = tuple((1 if m > 0 else -1) * int(i == k) for i in range(len(mu)))
+                vec = _combine((self._column(gen, u), a) for u, a in vec.items())
+        return vec
 
     def _column(self, lam: tuple, w: WeylElement) -> dict[WeylElement, Scalar]:
-        """Z^lam T_w v as a map u -> scalar, by the recursion of the module
-        docstring; memoized per series, so callers must not mutate it."""
+        """Z^lam T_w v for a generator lam = +-e_k, as a map u -> scalar, by the
+        walk of the module docstring; memoized per series, so callers must not mutate it."""
         def make() -> dict[WeylElement, Scalar]:
             if w.is_identity:
                 return {w: as_scalar(self.tau.of_vector(lam))}
-            alg = self.algebra
             i = w.word[0]
+            step, n, coeffs = self.algebra.omega_walk(i, lam)
             rest = w.left_simple(i)
-            out = _left_T_gen(alg, i, self._column(alg.group.simple(i).apply(lam), rest), mul)
-            corr = alg.omega(i, RationalElt.monomial(lam)).is_polynomial()
-            if corr is None:
-                raise NotInBLH(f"Omega_{i}(Z^{lam}) is not a polynomial")
-            for mu, c in corr.terms.items():
-                _add_scaled(out, self._column(mu, rest), c)
-            return {u: s for u, c in out.items() if not is_zero(s := as_scalar(c))}
+            walk = [self._column(lam, rest)]
+            for j in range(1, n + 1):
+                mu = tuple(x + j * a for x, a in zip(lam, step))
+                walk.append(self._apply(mu, {rest: 1}) if sum(map(abs, mu)) <= 1 else self._apply(step, walk[-1]))
+            top = _left_T_gen(self.algebra, i, walk[n], mul)
+            return _combine([(top, 1), *((walk[j], c) for j, c in coeffs.items())])
 
         return self._memos["column"].once((lam, w), make)
 
@@ -216,7 +222,7 @@ class PrincipalSeries:
             index = {w: k for k, w in enumerate(dom)}
             m = [[Fraction(0)] * len(dom) for _ in dom]
             for j, w in enumerate(dom):
-                for v, c in self._column(exp, w).items():
+                for v, c in self._apply(exp, {w: 1}).items():
                     if v not in index:
                         raise DomainNotLowerSet("action left the domain; not a lower set")
                     m[index[v]][j] = c
@@ -405,16 +411,18 @@ class Intertwiner:
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         """Sum of c T_w.target over the terms c T_w v of x, by the scalar T_s rule."""
-        out: dict[WeylElement, Scalar] = {}
-        for w, c in x.coeffs.items():
-            _add_scaled(out, _left_T(self.series.algebra, w, self.target.coeffs, mul), c)
-        return ModuleVector(self.series.tau, out)
+        alg, target = self.series.algebra, self.target.coeffs
+        return ModuleVector(self.series.tau, _combine((_left_T(alg, w, target, mul), c) for w, c in x.coeffs.items()))
 
 
-def _add_scaled(out: dict, vec: dict, c: Scalar) -> None:
-    """out += c * vec, coefficient by coefficient."""
-    for u, a in vec.items():
-        out[u] = out.get(u, 0) + c * a
+def _combine(terms) -> dict[WeylElement, Scalar]:
+    """The sum of c * vec over the pairs (vec, c), in normal form with no zero entry."""
+    out: dict[WeylElement, Scalar] = {}
+    for vec, c in terms:
+        for u, a in vec.items():
+            x = a if c == 1 else c * a
+            out[u] = out[u] + x if u in out else x
+    return {u: s for u, x in out.items() if not is_zero(s := as_scalar(x))}
 
 
 def _matrix_cache(series: PrincipalSeries) -> Memo:

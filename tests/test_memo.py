@@ -145,6 +145,24 @@ def test_stabilizer_makes_each_key_once_at_scale(monkeypatch):
     assert len(made) == len(set(made))
 
 
+def test_column_memo_holds_generator_columns_of_the_ball():
+    """The column memo is bounded by the query: after `weight_space` on the
+    hyperbolic ball of length 6 at the trivial character, it holds only
+    columns Z^(+-e_k) T_w v with w in the ball, at most 2 * rank per element
+    (a (lambda, w) memo holds thousands of columns with lambda = w^-1(e_k))."""
+    system = standard_system([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]])
+    alg = HeckeAlgebra(system, q4(3))
+    tau = Character.trivial(system.rank)
+    alg._cache["series"].pop(tau, None)
+    dom = LowerSet.closure(enumerate_ball(system, 6))
+    ser = PrincipalSeries(alg, tau)
+    assert ser.weight_space(tau, dom)
+    memo = ser._memos["column"]
+    generators = {tuple(sign * int(i == k) for i in range(system.rank)) for k in range(system.rank) for sign in (1, -1)}
+    assert all(lam in generators and w in dom for lam, w in memo)
+    assert len(memo) <= 2 * system.rank * len(dom)
+
+
 def test_ball_elements_are_their_groups_interned_objects():
     """The intern table lives as long as its group: after a ball of 13 121
     elements every one is the object the group interns for its matrix."""

@@ -1,11 +1,22 @@
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 from conftest import ZETA_ALGEBRAS, shifted_both_signs, unit_exponents
 
-from blhecke import Character, Coroot, LowerSet, ModuleVector, ParameterSet, PrincipalSeries, quadext, standard_system
+from blhecke import (
+    Character,
+    Coroot,
+    LowerSet,
+    ModuleVector,
+    ParameterSet,
+    PrincipalSeries,
+    RootGeneratingSystem,
+    quadext,
+    standard_system,
+)
 from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
@@ -16,10 +27,11 @@ from blhecke.errors import (
     NotInUC,
     PoleAtCharacter,
 )
-from blhecke.hecke import HeckeAlgebra, HeckeElt
+from blhecke.hecke import HeckeAlgebra, HeckeElt, _left_T_gen
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt
 from blhecke.linalg import mat_pow, mat_vec, rref, triangular_kernel
 from blhecke.principal import NEG_INF, Intertwiner
+from blhecke.scalars import as_scalar, is_zero
 from blhecke.stabilizer import TauStabilizer
 
 
@@ -316,12 +328,13 @@ def test_weight_space_is_first_generalized(alg_a1_adjoint, alg_affine_a1, alg_a2
             assert ser.weight_space(eigen, dom) == ser.generalized_weight_space(eigen, dom, 1)
 
 
-# six data at sigma = 2 and sigma = sqrt(2), and A1 with alpha(Y) = 2Z at unequal parameters
+# six data at sigma = 2 and sigma = sqrt(2), A1 with alpha(Y) = 2Z at unequal
+# parameters, and A1 with alpha^vee = 2 lambda, where a step is two factors
 ENGINE_ALGEBRAS = [
     f"{datum} {q}"
     for datum in ("A2", "G2", "affine A1", "affine A2", "affine C2", "hyperbolic")
     for q in ("q=4", "q=2")
-] + ["A1 (2, 3)", "A1 (2, -2)"]
+] + ["A1 (2, 3)", "A1 (2, -2)", "A1 minimal (2, 2)"]
 
 
 def _engine_characters(rank: int) -> dict[str, Character]:
@@ -362,6 +375,52 @@ def test_theta_matrices_from_columns_match_act(name):
         for exp in unit_exponents(alg.system.rank):
             got = ser._theta_matrix(exp, dom)
             assert _typed(got) == _typed(_theta_matrix_by_act(ser, exp, dom)), (label, exp)
+
+
+def _column_by_recursion(ser, lam, w, memo):
+    """The (lambda, w) recursion the generator walk replaced, memoized in memo:
+    Z^lambda T_w v = T_s (Z^(s lambda) T_w' v) + sum_mu c_mu Z^mu T_w' v over
+    the terms c_mu Z^mu of Omega_s(Z^lambda)."""
+    if (lam, w) not in memo:
+        if w.is_identity:
+            memo[lam, w] = {w: as_scalar(ser.tau.of_vector(lam))}
+        else:
+            alg, i = ser.algebra, w.word[0]
+            rest = w.left_simple(i)
+            out = _left_T_gen(alg, i, _column_by_recursion(ser, alg.group.simple(i).apply(lam), rest, memo), mul)
+            for mu, c in alg.omega(i, RationalElt.monomial(lam)).is_polynomial().terms.items():
+                for u, a in _column_by_recursion(ser, mu, rest, memo).items():
+                    out[u] = out.get(u, 0) + c * a
+            memo[lam, w] = {u: s for u, c in out.items() if not is_zero(s := as_scalar(c))}
+    return memo[lam, w]
+
+
+# name -> (algebra, ball): balls past the reach of the `act` reference, and A2
+# with simple coroots (1, 0), (1, 1), where a step has two nonzero coordinates
+WALK_CASES = {
+    **{name: (ZETA_ALGEBRAS[name], ball) for name, ball in (
+        ("hyperbolic q=4", 5), ("affine A2 q=4", 5), ("G2 q=4", 6),
+        ("A1 minimal (2, 2)", 1), ("A1 (2, 3)", 1), ("A1 (2, -2)", 1))},
+    "A2 skew coroots": (HeckeAlgebra(
+        RootGeneratingSystem.make([[2, -1], [-1, 2]], 2, [[2, -3], [-1, 3]], [[1, 0], [1, 1]]),
+        ParameterSet.equal(Fraction(2), 2)), 4),
+}
+
+
+@pytest.mark.parametrize("name", WALK_CASES)
+def test_theta_matrices_match_the_recursion(name):
+    alg, ball = WALK_CASES[name]
+    dom = LowerSet.closure(enumerate_ball(alg.system, ball)).sorted()
+    index = {w: k for k, w in enumerate(dom)}
+    rank = alg.system.rank
+    for label, tau in {"trivial": Character.trivial(rank), **_engine_characters(rank)}.items():
+        ser, memo = series(alg, tau), {}
+        for exp in unit_exponents(rank):
+            want = [[Fraction(0)] * len(dom) for _ in dom]
+            for j, w in enumerate(dom):
+                for u, c in _column_by_recursion(ser, exp, w, memo).items():
+                    want[index[u]][j] = c
+            assert _typed(ser._theta_matrix(exp, dom)) == _typed(want), (label, exp)
 
 
 @pytest.mark.parametrize("name", ["G2 q=2", "affine A2 q=4", "A1 (2, -2)"])
