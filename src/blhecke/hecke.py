@@ -26,7 +26,7 @@ from .coxeter import (
 )
 from .errors import IncompatibleData, NotInBLH
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
-from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, THETA_MATRIX_CAP, Memo
+from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
@@ -49,15 +49,15 @@ class HeckeAlgebra:
     @cached_property
     def _cache(self) -> dict[str, Memo]:
         """The memos of (system, params), shared by equal algebras (see the memo module)."""
-        names = ("q", "omega", "f", "fhat", "zeta", "sigma")
+        names = ("q", "f", "fhat", "zeta", "sigma", "walk")
         return _algebra_memos.once((self.system, self.params), lambda: {
-            **{n: Memo(ALGEBRA_CAP) for n in names}, "walk": Memo(), "series": Memo(SERIES_CAP)})
+            **{n: Memo() for n in names}, "omega": Memo(ALGEBRA_CAP), "series": Memo(SERIES_CAP)})
 
     def character_memos(self, tau) -> dict[str, Memo]:
         """The memos of one character in the `series` table: its stabilizer's
         tests and its series' theta-matrices and columns (see the memo module)."""
         return self._cache["series"].once(tau, lambda: {
-            "stabilizer": Memo(), "theta": Memo(THETA_MATRIX_CAP), "column": Memo()})
+            "stabilizer": Memo(), "theta": Memo(), "column": Memo()})
 
     # -- element constructors ------------------------------------------------
     def zero(self) -> "HeckeElt":

@@ -397,9 +397,6 @@ class Character:
     def of_factor(self, f: BinomialFactor) -> Scalar:
         return 1 - f.scale * self.of_vector(f.direction)
 
-    def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values)
-
     def twist(self, w: WeylElement) -> "Character":
         """(w . tau)(lambda) = tau(w^{-1} lambda)."""
         cols = tuple(zip(*w.y_inv))  # column j = w^{-1}(e_j)

@@ -19,24 +19,19 @@ queries enumerated, not by a constant per memo:
   enumerations, for every caller (stabilizer, CLI, identity checks).
 - `hecke._algebra_memos`: the memos of each (system, params),
   `ALGEBRA_TABLE_CAP`, and in each the character table `series`,
-  `SERIES_CAP` characters.  With no cap: per algebra, `walk`, the walks of
-  `HeckeAlgebra.omega_walk` (2 * rank * n at most); per character
-  (`HeckeAlgebra.character_memos`), `column`, the columns Z^(+-e_k) T_w v
-  (2 * rank per element at most), and `stabilizer`, the one memo of every
-  `TauStabilizer` of (algebra, tau), holding its tests by coroot of the
-  coroot sets asked, the twisted character w . tau and the greedy word by
-  element of the balls asked, and Phi_tau and Sigma_tau by bound, so
-  `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
+  `SERIES_CAP` characters.  With no cap: per algebra, `q`, `sigma`, `zeta`,
+  `f` and `fhat` by the index, coroot or element the queries enumerated,
+  and `walk`, the walks of `HeckeAlgebra.omega_walk` (2 * rank * n at most);
+  per character (`HeckeAlgebra.character_memos`), `theta`, the matrices
+  Z^(e_j) of the domains the weight-space queries asked, `column`, the
+  columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
+  the one memo of every `TauStabilizer` of (algebra, tau), holding its tests
+  by coroot of the coroot sets asked, the twisted character w . tau and the
+  greedy word by element of the balls asked, and Phi_tau and Sigma_tau by
+  bound, so `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
 
-The caps that remain, each with its reason:
-
-- `omega` (Omega_s(Z^lambda) by (i, lambda)), `ALGEBRA_CAP`: its keys are
-  monomials, and it is what bounds memory on hecke-products.
-- `q`, `sigma`, `zeta`, `f` and `fhat` of the algebra share `ALGEBRA_CAP`:
-  none is recursive, so an eviction costs one recomputation.
-- `theta` (`principal._matrix_cache(series)`), the theta-matrices of a
-  character by (exponent, domain), `THETA_MATRIX_CAP`: its keys are lower
-  sets, and every `ord` vector brings its own.
+One memo keeps a cap: `omega`, Omega_s(Z^lambda) by (i, lambda), `ALGEBRA_CAP`,
+because its keys are monomials, which products reach in numbers no query bounds.
 
 Two tables belong to the process rather than to an object the caller
 passes.  The group registry gives elements their identity: equal elements
@@ -44,8 +39,8 @@ are one interned object while their group lives, so their per-element
 caches (word, inversions, Y-action) are computed once, and the group's
 datum data outlive each CLI call with it.  The algebra table lets equal
 algebras share memos, since the CLI builds a new `HeckeAlgebra` on every
-call: `omega` entries and walks, and the columns, theta-matrices and
-stabilizer tests of the characters in the table outlive the call.
+call: the algebra's memos, and the columns, theta-matrices and stabilizer
+tests of the characters in the table outlive the call.
 
 Attributes bounded by their object, such as `functools.cached_property`
 values and `WeylElement._left` (at most one entry per generator), are not
@@ -55,9 +50,8 @@ caches in this sense.
 from __future__ import annotations
 
 # largest sizes on the seed-1 benchmark workloads in the comments
-ALGEBRA_CAP = 1024  # omega fills it on hecke-products; sigma: 336 entries (kato-sweep); zeta: 23 (tier-1)
+ALGEBRA_CAP = 1024  # omega alone; it fills the cap on hecke-products
 GROUP_CAP = 64  # 5 groups
-THETA_MATRIX_CAP = 256  # 24 matrices (module-weights)
 SERIES_CAP = 4  # per algebra; module-weights meets one series per config
 ALGEBRA_TABLE_CAP = 16  # 4 algebras (module-weights)
 

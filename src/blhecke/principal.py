@@ -22,6 +22,12 @@ the same zero diagonal entries, hence the same canonical basis from
 `triangular_kernel` as all 2*rank Z^(+-e_j) give.  The k-fold products of
 either set generate the k-th power of the ideal, so `ord_tau` stops at the same k.
 
+`ord_tau` spans the shifted images of coefficient maps (`_apply`, then `rref`
+over the union U of the supports met) and fails before the k-th span when
+k > |U|: if ord x = K, the prefixes of a nonzero (K-1)-fold product on x are
+independent (the missing factors kill all but the lowest term of a dependence),
+so |U| >= k at every step; and U lies in the closure of x's support.
+
 The lattice action is computed on evaluated scalars (the Bernstein-Lusztig
 presentation; Lusztig, JAMS 1989, section 3) from the generator columns
 Z^(+-e_k) T_w v, maps u -> scalar, into which `_apply` factors any Z^mu.  For
@@ -61,9 +67,9 @@ from .errors import (
 )
 from .hecke import HeckeAlgebra, HeckeElt, _left_T, _left_T_gen
 from .laurent import Character, LaurentPoly, RationalElt, evaluate, times_binomials
-from .linalg import mat_pow, mat_vec, rref, triangular_kernel
+from .linalg import mat_pow, rref, triangular_kernel
 from .memo import Memo
-from .scalars import ONE, Scalar, as_scalar, is_zero
+from .scalars import ONE, ZERO, Scalar, as_scalar, is_zero
 from .scalars import inv as scalar_inv
 from .stabilizer import TauStabilizer
 
@@ -232,13 +238,10 @@ class PrincipalSeries:
 
     def _shifted_matrices(self, eigen: Character, dom: tuple[WeylElement, ...]) -> list:
         """Z^(e_j) - eigen(e_j) on the span of dom for each basis vector e_j of Y,
-        the rank generators that give the kernels and ord of all 2*rank Z^(+-e_j)
+        the rank generators that give the kernels of all 2*rank Z^(+-e_j)
         (module docstring); fresh matrices, upper triangular in dom's order."""
-        rank = self.algebra.system.rank
         mats = []
-        for j in range(rank):
-            exp = tuple(int(i == j) for i in range(rank))
-            lam = eigen.of_vector(exp)
+        for exp, lam in _rank_shifts(eigen):
             shifted = [list(row) for row in self._theta_matrix(exp, dom)]
             for i, row in enumerate(shifted):
                 row[i] -= lam
@@ -357,21 +360,21 @@ class PrincipalSeries:
     # -- statistics ------------------------------------------------------------
     def ord_tau(self, x: ModuleVector) -> int:
         """Least k with every k-fold product of vanishing lattice elements
-        killing x, by iterated spans of the rank shifted generators."""
+        killing x, by iterated spans of the rank shifted generators (module docstring)."""
         if x.is_zero:
             return 0
-        dom = LowerSet.closure(x.support()).sorted()
-        n = len(dom)
-        mats = self._shifted_matrices(self.tau, dom)
-        current = [[x.coeffs.get(w, Fraction(0)) for w in dom]]
-        k = 0
+        gens = _rank_shifts(self.tau)
+        current, seen, k = [x.coeffs], set(x.coeffs), 0
         while current:
             k += 1
-            if k > n + 1:
+            if k > len(seen):
                 values = ", ".join(map(str, self.tau.values))
                 raise NotInGenWeightSpace(f"span iteration failed to vanish on support {list(x.support())} at tau = ({values})")
-            span, pivots = rref([mat_vec(m, vec) for vec in current for m in mats])
-            current = span[:len(pivots)]
+            images = [_combine([(self._apply(e, vec), 1), (vec, -t)]) for vec in current for e, t in gens]
+            seen.update(*images)
+            cols = sorted(seen, key=lambda w: w.sort_key)
+            span, pivots = rref([[vec.get(w, ZERO) for w in cols] for vec in images])
+            current = [{w: c for w, c in zip(cols, row) if not is_zero(c)} for row in span[:len(pivots)]]
         return k
 
     def stats(self, x: ModuleVector) -> "VectorStats":
@@ -423,6 +426,11 @@ def _combine(terms) -> dict[WeylElement, Scalar]:
             x = a if c == 1 else c * a
             out[u] = out[u] + x if u in out else x
     return {u: s for u, x in out.items() if not is_zero(s := as_scalar(x))}
+
+
+def _rank_shifts(chi: Character) -> list[tuple[tuple, Scalar]]:
+    """The pairs (e_j, chi(e_j)) of the rank generators Z^(e_j) - chi(e_j) of chi's maximal ideal."""
+    return [(e, chi.of_vector(e)) for e in (tuple(int(i == j) for i in range(chi.rank)) for j in range(chi.rank))]
 
 
 def _matrix_cache(series: PrincipalSeries) -> Memo:

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 from blhecke import Character, LowerSet, ParameterSet, PrincipalSeries, RationalElt, standard_system
-from blhecke import hecke, serial, stabilizer
+from blhecke import hecke, principal, serial, stabilizer
 from blhecke.cli import lemma37_system
 from blhecke.coxeter import WeylGroup, enumerate_ball
+from blhecke.errors import NotInGenWeightSpace
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import run_suite
 from blhecke.memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
@@ -161,6 +162,29 @@ def test_column_memo_holds_generator_columns_of_the_ball():
     generators = {tuple(sign * int(i == k) for i in range(system.rank)) for k in range(system.rank) for sign in (1, -1)}
     assert all(lam in generators and w in dom for lam, w in memo)
     assert len(memo) <= 2 * system.rank * len(dom)
+
+
+def test_theta_memo_holds_the_weight_space_domains_only(alg_a2):
+    """`ord_tau` acts by the generator columns and asks no theta-matrix: on a
+    cold character it leaves the theta memo empty, and after the weight-space
+    queries and `ord_tau` on every basis vector of a ball the memo holds the
+    rank matrices Z^(e_j) of that ball alone."""
+    tau = Character.make([1, 4])
+    alg_a2._cache["series"].pop(tau, None)
+    ser = PrincipalSeries(alg_a2, tau)
+    group = alg_a2.group
+    assert ser.ord_tau(ser.vector({group.simple(0): Fraction(1)})) == 2
+    assert not principal._matrix_cache(ser)
+    dom = LowerSet.closure(enumerate_ball(alg_a2.system, 3))
+    assert ser.weight_space(tau, dom) and ser.generalized_weight_space(tau, dom, 2)
+    for w in dom.sorted():
+        try:
+            ser.ord_tau(ser.vector({w: Fraction(1)}))
+        except NotInGenWeightSpace:
+            pass
+    rank = alg_a2.system.rank
+    units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
+    assert set(principal._matrix_cache(ser)) == {(e, dom.sorted()) for e in units}
 
 
 def test_ball_elements_are_their_groups_interned_objects():

@@ -216,6 +216,7 @@ def test_ord_examples(alg_a2, alg_affine_a1, trivial2):
     assert ser.ord_tau(ser.vector({g.simple(0): Fraction(1)})) == 2
     x = ser.vector({g.from_word([0, 1]): Fraction(1), g.from_word([1, 0]): Fraction(1)})
     assert ser.ord_tau(x) == 3
+    assert ser.ord_tau(ser.vector({g.from_word([0, 1, 0]): Fraction(1)})) == 4
     assert ser.ord_tau(ModuleVector(trivial2, {})) == 0
     # affine, longer element
     tau0 = Character.trivial(3)
