@@ -11,7 +11,7 @@ from .coxeter import (
 )
 from .hecke import HeckeAlgebra, HeckeElt, Membership, max_supp, membership
 from .laurent import BinomialFactor, Character, LaurentPoly, RationalElt, evaluate
-from .principal import LowerSet, ModuleVector, PrincipalSeries, VectorStats
+from .principal import ModuleVector, PrincipalSeries, VectorStats
 from .rootdata import (
     Coroot,
     KacMoodyMatrix,
@@ -44,7 +44,6 @@ __all__ = [
     "KacMoodyMatrix",
     "KatoVerdict",
     "LaurentPoly",
-    "LowerSet",
     "Membership",
     "ModuleVector",
     "ParameterSet",

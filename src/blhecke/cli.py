@@ -24,7 +24,7 @@ from .errors import BLHeckeError, ConfigError, KacMoodyViolation, ValidationErro
 from .hecke import HeckeAlgebra
 from .identities import run_suite
 from .laurent import Character
-from .principal import LowerSet, ModuleVector, PrincipalSeries
+from .principal import ModuleVector, PrincipalSeries
 from .rootdata import KacMoodyMatrix, ParameterSet, RootGeneratingSystem, standard_system, validate_system
 from .scalars import Scalar, quadext, rational_sqrt
 from .stabilizer import IRREDUCIBLE, TauStabilizer, analyze, kato_check
@@ -319,23 +319,24 @@ def _weight_space_common(cfg: JobConfig, args, generalized: bool) -> int:
     alg = HeckeAlgebra(cfg.system, cfg.params)
     series = PrincipalSeries(alg, tau)
     eigen = cfg.eigen_character or tau
-    dom = LowerSet(frozenset(alg.group.ball(cfg.bounds["ball"])))  # a Bruhat ball is a lower set
+    ball = cfg.bounds["ball"]
+    size = len(alg.group.ball(ball))
     if generalized:
-        basis = series.generalized_weight_space(eigen, dom, cfg.bounds["n_cap"])
+        basis = series.generalized_weight_space(eigen, ball, cfg.bounds["n_cap"])
         name = "gen-weight-space"
     else:
-        basis = series.weight_space(eigen, dom)
+        basis = series.weight_space(eigen, ball)
         name = "weight-space"
     report = _base_report(name, cfg)
     report["result"] = {
-        "domain_ball": cfg.bounds["ball"],
-        "domain_size": len(dom),
+        "domain_ball": ball,
+        "domain_size": size,
         "dimension": len(basis),
         "basis": [serial.vector_to_obj(x) for x in basis],
     }
     if generalized:
         report["result"]["n_cap"] = cfg.bounds["n_cap"]
-    lines = [f"domain: ball of length <= {cfg.bounds['ball']} ({len(dom)} elements)", f"dimension: {len(basis)}"]
+    lines = [f"domain: ball of length <= {ball} ({size} elements)", f"dimension: {len(basis)}"]
     for x in basis:
         lines.append("  " + " + ".join(f"{serial.scalar_to_obj(c)}*T{serial.word_to_obj(w)}" for w, c in x.items()))
     _emit(report, args.format, lines)

@@ -377,20 +377,3 @@ def reduced_words(w: WeylElement, gens, length) -> list[tuple[WeylElement, ...]]
     if w.is_identity:
         return [()]
     return [(r,) + rest for r in gens if length(rw := r * w) < length(w) for rest in reduced_words(rw, gens, length)]
-
-
-def bruhat_lower_closure(elements) -> frozenset[WeylElement]:
-    """Close a finite set of elements downward under the Bruhat order."""
-    closed: set[WeylElement] = set()
-    stack = list(elements)
-    while stack:
-        w = stack.pop()
-        if w in closed:
-            continue
-        closed.add(w)
-        word = w.word
-        for drop in range(len(word)):
-            sub = w.group.from_word(word[:drop] + word[drop + 1:])
-            if sub not in closed:
-                stack.append(sub)
-    return frozenset(closed)

@@ -39,7 +39,8 @@ class PoleAtCharacter(BLHeckeError):
 
 
 class IncompatibleData(BLHeckeError):
-    """Operands belong to different root data or parameter sets."""
+    """Operands belong to different root data, parameter sets or quadratic
+    extensions Q(sqrt(d)) of the scalars."""
 
 
 class WordNotReduced(BLHeckeError):

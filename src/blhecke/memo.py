@@ -23,7 +23,7 @@ queries enumerated, not by a constant per memo:
   `f` and `fhat` by the index, coroot or element the queries enumerated,
   and `walk`, the walks of `HeckeAlgebra.omega_walk` (2 * rank * n at most);
   per character (`HeckeAlgebra.character_memos`), `theta`, the matrices
-  Z^(e_j) of the domains the weight-space queries asked, `column`, the
+  Z^(e_j) on the balls the weight-space queries asked, `column`, the
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
   the one memo of every `TauStabilizer` of (algebra, tau), holding its tests
   by coroot of the coroot sets asked, the twisted character w . tau and the

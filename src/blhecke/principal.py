@@ -4,11 +4,13 @@ the nilpotency-depth statistic.
 
 Vectors are finite coefficient maps on Weyl group elements (coordinates with
 respect to the T_w-translates of the cyclic vector).  All linear algebra is
-exact and restricted to Bruhat lower sets, which the lattice-algebra action
-preserves, so truncated computations are exact, not approximate.
+exact and restricted to Bruhat balls (the elements of length <= L,
+`WeylGroup.ball`).  A ball is a lower set for the Bruhat order, since u <= w
+implies l(u) <= l(w), and the lattice-algebra action preserves the span of a
+lower set, so truncated computations are exact, not approximate.
 
-In `LowerSet.sorted()` order (by length) every lattice-element matrix is
-upper triangular, with the w-twist of tau on the diagonal: theta.T_w v lies
+In the ball's order (by length; `WeylGroup.ball`) every lattice-element matrix
+is upper triangular, with the w-twist of tau on the diagonal: theta.T_w v lies
 in the span of the T_u v with u <= w, and u < w implies l(u) < l(w).  So the
 weight-space kernels are solved by back substitution, in the basis Gaussian
 elimination of the stacked equations gives (`linalg.triangular_kernel`).
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .coxeter import WeylElement, bruhat_lower_closure
+from .coxeter import WeylElement
 from .errors import (
     DecompositionFailure,
     DomainNotLowerSet,
@@ -119,33 +121,6 @@ class ModuleVector:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*T[{w!r}]v" for w, c in self.items())
-
-
-@dataclass(frozen=True)
-class LowerSet:
-    """Finite set of Weyl elements closed downward under the Bruhat order."""
-
-    elements: frozenset[WeylElement]
-
-    @staticmethod
-    def closure(elements) -> "LowerSet":
-        return LowerSet(bruhat_lower_closure(elements))
-
-    @staticmethod
-    def validated(elements) -> "LowerSet":
-        elems = frozenset(elements)
-        if bruhat_lower_closure(elems) != elems:
-            raise DomainNotLowerSet("domain is not closed under the Bruhat order")
-        return LowerSet(elems)
-
-    def sorted(self) -> tuple[WeylElement, ...]:
-        return tuple(sorted(self.elements, key=lambda w: w.sort_key))
-
-    def __contains__(self, w: WeylElement) -> bool:
-        return w in self.elements
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)
@@ -248,23 +223,21 @@ class PrincipalSeries:
             mats.append(shifted)
         return mats
 
-    def weight_space(self, eigen: Character, dom: LowerSet) -> list[ModuleVector]:
-        """Exact basis of the eigen-character weight space supported in dom:
-        the n_cap = 1 case of `generalized_weight_space`."""
-        return self._kernel_basis(eigen, dom, 1)
+    def weight_space(self, eigen: Character, ball: int) -> list[ModuleVector]:
+        """Exact basis of the eigen-character weight space supported in the
+        Bruhat ball of length <= ball: the n_cap = 1 case of `generalized_weight_space`."""
+        return self._kernel_basis(eigen, ball, 1)
 
-    def generalized_weight_space(self, eigen: Character, dom: LowerSet, n_cap: int) -> list[ModuleVector]:
-        """Common kernel of the n_cap-th powers of the shifted generators,
-        in the basis of the module docstring."""
-        return self._kernel_basis(eigen, dom, n_cap)
+    def generalized_weight_space(self, eigen: Character, ball: int, n_cap: int) -> list[ModuleVector]:
+        """Common kernel of the n_cap-th powers of the shifted generators on the
+        Bruhat ball of length <= ball, in the basis of the module docstring."""
+        return self._kernel_basis(eigen, ball, n_cap)
 
-    def _kernel_basis(self, eigen: Character, dom: LowerSet, n_cap: int) -> list[ModuleVector]:
-        dom_sorted = dom.sorted()
-        if not dom_sorted:
-            return []
-        mats = [mat_pow(m, n_cap) for m in self._shifted_matrices(eigen, dom_sorted)]
-        basis = triangular_kernel(mats, len(dom_sorted))
-        return [ModuleVector(self.tau, dict(zip(dom_sorted, vec))) for vec in basis]
+    def _kernel_basis(self, eigen: Character, ball: int, n_cap: int) -> list[ModuleVector]:
+        dom = self.algebra.group.ball(ball)
+        mats = [mat_pow(m, n_cap) for m in self._shifted_matrices(eigen, dom)]
+        basis = triangular_kernel(mats, len(dom))
+        return [ModuleVector(self.tau, dict(zip(dom, vec))) for vec in basis]
 
     # -- intertwiners ------------------------------------------------------------
     def psi(self, w_r: WeylElement) -> "Intertwiner":

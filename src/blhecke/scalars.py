@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import IncompatibleData
+
 Scalar = Union[int, Fraction, "QuadExt"]
 
 ZERO = Fraction(0)
@@ -59,7 +61,7 @@ class QuadExt:
     def _coerce(self, other):
         if isinstance(other, QuadExt):
             if other.d != self.d:
-                raise ValueError("mixed quadratic extensions: sqrt(%s) vs sqrt(%s)" % (self.d, other.d))
+                raise IncompatibleData("mixed quadratic extensions: sqrt(%s) vs sqrt(%s)" % (self.d, other.d))
             return other
         if isinstance(other, (int, Fraction)):
             return QuadExt(Fraction(other), ZERO, self.d)

@@ -303,6 +303,22 @@ def test_nonsquare_q_beside_gaussian_character(tmp_path, capsys):
     assert main(["analyze-tau", "--config", path]) == 0
 
 
+@pytest.mark.parametrize("command", ["weight-space", "gen-weight-space", "verify-identities"])
+def test_mixed_extensions_named_on_stderr(tmp_path, capsys, command):
+    # sigma = sqrt(2) and tau(alpha^vee) = i meet in one scalar: a library error, exit 2
+    cfg = {
+        "datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+        "parameters": {"sigma": [{"a": "0", "b": "1", "square": "2"}], "sigma_prime": ["2"]},
+        "character": {"values": [{"a": "0", "b": "1"}], "extension": {"square": "-1"}},
+    }
+    path = write_config(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    assert main([command, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: IncompatibleData: mixed quadratic extensions: sqrt(-1) vs sqrt(2)")
+
+
 def test_bad_bound_rejected(tmp_path):
     cfg = dict(A2)
     cfg["bounds"] = {"coroot_height": 0}

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, LowerSet, ParameterSet, PrincipalSeries, RationalElt, standard_system
+from blhecke import Character, ParameterSet, PrincipalSeries, RationalElt, standard_system
 from blhecke import hecke, principal, serial, stabilizer
 from blhecke.cli import lemma37_system
 from blhecke.coxeter import WeylGroup, enumerate_ball
@@ -53,14 +53,13 @@ def test_omega_cache_stays_at_cap_in_a_long_session(alg_affine_a1):
 
 
 def test_series_table_stays_at_cap(alg_a2):
-    dom = LowerSet.closure(enumerate_ball(alg_a2.system, 1))
     series = [PrincipalSeries(alg_a2, Character.make([Fraction(k + 2), Fraction(-1)])) for k in range(SERIES_CAP + 3)]
-    bases = [ser.weight_space(ser.tau, dom) for ser in series]
+    bases = [ser.weight_space(ser.tau, 1) for ser in series]
     table = alg_a2._cache["series"]
     assert len(table) == SERIES_CAP
     assert series[0].tau not in table and series[-1].tau in table
     again = PrincipalSeries(alg_a2, series[0].tau)  # a new series reads the table, not series[0]'s memos
-    assert again.weight_space(again.tau, dom) == bases[0]
+    assert again.weight_space(again.tau, 1) == bases[0]
     assert len(table) == SERIES_CAP
 
 
@@ -155,9 +154,9 @@ def test_column_memo_holds_generator_columns_of_the_ball():
     alg = HeckeAlgebra(system, q4(3))
     tau = Character.trivial(system.rank)
     alg._cache["series"].pop(tau, None)
-    dom = LowerSet.closure(enumerate_ball(system, 6))
     ser = PrincipalSeries(alg, tau)
-    assert ser.weight_space(tau, dom)
+    assert ser.weight_space(tau, 6)
+    dom = frozenset(alg.group.ball(6))
     memo = ser._memos["column"]
     generators = {tuple(sign * int(i == k) for i in range(system.rank)) for k in range(system.rank) for sign in (1, -1)}
     assert all(lam in generators and w in dom for lam, w in memo)
@@ -175,16 +174,16 @@ def test_theta_memo_holds_the_weight_space_domains_only(alg_a2):
     group = alg_a2.group
     assert ser.ord_tau(ser.vector({group.simple(0): Fraction(1)})) == 2
     assert not principal._matrix_cache(ser)
-    dom = LowerSet.closure(enumerate_ball(alg_a2.system, 3))
-    assert ser.weight_space(tau, dom) and ser.generalized_weight_space(tau, dom, 2)
-    for w in dom.sorted():
+    assert ser.weight_space(tau, 3) and ser.generalized_weight_space(tau, 3, 2)
+    dom = group.ball(3)
+    for w in dom:
         try:
             ser.ord_tau(ser.vector({w: Fraction(1)}))
         except NotInGenWeightSpace:
             pass
     rank = alg_a2.system.rank
     units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-    assert set(principal._matrix_cache(ser)) == {(e, dom.sorted()) for e in units}
+    assert set(principal._matrix_cache(ser)) == {(e, dom) for e in units}
 
 
 def test_ball_elements_are_their_groups_interned_objects():

@@ -9,7 +9,6 @@ from conftest import ZETA_ALGEBRAS, shifted_both_signs, unit_exponents
 from blhecke import (
     Character,
     Coroot,
-    LowerSet,
     ModuleVector,
     ParameterSet,
     PrincipalSeries,
@@ -17,7 +16,7 @@ from blhecke import (
     quadext,
     standard_system,
 )
-from blhecke.coxeter import WeylGroup, enumerate_ball
+from blhecke.coxeter import WeylGroup, bruhat_leq, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
     NotInBLH,
@@ -73,26 +72,22 @@ def test_act_requires_polynomial(alg_a1_adjoint):
 def test_weight_space_examples(alg_a1_adjoint, alg_affine_a1):
     tau = Character.make([-1])
     ser = series(alg_a1_adjoint, tau)
-    dom = LowerSet.closure([alg_a1_adjoint.group.simple(0)])
-    basis = ser.weight_space(tau, dom)
+    basis = ser.weight_space(tau, 1)
     assert len(basis) == 2
     # trivial affine character: dimension one at every ball size
     tau0 = Character.trivial(3)
     ser0 = series(alg_affine_a1, tau0)
     for ball in (3, 4):
-        dom = LowerSet.closure(enumerate_ball(alg_affine_a1.system, ball))
-        basis = ser0.weight_space(tau0, dom)
+        basis = ser0.weight_space(tau0, ball)
         assert len(basis) == 1
-    # singleton domain
-    dom = LowerSet.closure([alg_affine_a1.group.identity])
-    assert ser0.weight_space(tau0, dom)[0] == ser0.v()
+    # the ball of length 0: the identity alone
+    assert ser0.weight_space(tau0, 0)[0] == ser0.v()
 
 
 def test_weight_space_contains_v(alg_a2):
     for tau in (Character.trivial(2), Character.make([Fraction(5), Fraction(7)])):
         ser = series(alg_a2, tau)
-        dom = LowerSet.closure(enumerate_ball(alg_a2.system, 3))
-        basis = ser.weight_space(tau, dom)
+        basis = ser.weight_space(tau, 3)
         coords = {w: c for b in basis for w, c in b.coeffs.items()}
         assert any(not b.is_zero for b in basis)
         # v itself must be in the span: the nullspace of weight equations kills it
@@ -100,27 +95,26 @@ def test_weight_space_contains_v(alg_a2):
         assert probe.is_zero
 
 
-def test_lower_set_validation(alg_a2):
+def test_lower_set_validation(alg_a2, trivial2):
+    # a theta-matrix on a domain that is not a lower set leaves it and raises
     g = alg_a2.group
+    ser = series(alg_a2, trivial2)
     with pytest.raises(DomainNotLowerSet):
-        LowerSet.validated([g.simple(0) * g.simple(1)])
-    ok = LowerSet.validated([g.identity, g.simple(0)])
-    assert len(ok) == 2
+        ser._theta_matrix((1, 0), (g.simple(0) * g.simple(1),))
+    assert len(ser._theta_matrix((1, 0), (g.identity, g.simple(0)))) == 2
 
 
 def test_generalized_weight_space(alg_a1_adjoint, alg_affine_a1):
     tau = Character.make([-1])
     ser = series(alg_a1_adjoint, tau)
-    dom = LowerSet.closure([alg_a1_adjoint.group.simple(0)])
-    assert len(ser.generalized_weight_space(tau, dom, 2)) == 2
+    assert len(ser.generalized_weight_space(tau, 1, 2)) == 2
     # trivial tau on affine ball 2: the whole 5-dimensional span
     tau0 = Character.trivial(3)
     ser0 = series(alg_affine_a1, tau0)
-    dom = LowerSet.closure(enumerate_ball(alg_affine_a1.system, 2))
-    assert len(ser0.generalized_weight_space(tau0, dom, 5)) == 5
-    assert len(ser0.generalized_weight_space(tau0, LowerSet.closure([alg_affine_a1.group.identity]), 1)) == 1
+    assert len(ser0.generalized_weight_space(tau0, 2, 5)) == 5
+    assert len(ser0.generalized_weight_space(tau0, 0, 1)) == 1
     # monotone in the nilpotency cap
-    dims = [len(ser0.generalized_weight_space(tau0, dom, n)) for n in (1, 2, 3, 5)]
+    dims = [len(ser0.generalized_weight_space(tau0, 2, n)) for n in (1, 2, 3, 5)]
     assert dims == sorted(dims)
 
 
@@ -253,8 +247,7 @@ def test_weight_space_dimension_matches_r_ball(alg_a1_adjoint, alg_affine_a1):
     ]
     for alg, tau, ball, want in cases:
         ser = series(alg, tau)
-        dom = LowerSet.closure(enumerate_ball(alg.system, ball))
-        assert len(ser.weight_space(tau, dom)) == want
+        assert len(ser.weight_space(tau, ball)) == want
         stab = TauStabilizer(alg, tau)
         assert len(stab.r_tau_ball(ball)) == want
 
@@ -264,8 +257,7 @@ def test_gen_weight_decomposition_instance(alg_a1_adjoint):
     tau = Character.make([-1])
     ser = series(alg_a1_adjoint, tau)
     g = alg_a1_adjoint.group
-    dom = LowerSet.closure(enumerate_ball(alg_a1_adjoint.system, 1))
-    gen = ser.generalized_weight_space(tau, dom, 3)
+    gen = ser.generalized_weight_space(tau, 1, 3)
     stab = ser.stabilizer()
     images = []
     for w_r in stab.r_tau_ball(1):
@@ -275,7 +267,7 @@ def test_gen_weight_decomposition_instance(alg_a1_adjoint):
     # independent spanning check by exact rank
     from blhecke.linalg import rank
 
-    order = sorted(dom.sorted(), key=lambda w: w.sort_key)
+    order = g.ball(1)
     index = {w: i for i, w in enumerate(order)}
     vecs = []
     for img in images:
@@ -288,8 +280,8 @@ def test_gen_weight_decomposition_instance(alg_a1_adjoint):
 
 def test_triangularity_of_lattice_action(alg_a2, trivial2):
     ser = series(alg_a2, trivial2)
-    dom = LowerSet.closure(enumerate_ball(alg_a2.system, 2))
-    for w in dom.sorted():
+    dom = alg_a2.group.ball(2)
+    for w in dom:
         image = ser.act(alg_a2.monomial((1, -1)), ser.vector({w: Fraction(1)}))
         assert all(v in dom for v in image.support())
 
@@ -308,7 +300,7 @@ def test_theta_matrices_upper_triangular(matrix):
     alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(4), system.n))
     tau = Character.make([Fraction(v) for v in (3, -5, 7, -3)[: system.rank]])
     ser = series(alg, tau)
-    dom = LowerSet.closure(enumerate_ball(system, 3)).sorted()
+    dom = alg.group.ball(3)
     for exp in unit_exponents(system.rank):
         m = ser._theta_matrix(exp, dom)
         assert all(m[i][j] == 0 for i in range(len(dom)) for j in range(i)), exp
@@ -324,9 +316,8 @@ def test_weight_space_is_first_generalized(alg_a1_adjoint, alg_affine_a1, alg_a2
     ]
     for alg, tau, ball in cases:
         ser = series(alg, tau)
-        dom = LowerSet.closure(enumerate_ball(alg.system, ball))
         for eigen in (tau, tau.twist(alg.group.simple(0))):
-            assert ser.weight_space(eigen, dom) == ser.generalized_weight_space(eigen, dom, 1)
+            assert ser.weight_space(eigen, ball) == ser.generalized_weight_space(eigen, ball, 1)
 
 
 # six data at sigma = 2 and sigma = sqrt(2), A1 with alpha(Y) = 2Z at unequal
@@ -369,8 +360,7 @@ def _typed(m):
 @pytest.mark.parametrize("name", ENGINE_ALGEBRAS)
 def test_theta_matrices_from_columns_match_act(name):
     alg = ZETA_ALGEBRAS[name]
-    ball = 3 if alg.system.n == 3 else 4
-    dom = LowerSet.closure(enumerate_ball(alg.system, ball)).sorted()
+    dom = alg.group.ball(3 if alg.system.n == 3 else 4)
     for label, tau in _engine_characters(alg.system.rank).items():
         ser = series(alg, tau)
         for exp in unit_exponents(alg.system.rank):
@@ -411,7 +401,7 @@ WALK_CASES = {
 @pytest.mark.parametrize("name", WALK_CASES)
 def test_theta_matrices_match_the_recursion(name):
     alg, ball = WALK_CASES[name]
-    dom = LowerSet.closure(enumerate_ball(alg.system, ball)).sorted()
+    dom = alg.group.ball(ball)
     index = {w: k for k, w in enumerate(dom)}
     rank = alg.system.rank
     for label, tau in {"trivial": Character.trivial(rank), **_engine_characters(rank)}.items():
@@ -445,7 +435,6 @@ def test_act_poly_and_intertwiner_match_act(name):
 
 def test_weight_queries_never_multiply(monkeypatch):
     alg = ZETA_ALGEBRAS["affine A2 q=9"]
-    dom = LowerSet.closure(enumerate_ball(alg.system, 3))
 
     def general_path(*args):
         raise AssertionError("the weight queries took the general path")
@@ -455,8 +444,8 @@ def test_weight_queries_never_multiply(monkeypatch):
     for values in ([3, -5, 7, 11], [1, -5, 7, 3]):
         ser = series(alg, Character.make(values))
         assert not ser._memos["column"]  # a cold engine, not a memo read
-        basis = ser.weight_space(ser.tau, dom)
-        gen = ser.generalized_weight_space(ser.tau, dom, 2)
+        basis = ser.weight_space(ser.tau, 3)
+        gen = ser.generalized_weight_space(ser.tau, 3, 2)
         assert basis and len(gen) >= len(basis)
         assert all(ser.ord_tau(x) == 1 for x in basis)
         assert all(1 <= ser.ord_tau(x) <= 2 for x in gen)
@@ -470,7 +459,9 @@ def _kernel_both_signs(ser, eigen, dom, n_cap):
 def _ord_both_signs(ser, x):
     """ord_tau by iterated spans of the 2*rank shifted generators; the
     failure as its class."""
-    dom = LowerSet.closure(x.support()).sorted()
+    support = x.support()
+    ball = ser.algebra.group.ball(max(w.length for w in support))
+    dom = tuple(u for u in ball if any(bruhat_leq(u, w) for w in support))  # the closure of the support
     mats = shifted_both_signs(ser, ser.tau, dom)
     current = [[x.coeffs.get(w, Fraction(0)) for w in dom]]
     k = 0
@@ -509,24 +500,24 @@ def test_rank_generators_match_both_signs(name):
     alg = RANK_GENERATOR_ALGEBRAS[name]
     rank = alg.system.rank
     rng = random.Random(name)
-    dom = LowerSet.closure(enumerate_ball(alg.system, 3 if rank == 2 else 2))
-    dom_sorted = dom.sorted()
+    ball = 3 if rank == 2 else 2
+    dom = alg.group.ball(ball)
     taus = [Character.trivial(rank), Character.make([-1] * rank)]
     taus += [Character.make([rng.choice(RANK_GENERATOR_VALUES) for _ in range(rank)]) for _ in range(4)]
     nontrivial = ords = 0
     for tau in taus:
         ser = series(alg, tau)
-        for w in dom_sorted[:3]:
+        for w in dom[:3]:
             eigen = tau.twist(w)
-            got = ser.weight_space(eigen, dom)
-            assert _typed_basis(got) == _typed_basis(_kernel_both_signs(ser, eigen, dom_sorted, 1)), (tau, w)
+            got = ser.weight_space(eigen, ball)
+            assert _typed_basis(got) == _typed_basis(_kernel_both_signs(ser, eigen, dom, 1)), (tau, w)
             for n_cap in (2, 3):
-                gen = ser.generalized_weight_space(eigen, dom, n_cap)
-                want = _kernel_both_signs(ser, eigen, dom_sorted, n_cap)
+                gen = ser.generalized_weight_space(eigen, ball, n_cap)
+                want = _kernel_both_signs(ser, eigen, dom, n_cap)
                 assert _typed_basis(gen) == _typed_basis(want), (tau, w, n_cap)
             nontrivial += len(gen) > 1
-        vectors = ser.generalized_weight_space(tau, dom, 3)[:3]
-        vectors += [ser.vector({w: Fraction(1)}) for w in dom_sorted[:4]]
+        vectors = ser.generalized_weight_space(tau, ball, 3)[:3]
+        vectors += [ser.vector({w: Fraction(1)}) for w in dom[:4]]
         vectors += [x + y for i, x in enumerate(vectors) for y in vectors[i + 1:]]
         for x in vectors:
             if not x.is_zero:
@@ -537,7 +528,6 @@ def test_rank_generators_match_both_signs(name):
 
 def test_weight_queries_ask_only_positive_unit_exponents(monkeypatch):
     alg = ZETA_ALGEBRAS["affine A2 q=4"]
-    dom = LowerSet.closure(enumerate_ball(alg.system, 2))
     asked = []
     theta_matrix = PrincipalSeries._theta_matrix
 
@@ -548,7 +538,7 @@ def test_weight_queries_ask_only_positive_unit_exponents(monkeypatch):
     monkeypatch.setattr(PrincipalSeries, "_theta_matrix", recording)
     rank = alg.system.rank
     ser = series(alg, Character.make([1, -1, 4, 3][:rank]))
-    ser.weight_space(ser.tau, dom)
-    ser.generalized_weight_space(ser.tau, dom, 2)
+    ser.weight_space(ser.tau, 2)
+    ser.generalized_weight_space(ser.tau, 2, 2)
     ser.ord_tau(ser.vector({alg.group.simple(0): Fraction(1)}))
     assert set(asked) == {exp for exp in unit_exponents(rank) if sum(exp) == 1}

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from blhecke.errors import IncompatibleData
 from blhecke.scalars import (
     QuadExt,
     abs_gt_one,
@@ -45,7 +46,7 @@ def test_field_axioms_sqrt2():
 def test_mixing_extensions_rejected():
     import pytest
 
-    with pytest.raises(ValueError):
+    with pytest.raises(IncompatibleData):
         quadext(0, 1, 2) + quadext(0, 1, 3)
 
 
