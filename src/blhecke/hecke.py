@@ -26,7 +26,7 @@ from .coxeter import (
 )
 from .errors import IncompatibleData, NotInBLH
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
-from .memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
+from .memo import ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
 from .scalars import ONE, Scalar
 from .scalars import inv as scalar_inv
@@ -49,9 +49,8 @@ class HeckeAlgebra:
     @cached_property
     def _cache(self) -> dict[str, Memo]:
         """The memos of (system, params), shared by equal algebras (see the memo module)."""
-        names = ("q", "f", "fhat", "zeta", "sigma", "walk")
         return _algebra_memos.once((self.system, self.params), lambda: {
-            **{n: Memo() for n in names}, "omega": Memo(ALGEBRA_CAP), "series": Memo(SERIES_CAP)})
+            **{n: Memo() for n in ("q", "f", "fhat", "zeta", "sigma", "omega")}, "series": Memo(SERIES_CAP)})
 
     def character_memos(self, tau) -> dict[str, Memo]:
         """The memos of one character in the `series` table: its stabilizer's
@@ -72,7 +71,12 @@ class HeckeAlgebra:
     def theta(self, x: RationalElt | LaurentPoly) -> "HeckeElt":
         if isinstance(x, LaurentPoly):
             x = RationalElt.from_poly(x)
-        return HeckeElt(self, {self.group.identity: x})
+        return HeckeElt(self, {self.group.identity: self._check_rank(x)})
+
+    def _check_rank(self, x: RationalElt) -> RationalElt:
+        if x.rank != self.system.rank:
+            raise IncompatibleData(f"an element of rank {x.rank} in an algebra of rank {self.system.rank}")
+        return x
 
     def monomial(self, exp, coeff=ONE) -> "HeckeElt":
         return self.theta(RationalElt.monomial(exp, coeff))
@@ -109,29 +113,33 @@ class HeckeAlgebra:
         return self._cache["sigma"].once(c, make)
 
     def omega(self, i: int, theta: RationalElt) -> RationalElt:
-        """Omega_s(theta) = Q_s^T (theta - ^s theta); polynomial on polynomials."""
-        poly = theta.is_polynomial()
+        """Omega_s(theta) = Q_s^T (theta - ^s theta); on a polynomial, the sum of its terms
+        c Z^lam times their walks (`omega_walk`), which depend on n = alpha_s(lam) alone."""
+        poly = self._check_rank(theta).is_polynomial()
         if poly is None:
             return self._omega(i, theta)
-        out = RationalElt.from_scalar(0, self.system.rank)
-        cache = self._cache["omega"]
-        for exp, coeff in poly.terms.items():
-            hit = cache.once((i, exp), lambda: self._omega(i, RationalElt.monomial(exp)))
-            out = out + (hit if coeff == 1 else hit.scale(coeff))  # 0 + hit is hit itself
-        return out
+        out: dict = {}
+        for lam, c in poly.terms.items():
+            step, _, coeffs = self.omega_walk(i, lam)
+            for j, cj in coeffs.items():
+                mu = tuple(x + j * a for x, a in zip(lam, step))
+                out[mu] = out.get(mu, 0) + c * cj
+        return RationalElt.from_poly(LaurentPoly(self.system.rank, out))
 
     def omega_walk(self, i: int, lam: tuple) -> tuple[tuple, int, dict[int, Scalar]]:
-        """(step, |n|, {j: c_j}) with Omega_s(Z^lam) = sum_j c_j Z^(lam + j step), memoized (`principal` docstring)."""
+        """(step, |n|, {j: c_j}) with Omega_s(Z^lam) = sum_j c_j Z^(lam + j step), memoized by (i, n), n = alpha_s(lam):
+        Omega_s(Z^lam) = Z^lam Q_s^T (1 - Z^(|n| step)) (`principal` docstring) is Z^lam times a function of n alone."""
+        n = self.system.root_pairing(i, lam)
+
         def make():
-            n = self.system.root_pairing(i, lam)
             step = tuple(-a if n > 0 else a for a in self.system.simple_coroots[i])
             path = {tuple(x + j * a for x, a in zip(lam, step)): j for j in range(abs(n) + 1)}
-            poly = self.omega(i, RationalElt.monomial(lam)).is_polynomial()
+            poly = self._omega(i, RationalElt.monomial(lam)).is_polynomial()
             if poly is None or not poly.terms.keys() <= path.keys():
                 raise NotInBLH(f"Omega_{i}(Z^{lam}) is not a polynomial on the walk from Z^{lam} to its s_{i}-twist")
             return step, abs(n), {path[mu]: c for mu, c in poly.terms.items()}
 
-        return self._cache["walk"].once((i, lam), make)
+        return self._cache["omega"].once((i, n), make)
 
     def _omega(self, i: int, theta: RationalElt) -> RationalElt:
         return self.q_s(i) * (theta - theta.twist(self.group.simple(i)))

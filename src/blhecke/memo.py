@@ -21,7 +21,8 @@ queries enumerated, not by a constant per memo:
   `ALGEBRA_TABLE_CAP`, and in each the character table `series`,
   `SERIES_CAP` characters.  With no cap: per algebra, `q`, `sigma`, `zeta`,
   `f` and `fhat` by the index, coroot or element the queries enumerated,
-  and `walk`, the walks of `HeckeAlgebra.omega_walk` (2 * rank * n at most);
+  and `omega`, the walks of `HeckeAlgebra.omega_walk`: one per (i, n) met,
+  n = alpha_i(lambda), each with at most |n| + 1 coefficients;
   per character (`HeckeAlgebra.character_memos`), `theta`, the matrices
   Z^(e_j) on the balls the weight-space queries asked, `column`, the
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
@@ -29,9 +30,6 @@ queries enumerated, not by a constant per memo:
   by coroot of the coroot sets asked, the twisted character w . tau and the
   greedy word by element of the balls asked, and Phi_tau and Sigma_tau by
   bound, so `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
-
-One memo keeps a cap: `omega`, Omega_s(Z^lambda) by (i, lambda), `ALGEBRA_CAP`,
-because its keys are monomials, which products reach in numbers no query bounds.
 
 Two tables belong to the process rather than to an object the caller
 passes.  The group registry gives elements their identity: equal elements
@@ -50,7 +48,6 @@ caches in this sense.
 from __future__ import annotations
 
 # largest sizes on the seed-1 benchmark workloads in the comments
-ALGEBRA_CAP = 1024  # omega alone; it fills the cap on hecke-products
 GROUP_CAP = 64  # 5 groups
 SERIES_CAP = 4  # per algebra; module-weights meets one series per config
 ALGEBRA_TABLE_CAP = 16  # 4 algebras (module-weights)

@@ -3,17 +3,21 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import ZETA_ALGEBRAS
+
 from blhecke import (
     Character,
     Coroot,
+    ParameterSet,
     enumerate_coroots,
     evaluate,
     max_supp,
     membership,
 )
 from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots
-from blhecke.errors import IncompatibleData
-from blhecke.identities import random_element
+from blhecke.errors import IncompatibleData, NotInBLH
+from blhecke.hecke import HeckeAlgebra
+from blhecke.identities import check_omega_polynomial, random_element
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from blhecke.scalars import inv as scalar_inv
 
@@ -52,21 +56,46 @@ def test_omega_examples(alg_a1_adjoint, alg_a1_minimal):
     assert got == mono((1,), 3)
 
 
-def test_omega_reads_the_memo(alg_affine_a2):
-    """A one-term polynomial with coefficient 1 gets the memo entry itself; any
-    polynomial gets the sum of the scaled entries, in the same reduced form."""
-    alg = alg_affine_a2
-    memo = alg._cache["omega"]
-    for i in range(3):
-        for exp in ((1, 0, 0, 0), (0, 2, -1, 1), (-1, 1, 0, 3)):
-            assert alg.omega(i, RationalElt.monomial(exp)) is memo[(i, exp)]
-        poly = LaurentPoly(4, {(1, 0, 0, 0): 1, (0, 2, -1, 1): -3, (2, 0, 1, 0): Fraction(5, 2)})
-        want = RationalElt.from_scalar(0, 4)
-        for exp, c in poly.terms.items():
-            want = want + alg._omega(i, RationalElt.monomial(exp)).scale(c)
-        got = alg.omega(i, RationalElt.from_poly(poly))
-        assert got.num.terms == want.num.terms and got.den == want.den
-        assert [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()]
+def test_omega_reads_the_memo():
+    """On a polynomial, omega sums the memoized walks of its monomials: the
+    value is sum c Omega_s(Z^lam) by the definition, polynomial and with no
+    zero coefficient, on every algebra of the zeta tests (unequal A1 too),
+    also where the walks cancel (an s-invariant theta)."""
+    rng = random.Random(5)
+    for name, alg in ZETA_ALGEBRAS.items():
+        rank = alg.system.rank
+        for i in range(alg.system.n):
+            terms = {tuple(rng.randint(-3, 3) for _ in range(rank)): rng.choice([1, -3, Fraction(5, 2)]) for _ in range(5)}
+            theta = RationalElt.from_poly(LaurentPoly(rank, terms))
+            sym = theta + theta.twist(alg.group.simple(i))
+            for x in (theta, sym):
+                want = RationalElt.from_scalar(0, rank)
+                for exp, c in x.num.terms.items():
+                    want = want + alg._omega(i, RationalElt.monomial(exp)).scale(c)
+                got = alg.omega(i, x)
+                assert got == want and got.den == () and all(got.num.terms.values()), (name, i)
+            assert alg.omega(i, sym).is_zero
+
+
+def test_lattice_elements_of_another_rank_are_rejected(alg_affine_a1):
+    """Exponents of rank 2 in the rank-3 algebra of affine A1 raise, naming both
+    ranks, rather than being zipped to the shorter length."""
+    alg = alg_affine_a1
+    with pytest.raises(IncompatibleData, match="rank 2 .* rank 3"):
+        alg.omega(0, mono((3, 0)))
+    with pytest.raises(IncompatibleData, match="rank 2 .* rank 3"):
+        alg.monomial((1, 0)) * alg.monomial((0, 0, 1))
+    with pytest.raises(IncompatibleData, match="rank 4 .* rank 3"):
+        alg.theta(LaurentPoly.one(4))
+
+
+def test_omega_check_fails_off_the_blh(a1_minimal):
+    """alpha(Y) = Z with sigma != sigma' fails `ParameterSet.validate`; there
+    Omega(Z^lambda) is not a polynomial, and the identity check says so."""
+    alg = HeckeAlgebra(a1_minimal, ParameterSet((Fraction(2),), (Fraction(3),)))
+    with pytest.raises(NotInBLH):
+        alg.omega(0, mono((1,)))
+    assert not check_omega_polynomial(alg, 5, 0).passed
 
 
 def test_multiply_examples(alg_a1_adjoint):
@@ -272,8 +301,9 @@ def test_f_word_independence_small(alg_affine_a2):
 def test_equal_elements_hash_equal(alg_affine_a1):
     # theta(1/(1 - Z^e1)) == theta((1 + Z^e1 + Z^2e1)/(1 - Z^3e1)), stored over different factors
     alg = alg_affine_a1
-    a = alg.theta(RationalElt(LaurentPoly.one(2), [BinomialFactor.make(1, (1, 0))]))
-    b = alg.theta(RationalElt(LaurentPoly(2, {(0, 0): 1, (1, 0): 1, (2, 0): 1}), [BinomialFactor.make(1, (3, 0))]))
+    a = alg.theta(RationalElt(LaurentPoly.one(3), [BinomialFactor.make(1, (1, 0, 0))]))
+    b = alg.theta(RationalElt(LaurentPoly(3, {(0, 0, 0): 1, (1, 0, 0): 1, (2, 0, 0): 1}),
+                              [BinomialFactor.make(1, (3, 0, 0))]))
     ts = alg.T(alg.group.simple(0))
     for x, y in ((a, b), (ts * a, ts * b), (a + ts, ts + b)):
         assert not x.is_zero and x == y

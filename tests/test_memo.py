@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.errors import NotInGenWeightSpace
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import run_suite
-from blhecke.memo import ALGEBRA_CAP, ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
+from blhecke.memo import ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 from blhecke.stabilizer import TauStabilizer, analyze, kato_check
 from conftest import q4
 
@@ -40,16 +41,34 @@ def test_memo_keeps_none_values():
     assert calls == ["k"]
 
 
-def test_omega_cache_stays_at_cap_in_a_long_session(alg_affine_a1):
-    alg = alg_affine_a1
-    cache = alg._cache["omega"]
-    first = (ALGEBRA_CAP + 50, 0)
-    expected = alg.omega(0, RationalElt.monomial(first))
-    for k in range(ALGEBRA_CAP + 100):
-        alg.omega(0, RationalElt.monomial((k, 1)))
-    assert len(cache) == ALGEBRA_CAP
-    assert (0, first) not in cache
-    assert alg.omega(0, RationalElt.monomial(first)) == expected
+def test_omega_memo_holds_one_walk_per_pairing(affine_a1, monkeypatch):
+    """Omega_s(Z^lambda) depends on lambda only through Z^lambda and
+    n = alpha_s(lambda): over 1 100 monomials of the rank-3 affine A1 the
+    omega memo holds exactly the keys (i, n) asked, `_omega` runs once per
+    key, and the memo stays bounded by the pairings, not the monomials."""
+    alg = HeckeAlgebra(affine_a1, ParameterSet.equal(Fraction(7), 2))
+    memo = alg._cache["omega"]
+    memo.clear()
+    made = []
+    omega = HeckeAlgebra._omega
+
+    def counted(self, i, theta):
+        (lam,) = theta.num.terms
+        made.append((i, self.system.root_pairing(i, lam)))
+        return omega(self, i, theta)
+
+    monkeypatch.setattr(HeckeAlgebra, "_omega", counted)
+    rng = random.Random(3)
+    monomials = {(rng.randrange(2), tuple(rng.randint(-12, 12) for _ in range(3))) for _ in range(1100)}
+    asked = set()
+    for i, lam in monomials:
+        assert alg.omega(i, RationalElt.monomial(lam)).den == ()
+        asked.add((i, alg.system.root_pairing(i, lam)))
+    assert len(monomials) > 1000
+    assert set(memo) == asked
+    assert sorted(made) == sorted(asked)
+    bound = max(abs(n) for _, n in asked)
+    assert len(memo) <= 2 * (2 * bound + 1) < len(monomials) // 4
 
 
 def test_series_table_stays_at_cap(alg_a2):

@@ -379,7 +379,7 @@ def _column_by_recursion(ser, lam, w, memo):
             alg, i = ser.algebra, w.word[0]
             rest = w.left_simple(i)
             out = _left_T_gen(alg, i, _column_by_recursion(ser, alg.group.simple(i).apply(lam), rest, memo), mul)
-            for mu, c in alg.omega(i, RationalElt.monomial(lam)).is_polynomial().terms.items():
+            for mu, c in alg._omega(i, RationalElt.monomial(lam)).is_polynomial().terms.items():
                 for u, a in _column_by_recursion(ser, mu, rest, memo).items():
                     out[u] = out.get(u, 0) + c * a
             memo[lam, w] = {u: s for u, c in out.items() if not is_zero(s := as_scalar(c))}
