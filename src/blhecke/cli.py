@@ -20,13 +20,13 @@ import yaml
 
 from . import __version__, serial
 from .coxeter import WeylGroup, inversion_coroots
-from .errors import BLHeckeError, ConfigError, KacMoodyViolation, ValidationError
+from .errors import BLHeckeError, ConfigError, IncompatibleData, KacMoodyViolation, ValidationError
 from .hecke import HeckeAlgebra
 from .identities import run_suite
 from .laurent import Character
 from .principal import ModuleVector, PrincipalSeries
 from .rootdata import KacMoodyMatrix, ParameterSet, RootGeneratingSystem, standard_system, validate_system
-from .scalars import Scalar, quadext, rational_sqrt
+from .scalars import QuadExt, Scalar, quadext, rational_sqrt
 from .stabilizer import IRREDUCIBLE, TauStabilizer, analyze, kato_check
 
 ENV_PREFIX = "BLHECKE_"
@@ -216,6 +216,14 @@ def _require_character(cfg: JobConfig) -> Character:
     return cfg.character
 
 
+def _one_field(cfg: JobConfig, *scalars: Scalar) -> None:
+    """Refuse the algebra's constants (made of s s' and s/s') and scalars in two quadratic extensions."""
+    constants = [x for s, sp in zip(cfg.params.sigma, cfg.params.sigma_prime) for x in (s * sp, s / sp)]
+    squares = sorted({x.d for x in (*constants, *scalars) if isinstance(x, QuadExt)})
+    if len(squares) > 1:
+        raise IncompatibleData(f"mixed quadratic extensions: sqrt({squares[0]}) vs sqrt({squares[1]}) in the config")
+
+
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
         print(json.dumps(report, sort_keys=True, indent=2))
@@ -314,20 +322,21 @@ def cmd_kato(cfg: JobConfig, args) -> int:
     return 0
 
 
-def _weight_space_common(cfg: JobConfig, args, generalized: bool) -> int:
+def cmd_weight_space(cfg: JobConfig, args) -> int:
+    """weight-space, and gen-weight-space up to n_cap, on the ball of the config."""
     tau = _require_character(cfg)
+    eigen = cfg.eigen_character or tau
+    _one_field(cfg, *tau.values, *eigen.values)
     alg = HeckeAlgebra(cfg.system, cfg.params)
     series = PrincipalSeries(alg, tau)
-    eigen = cfg.eigen_character or tau
     ball = cfg.bounds["ball"]
     size = len(alg.group.ball(ball))
+    generalized = args.command == "gen-weight-space"
     if generalized:
         basis = series.generalized_weight_space(eigen, ball, cfg.bounds["n_cap"])
-        name = "gen-weight-space"
     else:
         basis = series.weight_space(eigen, ball)
-        name = "weight-space"
-    report = _base_report(name, cfg)
+    report = _base_report(args.command, cfg)
     report["result"] = {
         "domain_ball": ball,
         "domain_size": size,
@@ -343,18 +352,11 @@ def _weight_space_common(cfg: JobConfig, args, generalized: bool) -> int:
     return 0
 
 
-def cmd_weight_space(cfg: JobConfig, args) -> int:
-    return _weight_space_common(cfg, args, generalized=False)
-
-
-def cmd_gen_weight_space(cfg: JobConfig, args) -> int:
-    return _weight_space_common(cfg, args, generalized=True)
-
-
 def cmd_ord(cfg: JobConfig, args) -> int:
     tau = _require_character(cfg)
     if not cfg.vector:
         raise ConfigError("ord needs a vector block in the config")
+    _one_field(cfg, *tau.values, *(c for _, c in cfg.vector))
     alg = HeckeAlgebra(cfg.system, cfg.params)
     series = PrincipalSeries(alg, tau)
     group = alg.group
@@ -372,6 +374,7 @@ def cmd_ord(cfg: JobConfig, args) -> int:
 
 def cmd_verify_identities(cfg: JobConfig, args) -> int:
     tau = cfg.character or Character.trivial(cfg.system.rank)
+    _one_field(cfg, *tau.values)
     alg = HeckeAlgebra(cfg.system, cfg.params)
     results = run_suite(
         alg,
@@ -448,7 +451,7 @@ COMMANDS = {
     "analyze-tau": (cmd_analyze_tau, True),
     "kato": (cmd_kato, True),
     "weight-space": (cmd_weight_space, True),
-    "gen-weight-space": (cmd_gen_weight_space, True),
+    "gen-weight-space": (cmd_weight_space, True),
     "ord": (cmd_ord, True),
     "verify-identities": (cmd_verify_identities, True),
     "example-lemma37": (cmd_example_lemma37, False),

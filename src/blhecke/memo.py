@@ -26,10 +26,10 @@ queries enumerated, not by a constant per memo:
   per character (`HeckeAlgebra.character_memos`), `theta`, the matrices
   Z^(e_j) on the balls the weight-space queries asked, `column`, the
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
-  the one memo of every `TauStabilizer` of (algebra, tau), holding its tests
-  by coroot of the coroot sets asked, the twisted character w . tau and the
-  greedy word by element of the balls asked, and Phi_tau and Sigma_tau by
-  bound, so `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
+  the one memo of every `TauStabilizer` of (algebra, tau), holding t by
+  coroot of the coroot sets asked, the twisted character w . tau and the
+  greedy word (the one descent) by element of the balls asked, and Phi_tau
+  and Sigma_tau by bound, so `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
 
 Two tables belong to the process rather than to an object the caller
 passes.  The group registry gives elements their identity: equal elements

@@ -263,10 +263,7 @@ class PrincipalSeries:
         uc = stab.u_c(coroot_bound)
         if not uc.ok:
             raise NotInUC(f"zeta numerator vanishes at tau (witness {uc.witness})", witness=uc.witness)
-        out = []
-        for w in stab.subgroup_ball(ell_bound, coroot_bound):
-            out.append(self.ev(stab.k_tilde_of(w)))
-        return out
+        return [self.ev(stab.k_tilde_of(w)) for w in stab.subgroup_ball(ell_bound, coroot_bound)]
 
     def _k_coordinates(self, x: ModuleVector, stab: TauStabilizer) -> dict[WeylElement, Scalar]:
         """Coordinates of x in the evaluated modified-intertwiner basis."""

@@ -4,10 +4,13 @@ irreducibility verdict.
 
 Membership tests are exact wherever a finite certificate exists: a
 reflection is a canonical generator iff its (finite) inversion set meets the
-fixed subsystem only in its own coroot, and membership in the reflection
-subgroup is decided by greedy descent along canonical generators harvested
-from the inversion set.  Only the *enumerations* (which coroots, which group
-elements get listed) are truncated by the bounds recorded in every verdict.
+fixed subsystem only in its own coroot, and w is in W_(tau) iff its descent
+along least fixed inversions ends at e.  The least beta (by `sort_key`) of
+F = N(w^-1) meet Phi_tau^+ is canonical: else some canonical alpha gives
+r_alpha(beta^vee) = beta^vee - c alpha^vee in Phi_tau^+ with c > 0 (Dyer, by
+depth), and w^-1 sends it or alpha^vee negative, an element of F below beta.
+Only the *enumerations* (which coroots, which group elements get listed) are
+truncated by the bounds recorded in every verdict.
 
 Phi_tau and U_C read t = tau(alpha^vee) and the parameters (s, s') of the
 coroot's orbit.  The numerator binomials of zeta_alpha (`HeckeAlgebra.zeta`)
@@ -36,15 +39,14 @@ what depends on the datum alone, and the stabilizer reads it there: the
 orbit index, root and reflection of each coroot (`reflection`,
 `reflection_root`), and the coroot and Bruhat-ball enumerations by bound
 (`coroots`, `ball`), which the CLI and the identity checks read too.  The
-`HeckeAlgebra` holds
-(s, s', s s', -s/s') by coroot, and, in the entry of each character, one
-stabilizer memo per (algebra, tau) with what depends on tau: t and the
-generator test by coroot, and by element w = r_i w' the character w . tau,
-one reflection away from w' . tau, and the greedy word, one reflection
-longer than the word of r_1 w.  `kato_check`, `analyze` and a
-`PrincipalSeries` read the same tests (U_C, W_tau, membership in W_(tau))
-from that memo, within a call and across calls, so the verdict and the
-analysis cannot disagree and neither recomputes what the other made.
+`HeckeAlgebra` holds (s, s', s s', -s/s') by coroot, and, in the entry of
+each character, one stabilizer memo per (algebra, tau) with what depends on
+tau: t by coroot, and by element w = r_i w' the character w . tau, one
+reflection away from w' . tau, and the greedy word, one reflection longer
+than the word of r_1 w.  `kato_check`, `analyze` and a `PrincipalSeries`
+read the same tests (U_C, W_tau, membership in W_(tau)) from that memo,
+within a call and across calls, so the verdict and the analysis cannot
+disagree and neither recomputes what the other made.
 """
 
 from __future__ import annotations
@@ -104,11 +106,10 @@ class TauStabilizer:
 
     def is_canonical_generator(self, coroot: Coroot) -> bool:
         """Canonical-generator criterion: the inversion set of r_{alpha} meets
-        the fixed subsystem exactly in {alpha}."""
+        the fixed subsystem exactly in {alpha}; `sigma_tau` holds it by bound."""
         c = coroot.abs()
-        return self._memo.once(("gen", c), lambda: self.phi_contains(c) and all(
-            beta == c or not self.phi_contains(beta)
-            for beta in inversion_coroots(self.algebra.group.reflection(c))))
+        return self.phi_contains(c) and all(
+            beta == c or not self.phi_contains(beta) for beta in inversion_coroots(self.algebra.group.reflection(c)))
 
     def ell_tau(self, w: WeylElement) -> int:
         """Length in the reflection-subgroup Coxeter system: the number of
@@ -122,14 +123,15 @@ class TauStabilizer:
         return None if word is None else list(word)
 
     def _greedy_word(self, w: WeylElement) -> tuple[WeylElement, ...] | None:
-        """The greedy word, once per element: r_1 is the reflection at the
-        least canonical generator that w^{-1} inverts, followed by the word of
-        r_1 w (None when no generator is left)."""
+        """The one descent, once per element, read by membership, K~_w and the
+        Bruhat order: r_1 is the reflection at the least fixed coroot that
+        w^{-1} inverts, a canonical generator (module docstring), followed by
+        the word of r_1 w (None when w^{-1} inverts no fixed coroot)."""
         if w.is_identity:
             return ()
 
         def make():
-            cands = [beta for beta in inversion_coroots(w.inverse()) if self.is_canonical_generator(beta)]
+            cands = [beta for beta in inversion_coroots(w.inverse()) if self.phi_contains(beta)]
             if not cands:
                 return None
             r = self.algebra.group.reflection(min(cands, key=lambda c: c.sort_key))
@@ -238,17 +240,14 @@ class TauStabilizer:
         normalizers of the factors, suitably twisted); tracking the factored
         form keeps it invertible without polynomial factorization.
         """
-        word = self.tau_reduced_word(w)
-        if word is None:
-            raise WordNotReduced(f"{w!r} is not in the reflection subgroup of tau")
+        actual = self.k_tilde_of(w).coeffs[w]  # WordNotReduced outside W_(tau)
         inv = RationalElt.from_scalar(1, self.system.rank)
-        for r in word:
+        for r in self.tau_reduced_word(w):
             inv = inv.twist(r)
             alpha = coroot_of_reflection(r)
             for beta in inversion_coroots(r):
                 if beta != alpha:
                     inv = inv * self.algebra.zeta(beta)
-        actual = self.k_tilde_of(w).coeffs[w]
         if actual * inv != RationalElt.from_scalar(1, self.system.rank):
             raise WordNotReduced(f"leading coefficient of K~[{w!r}] is not the tracked normalizer")
         return inv
@@ -375,10 +374,10 @@ def kato_check(algebra: HeckeAlgebra, tau: Character, coroot_bound: int, length_
     """Irreducibility verdict: reducible on a regularity failure or on a
     stabilizer element outside the reflection subgroup, proven by that
     witness whatever the bounds (a real coroot whose zeta numerator
-    vanishes, or an element of W_tau that the exact greedy descent puts
-    outside W_(tau)); otherwise irreducible, certified up to the bounds
-    (absolutely, in finite type).  It reads the same stabilizer tests as
-    `analyze`."""
+    vanishes, or an element of W_tau whose descent along its least fixed
+    inversions stops short of e, so it lies outside W_(tau)); otherwise
+    irreducible, certified up to the bounds (absolutely, in finite type).
+    It reads the same stabilizer tests as `analyze`."""
     stab = TauStabilizer(algebra, tau)
     uc = stab.u_c(coroot_bound)
     if not uc.ok:

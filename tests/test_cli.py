@@ -294,29 +294,48 @@ def test_nonsquare_q_uses_extension(tmp_path, capsys):
 
 
 def test_nonsquare_q_beside_gaussian_character(tmp_path, capsys):
-    # sigma = sqrt(2) and tau(alpha_1^vee) = i lie in different quadratic extensions
+    # sigma = sqrt(2) and tau(alpha_1^vee) = i lie in different quadratic extensions,
+    # but with sigma' = sigma the algebra's constants s s' = 2 and s/s' = 1 are rational
     cfg = dict(A2, parameters={"q": "2"},
                character={"values": [{"a": "0", "b": "1"}, "1"], "extension": {"square": "-1"}})
     path = write_config(tmp_path, cfg)
     assert main(["kato", "--config", path]) == 0
     assert "Irreducible" in capsys.readouterr().out
     assert main(["analyze-tau", "--config", path]) == 0
+    for command in ("weight-space", "gen-weight-space", "verify-identities"):
+        assert main([command, "--config", path]) == 0, command
 
 
-@pytest.mark.parametrize("command", ["weight-space", "gen-weight-space", "verify-identities"])
-def test_mixed_extensions_named_on_stderr(tmp_path, capsys, command):
-    # sigma = sqrt(2) and tau(alpha^vee) = i meet in one scalar: a library error, exit 2
-    cfg = {
+@pytest.mark.parametrize("command", ["weight-space", "gen-weight-space", "ord", "verify-identities"])
+def test_mixed_extensions_named_on_stderr(tmp_path, capsys, monkeypatch, command):
+    """The subcommands that multiply parameters, character and vector exit 2
+    on two quadratic extensions before they build an algebra: sigma = sqrt(2)
+    beside tau(alpha^vee) = i, and (for ord) q = 4 and tau = i beside a
+    coefficient sqrt(2).  The stabilizer only compares t with the parameter
+    roots, so validate, roots, kato and analyze-tau still run."""
+    mixed = {
         "datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
         "parameters": {"sigma": [{"a": "0", "b": "1", "square": "2"}], "sigma_prime": ["2"]},
         "character": {"values": [{"a": "0", "b": "1"}], "extension": {"square": "-1"}},
+        "vector": [{"word": [1]}],
     }
-    path = write_config(tmp_path, cfg)
-    assert main(["validate", "--config", path]) == 0
+    vector = dict(mixed, parameters={"q": "4"}, vector=[{"word": [1], "coeff": {"a": "0", "b": "1", "square": "2"}}])
+    configs = [write_config(tmp_path, mixed, "mixed.yaml")]
+    if command == "ord":
+        configs.append(write_config(tmp_path, vector, "vector.yaml"))
+    for path in configs:
+        for runs in ("validate", "roots", "kato", "analyze-tau"):
+            assert main([runs, "--config", path]) == 0, (path, runs)
     capsys.readouterr()
-    assert main([command, "--config", path]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: IncompatibleData: mixed quadratic extensions: sqrt(-1) vs sqrt(2)")
+
+    def computes(*args):
+        raise AssertionError("an algebra was built before the extensions were checked")
+
+    monkeypatch.setattr("blhecke.cli.HeckeAlgebra", computes)
+    for path in configs:
+        assert main([command, "--config", path]) == 2, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: IncompatibleData: mixed quadratic extensions: sqrt(-1) vs sqrt(2)"), err
 
 
 def test_bad_bound_rejected(tmp_path):

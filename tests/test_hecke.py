@@ -17,7 +17,7 @@ from blhecke import (
 from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots
 from blhecke.errors import IncompatibleData, NotInBLH
 from blhecke.hecke import HeckeAlgebra
-from blhecke.identities import check_omega_polynomial, random_element
+from blhecke.identities import check_omega_polynomial, random_element, run_suite
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from blhecke.scalars import inv as scalar_inv
 
@@ -96,6 +96,19 @@ def test_omega_check_fails_off_the_blh(a1_minimal):
     with pytest.raises(NotInBLH):
         alg.omega(0, mono((1,)))
     assert not check_omega_polynomial(alg, 5, 0).passed
+
+
+def test_identity_suite_fails_off_the_blh(a1_minimal):
+    """On the same parameters the whole suite reports: the checks that meet a
+    non-polynomial Omega fail, naming NotInBLH, and the others still run."""
+    alg = HeckeAlgebra(a1_minimal, ParameterSet((Fraction(2),), (Fraction(3),)))
+    for tau in (Character.trivial(1), Character.make([-1])):
+        results = {r.name: r for r in run_suite(alg, tau, seed=0, coroot_bound=6, ell_bound=3, samples=5)}
+        assert len(results) == 24
+        assert not results["omega-polynomial"].passed
+        for name in ("commutation", "associativity", "action-axiom"):
+            assert not results[name].passed and results[name].detail.startswith("NotInBLH: "), (tau, name)
+        assert results["quadratic"].passed and results["braid"].passed
 
 
 def test_multiply_examples(alg_a1_adjoint):

@@ -138,8 +138,9 @@ def test_element_identity_survives_evictions(affine_a2, monkeypatch):
 def test_stabilizer_makes_each_key_once_at_scale(monkeypatch):
     """The stabilizer memo lives as long as its character entry: on the
     hyperbolic datum at tau = -1, `kato_check` then `analyze` at bounds
-    (64, 12) fill thousands of entries (W_tau has 655 elements of length <= 12),
-    and none is made twice, as a capped recursive memo would."""
+    (64, 13) fill more entries than the 4 096 of the old cap (W_tau has 1 063
+    elements of length <= 13), and none is made twice, as a capped recursive
+    memo would."""
     alg = HeckeAlgebra(standard_system([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]), q4(3))
     tau = Character.make([-1, -1, -1])
     alg._cache["series"].pop(tau, None)
@@ -158,8 +159,8 @@ def test_stabilizer_makes_each_key_once_at_scale(monkeypatch):
         return once(self, key, logged)
 
     monkeypatch.setattr(Memo, "once", counted)
-    kato_check(alg, tau, 64, 12)
-    analyze(alg, tau, 64, 12)
+    kato_check(alg, tau, 64, 13)
+    analyze(alg, tau, 64, 13)
     assert len(made) > 4096
     assert len(made) == len(set(made))
 
@@ -236,8 +237,8 @@ def test_run_suite_builds_one_stabilizer(alg_a2, trivial2, monkeypatch):
 
 def test_kato_then_analyze_read_one_memo(alg_a2, alg_affine_a2):
     """One stabilizer memo per (algebra, tau): on A2 at the trivial character
-    `kato_check` tests the whole group, so `analyze` makes no new twist, word
-    or generator entry; anywhere, a repeated pair makes no new entry at all."""
+    `kato_check` tests the whole group, so `analyze` makes no new twist or
+    word entry; anywhere, a repeated pair makes no new entry at all."""
     cases = [(alg_a2, Character.make([1, 1]))] + [
         (alg_affine_a2, Character.make(v)) for v in ([1, 1, 1, 1], [-1, 1, 1, 1], [4, 1, 1, 1], [3, 5, 5, 5])]
     for alg, tau in cases:
@@ -248,7 +249,7 @@ def test_kato_then_analyze_read_one_memo(alg_a2, alg_affine_a2):
         assert after_kato, tau  # kato_check filled the memo of the character entry
         analyze(alg, tau, 8, 3)
         if alg is alg_a2:
-            assert not {key for key in set(memo) - after_kato if key[0] in ("twist", "word", "gen")}
+            assert not {key for key in set(memo) - after_kato if key[0] in ("twist", "word")}
         after_pair = set(memo)
         kato_check(alg, tau, 8, 3)
         analyze(alg, tau, 8, 3)

@@ -524,3 +524,41 @@ def test_stabilizer_data_match_fresh_constructions(name):
             assert stab._twisted(w) == tau.twist(w), (tau, w)
             assert stab.fixes_tau(w) == (tau.twist(w) == tau), (tau, w)
             assert stab.tau_reduced_word(w) == _greedy_word_loop(stab, w), (tau, w)
+
+
+DESCENT_DATA = dict(KATO_SWEEP_DATA, **{"non-symmetrizable": standard_system([[2, -1, -1], [-2, 2, -1], [-1, -2, 2]])})
+
+
+@pytest.mark.parametrize("name", sorted(DESCENT_DATA))
+def test_least_fixed_inversion_is_canonical(name):
+    """The descent needs no generator test: for every w of the ball of length 5
+    and every rule character, the least element (by `sort_key`) of
+    F = N(w^-1) meet Phi_tau^+ is a canonical generator, non-simple ones too."""
+    system = DESCENT_DATA[name]
+    sigma = tuple(Fraction(s) for s in _ORBIT_SIGMAS.get(name, (2,) * system.n))
+    alg = HeckeAlgebra(system, ParameterSet(sigma, sigma))
+    validate_system(system, alg.params)
+    heights = set()
+    for tau in _rule_characters(alg):
+        stab = TauStabilizer(alg, tau)
+        for w in alg.group.ball(5):
+            fixed = [beta for beta in inversion_coroots(w.inverse()) if stab.phi_contains(beta)]
+            if fixed:
+                least = min(fixed, key=lambda c: c.sort_key)
+                assert stab.is_canonical_generator(least), (tau, w, least)
+                heights.add(least.height)
+    assert 1 in heights and max(heights) > 1
+
+
+@pytest.mark.parametrize("name, length", [("hyperbolic", 11), ("Lemma 3.7", 6)])
+def test_descent_matches_the_generator_loop_at_scale(name, length):
+    """At tau = -1 the memoized descent gives the loop's word over canonical
+    generators, letter for letter, on W_tau in the hyperbolic ball of length 11
+    and on the whole Lemma 3.7 ball of length 6; both meet elements outside W_(tau)."""
+    system = KATO_SWEEP_DATA[name]
+    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(2), system.n))
+    stab = TauStabilizer(alg, Character.make([-1] * system.rank))
+    elements = stab.w_tau_ball(length) if name == "hyperbolic" else alg.group.ball(length)
+    words = [stab.tau_reduced_word(w) for w in elements]
+    assert words == [_greedy_word_loop(stab, w) for w in elements]
+    assert None in words and sum(word is not None for word in words) > 20
