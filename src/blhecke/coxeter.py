@@ -20,20 +20,22 @@ on a memo miss.
 
 The three walks of a Coxeter system, the ball by levels (`coxeter_ball`),
 the Bruhat order by lifting (`lifts_below`) and reduced words by descent
-(`reduced_words`), take a generator list and a length function.  W calls
-them with (simple reflections, length).  The reflection subgroup W_(tau)
-generated by the reflections of Phi_tau is a Coxeter system in its own
-right, with the canonical generators S_tau and the length ell_tau (Dyer,
-"Reflection subgroups of Coxeter systems", J. Algebra 135, 1990; Deodhar,
-Arch. Math. 53, 1989), so the stabilizer calls the same walks with
-(S_tau, ell_tau).
+(`reduced_words`), take their generators as positive coroots and multiply
+only along the steps they keep, by one descent rule: r_beta descends w,
+l(r_beta w) < l(w), iff w^{-1}(beta^vee) < 0 (`descends`; Humphreys,
+Reflection Groups and Coxeter Groups, 5.4).  W calls them with its simple
+coroots.  The reflection subgroup W_(tau) generated by the reflections of
+Phi_tau is a Coxeter system with canonical generators S_tau, length ell_tau
+and the same rule (Dyer, "Reflection subgroups of Coxeter systems",
+J. Algebra 135, 1990; Deodhar, Arch. Math. 53, 1989), so the stabilizer
+calls the walks with their coroots Sigma_tau.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter, mul
+from operator import mul
 
 from .errors import IncompatibleData, NotARealCoroot
 from .memo import GROUP_CAP, Memo
@@ -128,7 +130,8 @@ class WeylElement:
 
     @cached_property
     def inversions(self) -> tuple[Coroot, ...]:
-        """N(w), sorted: built along the word by N(u r_i) = r_i N(u) + {alpha_i^vee}."""
+        """N(w) by N(u r_i) = r_i N(u) + {alpha_i^vee} along the word, sorted
+        by `sort_key`: the stabilizer's least fixed inversion reads the order."""
         sys = self.system
         out: list[Coroot] = []
         for i in self.word:
@@ -313,7 +316,7 @@ def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:
         raise IncompatibleData("elements of different Weyl groups")
     if v.length > w.length:
         return False
-    return lifts_below(v, [w.group.simple(i) for i in w.word], _length)
+    return lifts_below(v, [w.system.simple_coroot(i) for i in w.word])
 
 
 def inversion_coroots(w: WeylElement) -> tuple[Coroot, ...]:
@@ -331,49 +334,50 @@ def coroot_of_reflection(r: WeylElement) -> Coroot:
 
 def enumerate_ball(sys: RootGeneratingSystem, max_length: int) -> tuple[WeylElement, ...]:
     """All elements of length <= max_length, in (length, ShortLex word) order."""
-    group = WeylGroup(sys)
-    return coxeter_ball(group.identity, group._simples, _length, max_length)
+    gens = [sys.simple_coroot(i) for i in range(sys.n)]
+    return coxeter_ball(WeylGroup(sys).identity, gens, max_length)
 
 
 def all_reduced_words(w: WeylElement) -> list[tuple[int, ...]]:
     """Every reduced word of w, as tuples of generator indices."""
-    simples = w.group._simples
-    return [tuple(map(simples.index, word)) for word in reduced_words(w, simples, _length)]
+    gens = [w.system.simple_coroot(i) for i in range(w.system.n)]
+    return [tuple(map(gens.index, word)) for word in reduced_words(w, gens)]
 
 
-# -- walks of a Coxeter system (gens, length) ---------------------------------------
+# -- walks of a Coxeter system, generators given by their positive coroots ----------
 
-_length = attrgetter("length")
+def descends(w: WeylElement, coroot: Coroot) -> bool:
+    """Does r_beta descend w at the positive coroot beta^vee: w^{-1}(beta^vee) < 0?"""
+    return min(_mat_vec(w.inv, coroot.coords)) < 0
 
 
-def coxeter_ball(identity: WeylElement, gens, length, max_length: int) -> tuple[WeylElement, ...]:
+def coxeter_ball(identity: WeylElement, gens, max_length: int) -> tuple[WeylElement, ...]:
     """The elements of length <= max_length, level by level: level k holds
-    the products r * w (r in gens, w in level k - 1) of length k, in
-    `sort_key` order."""
+    the products r * w (w in level k - 1, r a generator that does not
+    descend w), in `sort_key` order."""
     levels = [(identity,)]
-    for k in range(1, max_length + 1):
-        level = {u for w in levels[-1] for u in (r * w for r in gens) if length(u) == k}
+    for _ in range(max_length):
+        level = {identity.group.reflection(c) * w for w in levels[-1] for c in gens if not descends(w, c)}
         if not level:
             break
         levels.append(tuple(sorted(level, key=lambda u: u.sort_key)))
     return tuple(w for level in levels for w in level)
 
 
-def lifts_below(v: WeylElement, word, length) -> bool:
-    """Is v below r_1 ... r_k (a reduced word) in the Bruhat order?  By the
-    lifting property: strip r from v when length(r v) < length(v)."""
+def lifts_below(v: WeylElement, word) -> bool:
+    """Is v below r_1 ... r_k (a reduced word of generator coroots) in the
+    Bruhat order?  By the lifting property: strip r from v when r descends v."""
     cur = v
-    for r in word:
+    for c in word:
         if cur.is_identity:
             return True
-        lower = r * cur
-        if length(lower) < length(cur):
-            cur = lower
+        if descends(cur, c):
+            cur = cur.group.reflection(c) * cur
     return cur.is_identity
 
 
-def reduced_words(w: WeylElement, gens, length) -> list[tuple[WeylElement, ...]]:
-    """Every reduced word of w over gens, by descent: r starts one iff length(r w) < length(w)."""
+def reduced_words(w: WeylElement, gens) -> list[tuple[Coroot, ...]]:
+    """Every reduced word of w over the generator coroots, by descent."""
     if w.is_identity:
         return [()]
-    return [(r,) + rest for r in gens if length(rw := r * w) < length(w) for rest in reduced_words(rw, gens, length)]
+    return [(c,) + rest for c in gens if descends(w, c) for rest in reduced_words(w.group.reflection(c) * w, gens)]

@@ -21,7 +21,6 @@ from .coxeter import (
     WeylElement,
     WeylGroup,
     bruhat_leq,
-    coroot_of_reflection,
     inversion_coroots,
 )
 from .errors import IncompatibleData, NotInBLH
@@ -205,33 +204,26 @@ class HeckeAlgebra:
 
         return self._cache["fhat"].once(c, make)
 
-    def k_tilde(self, reflection_or_coroot) -> "HeckeElt":
-        """Modified intertwiner of a reflection: normalized F plus Q^T."""
-        if isinstance(reflection_or_coroot, Coroot):
-            c = reflection_or_coroot.abs()
-        else:
-            c = coroot_of_reflection(reflection_or_coroot)
+    def k_tilde(self, coroot: Coroot) -> "HeckeElt":
+        """Modified intertwiner of the reflection at +-coroot: normalized F plus Q^T."""
+        c = coroot.abs()
         return self.f_reflection(c) + self.theta(self.q_r(c))
 
-    def k_plain(self, reflection_or_coroot) -> "HeckeElt":
+    def k_plain(self, coroot: Coroot) -> "HeckeElt":
         """The un-shifted modified intertwiner: k_tilde minus sigma_r^2."""
-        if isinstance(reflection_or_coroot, Coroot):
-            c = reflection_or_coroot.abs()
-        else:
-            c = coroot_of_reflection(reflection_or_coroot)
-        s, _ = self.sigma_r(c)
-        return self.k_tilde(c) - self.theta(RationalElt.from_scalar(s * s, self.system.rank))
+        s, _ = self.sigma_r(coroot)
+        return self.k_tilde(coroot) - self.theta(RationalElt.from_scalar(s * s, self.system.rank))
 
-    def k_tilde_word(self, reflections) -> "HeckeElt":
-        """Product of modified intertwiners along a word of reflections.
+    def k_tilde_word(self, coroots) -> "HeckeElt":
+        """Product of modified intertwiners along a word of reflection coroots.
 
         Reducedness is a property of the ambient character's reflection
         subgroup; callers that know the character validate it (see the
         stabilizer module) before multiplying.
         """
         out = self.one()
-        for r in reflections:
-            out = out * self.k_tilde(r)
+        for c in coroots:
+            out = out * self.k_tilde(c)
         return out
 
 

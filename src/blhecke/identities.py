@@ -14,7 +14,7 @@ from functools import reduce
 from itertools import accumulate
 from operator import mul
 
-from .coxeter import all_reduced_words, bruhat_leq, coroot_of_reflection
+from .coxeter import all_reduced_words, bruhat_leq, coroot_of_reflection, reduced_words
 from .errors import KacMoodyViolation, NotInBLH
 from .hecke import HeckeAlgebra, HeckeElt, max_supp
 from .laurent import Character, LaurentPoly, RationalElt
@@ -186,6 +186,7 @@ def check_k_quadratic(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int)
 
 def check_k_braid(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int) -> CheckResult:
     refs = stab.s_tau(coroot_bound)
+    sigma = stab.sigma_tau(coroot_bound)
     checked = 0
     for a in range(len(refs)):
         for b in range(a + 1, len(refs)):
@@ -193,7 +194,7 @@ def check_k_braid(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int) -> 
             m = next((k for k, power in enumerate(powers, 1) if power.is_identity), None)
             if m is None:
                 continue
-            if not _braid_holds(alg.one(), alg.k_tilde(refs[a]), alg.k_tilde(refs[b]), m):
+            if not _braid_holds(alg.one(), alg.k_tilde(sigma[a]), alg.k_tilde(sigma[b]), m):
                 return CheckResult("k-braid", False, f"pair ({a}, {b})")
             checked += 1
     return CheckResult("k-braid", True, f"{checked} finite-order pairs")
@@ -202,7 +203,7 @@ def check_k_braid(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int) -> 
 def check_k_word_independence(alg: HeckeAlgebra, stab: TauStabilizer, ell_bound: int, coroot_bound: int) -> CheckResult:
     count = 0
     for w in stab.subgroup_ball(ell_bound, coroot_bound):
-        words = stab.tau_reduced_words(w, coroot_bound)
+        words = reduced_words(w, stab.sigma_tau(coroot_bound))
         prods = [alg.k_tilde_word(word) for word in words]
         if any(p != prods[0] for p in prods[1:]):
             return CheckResult("k-word-independence", False, f"at {w!r}")
@@ -218,10 +219,10 @@ def check_k_hecke_rule(alg: HeckeAlgebra, stab: TauStabilizer, ell_bound: int, c
         if stab.ell_tau(w) >= ell_bound:
             continue
         ktw = stab.k_tilde_of(w)
-        for r in stab.s_tau(coroot_bound):
-            s, _ = alg.sigma_r(coroot_of_reflection(r))
+        for c, r in zip(stab.sigma_tau(coroot_bound), stab.s_tau(coroot_bound)):
+            s, _ = alg.sigma_r(c)
             s2 = s * s
-            lhs = alg.k_tilde(r) * ktw
+            lhs = alg.k_tilde(c) * ktw
             if stab.ell_tau(r * w) == stab.ell_tau(w) + 1:
                 rhs = stab.k_tilde_of(r * w)
             else:
@@ -233,14 +234,14 @@ def check_k_hecke_rule(alg: HeckeAlgebra, stab: TauStabilizer, ell_bound: int, c
 
 def check_k_commutation(alg: HeckeAlgebra, stab: TauStabilizer, coroot_bound: int, samples: int, seed: int) -> CheckResult:
     rng = random.Random(seed)
-    refs = stab.s_tau(coroot_bound)
-    if not refs:
+    sigma = stab.sigma_tau(coroot_bound)
+    if not sigma:
         return CheckResult("k-commutation", True, "empty generator set")
     for k in range(samples):
-        r = rng.choice(refs)
-        c = coroot_of_reflection(r)
+        c = rng.choice(sigma)
+        r = alg.group.reflection(c)
         theta = _random_monomial(rng, alg.system.rank, 2)
-        kt = alg.k_tilde(r)
+        kt = alg.k_tilde(c)
         omega = alg.q_r(c) * (theta - theta.twist(r))
         if alg.theta(theta) * kt != kt * alg.theta(theta.twist(r)) + alg.theta(omega):
             return CheckResult("k-commutation", False, f"sample {k}")

@@ -28,7 +28,7 @@ queries enumerated, not by a constant per memo:
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
   the one memo of every `TauStabilizer` of (algebra, tau), holding t by
   coroot of the coroot sets asked, the twisted character w . tau and the
-  greedy word (the one descent) by element of the balls asked, and Phi_tau
+  greedy coroot word (the one descent) by element of the balls asked, and Phi_tau
   and Sigma_tau by bound, so `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
 
 Two tables belong to the process rather than to an object the caller

@@ -40,14 +40,30 @@ def rational_sqrt(x: Fraction) -> Fraction | None:
 
 
 def quadext(a, b, d) -> Scalar:
-    """Build a + b*sqrt(d), collapsing to a Fraction when possible."""
+    """Build a + b*sqrt(d), collapsing to a Fraction when possible.  With
+    d = p/q = f^2 d0 / q^2 for a square-free integer d0, this is
+    a + (b f / q) sqrt(d0), so Q(sqrt(8)) and Q(sqrt(2)) are one field."""
     a, b, d = Fraction(a), Fraction(b), Fraction(d)
-    if b == 0:
+    if b == 0 or d == 0:
         return a
-    r = rational_sqrt(d)
-    if r is not None:
-        return a + b * r
-    return QuadExt(a, b, d)
+    f, d0 = _square_part(d.numerator * d.denominator)
+    b = b * f / d.denominator
+    return a + b if d0 == 1 else QuadExt(a, b, Fraction(d0))
+
+
+def _square_part(n: int) -> tuple[int, int]:
+    """(f, d0) with n = f^2 d0 and d0 square-free, for n != 0.  Trial division
+    stops once k^3 exceeds the cofactor, whose prime factors are then at
+    least k and at most two, so it is square-free unless it is a square."""
+    f, d0, rest, k = 1, -1 if n < 0 else 1, abs(n), 2
+    while k * k * k <= rest:
+        e = 0
+        while rest % k == 0:
+            rest //= k
+            e += 1
+        f, d0, k = f * k ** (e // 2), d0 * k ** (e % 2), k + 1
+    r = math.isqrt(rest)
+    return (f * r, d0) if r * r == rest else (f, d0 * rest)
 
 
 @dataclass(frozen=True)

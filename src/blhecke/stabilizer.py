@@ -2,13 +2,13 @@
 reflection subgroup, its canonical generators, the R-group, and the
 irreducibility verdict.
 
-Membership tests are exact wherever a finite certificate exists: a
-reflection is a canonical generator iff its (finite) inversion set meets the
-fixed subsystem only in its own coroot, and w is in W_(tau) iff its descent
-along least fixed inversions ends at e.  The least beta (by `sort_key`) of
-F = N(w^-1) meet Phi_tau^+ is canonical: else some canonical alpha gives
+Membership tests are exact wherever a finite certificate exists, and both
+read the least fixed inversion of w: the least beta (by `sort_key`) of
+F = N(w^-1) meet Phi_tau^+.  It is canonical: else some canonical alpha gives
 r_alpha(beta^vee) = beta^vee - c alpha^vee in Phi_tau^+ with c > 0 (Dyer, by
 depth), and w^-1 sends it or alpha^vee negative, an element of F below beta.
+So w is in W_(tau) iff its descent along least fixed inversions ends at e,
+and beta is canonical iff it is the least fixed inversion of r_beta.
 Only the *enumerations* (which coroots, which group elements get listed) are
 truncated by the bounds recorded in every verdict.
 
@@ -29,9 +29,9 @@ have the same composition factors (Kato, Invent. Math. 66, 1982), the
 criterion is W-invariant, and W sends some positive coroots to negative ones.
 
 The reflection subgroup W_(tau) is a Coxeter system with generators S_tau
-and length ell_tau (Dyer, J. Algebra 135, 1990), so its ball, reduced words
-and Bruhat order are the Coxeter walks of the `coxeter` module called with
-(S_tau, ell_tau); this module holds no walk of its own.
+and length ell_tau, in which r_beta descends w iff w^-1(beta^vee) < 0 (Dyer,
+J. Algebra 135, 1990): its ball, reduced words and Bruhat order are the
+`coxeter` walks over the coroots Sigma_tau, and this module holds none.
 
 Each quantity is computed once by the owner of what it depends on (the
 policy is in the `memo` module).  The `WeylGroup` (`algebra.group`) holds
@@ -42,7 +42,7 @@ orbit index, root and reflection of each coroot (`reflection`,
 `HeckeAlgebra` holds (s, s', s s', -s/s') by coroot, and, in the entry of
 each character, one stabilizer memo per (algebra, tau) with what depends on
 tau: t by coroot, and by element w = r_i w' the character w . tau, one
-reflection away from w' . tau, and the greedy word, one reflection longer
+reflection away from w' . tau, and the greedy coroot word, one coroot longer
 than the word of r_1 w.  `kato_check`, `analyze` and a `PrincipalSeries`
 read the same tests (U_C, W_tau, membership in W_(tau)) from that memo,
 within a call and across calls, so the verdict and the analysis cannot
@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import WeylElement, coroot_of_reflection, coxeter_ball, inversion_coroots, lifts_below, reduced_words
+from .coxeter import WeylElement, coxeter_ball, inversion_coroots, lifts_below, reduced_words
 from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
@@ -105,11 +105,14 @@ class TauStabilizer:
         return t != 1 and t != -1 and (t == r1 or t == r2)
 
     def is_canonical_generator(self, coroot: Coroot) -> bool:
-        """Canonical-generator criterion: the inversion set of r_{alpha} meets
-        the fixed subsystem exactly in {alpha}; `sigma_tau` holds it by bound."""
+        """Canonical-generator criterion: alpha is the least fixed inversion of
+        r_alpha (module docstring); `sigma_tau` holds it by bound."""
         c = coroot.abs()
-        return self.phi_contains(c) and all(
-            beta == c or not self.phi_contains(beta) for beta in inversion_coroots(self.algebra.group.reflection(c)))
+        return self._least_fixed_inversion(self.algebra.group.reflection(c)) == c
+
+    def _least_fixed_inversion(self, w: WeylElement) -> Coroot | None:
+        """The first coroot of the sorted N(w^-1) in Phi_tau, or None."""
+        return next((beta for beta in inversion_coroots(w.inverse()) if self.phi_contains(beta)), None)
 
     def ell_tau(self, w: WeylElement) -> int:
         """Length in the reflection-subgroup Coxeter system: the number of
@@ -120,36 +123,35 @@ class TauStabilizer:
         """Greedy descent factorization w = r_1 ... r_k over canonical
         generators, or None when w is outside the reflection subgroup."""
         word = self._greedy_word(w)
-        return None if word is None else list(word)
+        return None if word is None else [self.algebra.group.reflection(c) for c in word]
 
-    def _greedy_word(self, w: WeylElement) -> tuple[WeylElement, ...] | None:
+    def _greedy_word(self, w: WeylElement) -> tuple[Coroot, ...] | None:
         """The one descent, once per element, read by membership, K~_w and the
-        Bruhat order: r_1 is the reflection at the least fixed coroot that
-        w^{-1} inverts, a canonical generator (module docstring), followed by
-        the word of r_1 w (None when w^{-1} inverts no fixed coroot)."""
+        Bruhat order: the coroot word whose first letter is the least fixed
+        inversion beta_1 of w^{-1}, a canonical generator (module docstring),
+        followed by the word of r_1 w (None when w^{-1} inverts no fixed coroot)."""
         if w.is_identity:
             return ()
 
         def make():
-            cands = [beta for beta in inversion_coroots(w.inverse()) if self.phi_contains(beta)]
-            if not cands:
+            beta = self._least_fixed_inversion(w)
+            if beta is None:
                 return None
-            r = self.algebra.group.reflection(min(cands, key=lambda c: c.sort_key))
-            rest = self._greedy_word(r * w)
-            return None if rest is None else (r, *rest)
+            rest = self._greedy_word(self.algebra.group.reflection(beta) * w)
+            return None if rest is None else (beta, *rest)
 
         return self._memo.once(("word", w), make)
 
     def in_reflection_subgroup(self, w: WeylElement) -> bool:
-        return self.tau_reduced_word(w) is not None
+        return self._greedy_word(w) is not None
 
     def bruhat_leq_tau(self, v: WeylElement, w: WeylElement) -> bool:
         """Bruhat order of the reflection-subgroup Coxeter system, by the
         lifting property along the greedy reduced word of w."""
-        word = self.tau_reduced_word(w)
+        word = self._greedy_word(w)
         if word is None or not self.in_reflection_subgroup(v):
             raise WordNotReduced("both arguments must lie in the reflection subgroup")
-        return lifts_below(v, word, self.ell_tau)
+        return lifts_below(v, word)
 
     def fixes_tau(self, w: WeylElement) -> bool:
         return self._twisted(w) == self.tau
@@ -220,13 +222,13 @@ class TauStabilizer:
         """Elements of the reflection subgroup with relative length <= bound:
         the ball of the Coxeter system (S_tau, ell_tau) over the bounded
         canonical generator set."""
-        return coxeter_ball(self.algebra.group.identity, self.s_tau(coroot_bound), self.ell_tau, ell_bound)
+        return coxeter_ball(self.algebra.group.identity, self.sigma_tau(coroot_bound), ell_bound)
 
     # -- modified intertwiners ---------------------------------------------------
     def k_tilde_of(self, w: WeylElement) -> HeckeElt:
         """K~_w along the canonical greedy reduced word of w."""
         def make() -> HeckeElt:
-            word = self.tau_reduced_word(w)
+            word = self._greedy_word(w)
             if word is None:
                 raise WordNotReduced(f"{w!r} is not in the reflection subgroup of tau")
             return self.algebra.k_tilde_word(word)
@@ -242,9 +244,9 @@ class TauStabilizer:
         """
         actual = self.k_tilde_of(w).coeffs[w]  # WordNotReduced outside W_(tau)
         inv = RationalElt.from_scalar(1, self.system.rank)
-        for r in self.tau_reduced_word(w):
+        for alpha in self._greedy_word(w):
+            r = self.algebra.group.reflection(alpha)
             inv = inv.twist(r)
-            alpha = coroot_of_reflection(r)
             for beta in inversion_coroots(r):
                 if beta != alpha:
                     inv = inv * self.algebra.zeta(beta)
@@ -254,7 +256,7 @@ class TauStabilizer:
 
     def tau_reduced_words(self, w: WeylElement, coroot_bound: int) -> list[tuple[WeylElement, ...]]:
         """All reduced words of w over the bounded canonical generator set."""
-        return reduced_words(w, self.s_tau(coroot_bound), self.ell_tau)
+        return [tuple(map(self.algebra.group.reflection, word)) for word in reduced_words(w, self.sigma_tau(coroot_bound))]
 
     # -- scalars -------------------------------------------------------------
     def sigma_pp(self, coroot: Coroot) -> Scalar:

@@ -306,6 +306,22 @@ def test_nonsquare_q_beside_gaussian_character(tmp_path, capsys):
         assert main([command, "--config", path]) == 0, command
 
 
+def test_square_with_a_square_factor_is_one_field(tmp_path, capsys):
+    """sigma = sqrt(8) = 2 sqrt(2) beside tau(alpha^vee) = sqrt(2) on A1 with
+    alpha(Y) = 2Z: one field, so the subcommands that multiply them compute."""
+    cfg = {
+        "datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
+        "parameters": {"sigma": [{"a": "0", "b": "1", "square": "8"}], "sigma_prime": ["2"]},
+        "character": {"values": [{"a": "0", "b": "1"}], "extension": {"square": "2"}},
+    }
+    path = write_config(tmp_path, cfg)
+    for command in ("weight-space", "gen-weight-space"):
+        assert main([command, "--config", path]) == 0, command
+        assert "dimension: 1" in capsys.readouterr().out.splitlines(), command
+    assert main(["verify-identities", "--config", path]) == 0
+    assert "24/24 checks passed (seed 0)" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["weight-space", "gen-weight-space", "ord", "verify-identities"])
 def test_mixed_extensions_named_on_stderr(tmp_path, capsys, monkeypatch, command):
     """The subcommands that multiply parameters, character and vector exit 2

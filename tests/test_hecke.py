@@ -219,9 +219,9 @@ def test_zeta_matches_factored_construction(zeta_algebra):
 def test_k_tilde_simple_is_T(alg_a2):
     g = alg_a2.group
     for i in range(2):
-        assert alg_a2.k_tilde(g.simple(i)) == alg_a2.T(g.simple(i))
+        assert alg_a2.k_tilde(g.system.simple_coroot(i)) == alg_a2.T(g.simple(i))
     # K_s = K~_s - sigma^2
-    ks = alg_a2.k_plain(g.simple(0))
+    ks = alg_a2.k_plain(g.system.simple_coroot(0))
     assert ks == alg_a2.T(g.simple(0)) - alg_a2.one().scale(Fraction(4))
 
 
@@ -230,8 +230,8 @@ def test_k_tilde_word_examples(alg_a2):
     assert alg_a2.k_tilde_word([]) == alg_a2.one()
     # trivial character: products of simple K~ are plain T-products
     w = g.simple(0) * g.simple(1)
-    assert alg_a2.k_tilde_word([g.simple(0), g.simple(1)]) == alg_a2.T(w)
-    kt = alg_a2.k_tilde(g.simple(0))
+    assert alg_a2.k_tilde_word([g.system.simple_coroot(0), g.system.simple_coroot(1)]) == alg_a2.T(w)
+    kt = alg_a2.k_tilde(g.system.simple_coroot(0))
     assert kt * kt == kt.scale(Fraction(3)) + alg_a2.one().scale(Fraction(4))
 
 

@@ -167,16 +167,16 @@ def test_k_act_examples(alg_b2):
     ser = series(alg_b2, tau)
     stab = ser.stabilizer()
     v = ser.v()
-    refs = stab.s_tau(6)
-    for r in refs:
-        kt = alg_b2.k_tilde(r)
+    sigma = stab.sigma_tau(6)
+    for c in sigma:
+        kt = alg_b2.k_tilde(c)
         assert ser.k_act(kt, v) == ser.ev(kt)
     # scalar-like rational coefficient acts through its value
     theta = RationalElt(LaurentPoly.monomial((1, 1), Fraction(2)), [BinomialFactor.make(Fraction(3), (1, 0))])
     from blhecke.laurent import evaluate
 
-    k = alg_b2.k_tilde(refs[0]) * alg_b2.theta(theta)
-    assert ser.k_act(k, v) == ser.ev(alg_b2.k_tilde(refs[0])).scale(evaluate(tau, theta))
+    k = alg_b2.k_tilde(sigma[0]) * alg_b2.theta(theta)
+    assert ser.k_act(k, v) == ser.ev(alg_b2.k_tilde(sigma[0])).scale(evaluate(tau, theta))
 
 
 def test_k_act_extends_plain_action(alg_b2):

@@ -24,6 +24,20 @@ def test_quadext_collapses_to_fraction():
     assert isinstance(quadext(0, 1, 2), QuadExt)
 
 
+def test_quadext_reduces_the_square():
+    """d = f^2 d0 / q^2 with d0 square-free gives a + (b f / q) sqrt(d0): one field per d0."""
+    assert quadext(0, 1, 8) == quadext(0, 2, 2)
+    assert hash(quadext(0, 1, 8)) == hash(quadext(0, 2, 2))
+    assert quadext(0, 1, 8) * quadext(0, 1, 2) == 4
+    assert quadext(0, 1, Fraction(1, 2)) == quadext(0, Fraction(1, 2), 2)
+    assert quadext(0, 1, -4) == quadext(0, 2, -1)
+    assert quadext(0, 1, 12) == quadext(0, 2, 3)
+    assert quadext(1, 3, Fraction(4, 9)) == 3
+    # a cofactor past the trial divisors: a square, and a product of two primes
+    assert quadext(0, 1, 7 * 1009 ** 2) == quadext(0, 1009, 7)
+    assert quadext(0, 1, 1009 * 1013).d == 1009 * 1013
+
+
 def test_imaginary_unit():
     i = quadext(0, 1, -1)
     assert i * i == Fraction(-1)

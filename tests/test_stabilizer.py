@@ -562,3 +562,90 @@ def test_descent_matches_the_generator_loop_at_scale(name, length):
     words = [stab.tau_reduced_word(w) for w in elements]
     assert words == [_greedy_word_loop(stab, w) for w in elements]
     assert None in words and sum(word is not None for word in words) > 20
+
+
+def _sweep_algebra(name):
+    system = KATO_SWEEP_DATA[name]
+    sigma = tuple(Fraction(s) for s in _ORBIT_SIGMAS.get(name, (2,) * system.n))
+    alg = HeckeAlgebra(system, ParameterSet(sigma, sigma))
+    validate_system(system, alg.params)
+    return alg
+
+
+@pytest.mark.parametrize("name", sorted(KATO_SWEEP_DATA))
+def test_descent_rule_in_w(name):
+    """r_i descends w iff l(r_i w) < l(w), read as the sign of w^-1(alpha_i^vee)."""
+    alg = _sweep_algebra(name)
+    group = alg.group
+    for w in group.ball(5):
+        for i in range(group.system.n):
+            assert coxeter.descends(w, group.system.simple_coroot(i)) == ((group.simple(i) * w).length < w.length), (w, i)
+
+
+# the W_(tau) balls of ell_tau <= 3 on Lemma 3.7 reach 187 elements
+_WALK_BOUNDS = [("affine A2", 3), ("affine C2", 3), ("hyperbolic", 3), ("Lemma 3.7", 2)]
+
+
+@pytest.mark.parametrize("name, ell", _WALK_BOUNDS)
+def test_descent_rule_in_w_paren_tau(name, ell):
+    """In the Coxeter system (S_tau, ell_tau), r_beta descends w iff
+    ell_tau(r_beta w) < ell_tau(w), read as the sign of w^-1(beta^vee)."""
+    alg = _sweep_algebra(name)
+    seen = set()
+    for tau in _rule_characters(alg):
+        stab = TauStabilizer(alg, tau)
+        for w in stab.subgroup_ball(ell, 10):
+            for beta in stab.sigma_tau(10):
+                lower = stab.ell_tau(alg.group.reflection(beta) * w) < stab.ell_tau(w)
+                assert coxeter.descends(w, beta) == lower, (tau, w, beta)
+                seen.add((lower, beta.height > 1))
+    assert (True, True) in seen and (False, True) in seen and (True, False) in seen
+
+
+# -- the walks before the descent rule: generators are reflections, and a step
+# is kept by comparing the lengths of r * w and w -----------------------------------
+
+def _ball_by_length(identity, gens, length, max_length):
+    levels = [(identity,)]
+    for k in range(1, max_length + 1):
+        level = {u for w in levels[-1] for u in (r * w for r in gens) if length(u) == k}
+        if not level:
+            break
+        levels.append(tuple(sorted(level, key=lambda u: u.sort_key)))
+    return tuple(w for level in levels for w in level)
+
+
+def _lifts_below_by_length(v, word, length):
+    cur = v
+    for r in word:
+        if cur.is_identity:
+            return True
+        lower = r * cur
+        if length(lower) < length(cur):
+            cur = lower
+    return cur.is_identity
+
+
+def _reduced_words_by_length(w, gens, length):
+    if w.is_identity:
+        return [()]
+    return [(r,) + rest for r in gens if length(rw := r * w) < length(w)
+            for rest in _reduced_words_by_length(rw, gens, length)]
+
+
+@pytest.mark.parametrize("name, ell", _WALK_BOUNDS)
+def test_walks_match_the_length_walks(name, ell):
+    """The W_(tau) ball, reduced words and Bruhat order, stepped by the descent
+    rule over Sigma_tau, equal the walks that compare ell_tau(r w) with ell_tau(w)
+    over S_tau, element for element and word for word."""
+    alg = _sweep_algebra(name)
+    for tau in _rule_characters(alg):
+        stab = TauStabilizer(alg, tau)
+        gens = stab.s_tau(10)
+        ball = stab.subgroup_ball(ell, 10)
+        assert ball == _ball_by_length(alg.group.identity, gens, stab.ell_tau, ell), tau
+        for w in ball:
+            assert stab.tau_reduced_words(w, 10) == _reduced_words_by_length(w, gens, stab.ell_tau), (tau, w)
+            word = stab.tau_reduced_word(w)
+            for v in ball:
+                assert stab.bruhat_leq_tau(v, w) == _lifts_below_by_length(v, word, stab.ell_tau), (tau, v, w)
