@@ -5,6 +5,14 @@ JSON (sorted keys, fixed layout), so the same config and seed always produce
 byte-identical output.  Exit codes: 0 success, 1 mathematical-negative result
 (an --expect mismatch), 2 usage or config error, 3 internal invariant
 violation (a bug signal, e.g. a pairing matrix failing Kac-Moody validation).
+
+Work that cannot change between calls is done once per process: the
+standard datum of each matrix is built once, and each (datum, parameters)
+validated once, in one table (`_datum_table`, see the `memo` module).  They
+are built and validated where a call would build and validate them, and a
+failure stores nothing, so an invalid config fails as it would in a fresh
+process.  argv is parsed once; the `BLHECKE_` fallbacks of the absent flags
+are parsed by the subcommand's parser into the same namespace.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .errors import BLHeckeError, ConfigError, IncompatibleData, KacMoodyViolati
 from .hecke import HeckeAlgebra
 from .identities import run_suite
 from .laurent import Character
+from .memo import GROUP_CAP, Memo
 from .principal import ModuleVector, PrincipalSeries
 from .rootdata import KacMoodyMatrix, ParameterSet, RootGeneratingSystem, standard_system, validate_system
 from .scalars import QuadExt, Scalar, quadext, rational_sqrt
@@ -37,6 +46,10 @@ DEFAULT_BOUNDS = {
     "ball": 4,
     "n_cap": 4,
 }
+
+# process-level (see the memo module): the standard datum of each matrix, and
+# None for each (system, params) that passed `validate_system`
+_datum_table = Memo(GROUP_CAP)
 
 
 @dataclass
@@ -74,7 +87,7 @@ class JobConfig:
                 _int_rows(datum["simple_coroots"], "datum.simple_coroots"),
             )
         else:
-            system = standard_system(matrix)
+            system = _datum_table.once(matrix, lambda: standard_system(matrix))
 
         square = None
         char_block = _block(data, "character", known=("values", "extension"))
@@ -470,7 +483,8 @@ ENV_FLAGS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and the parser of each subcommand."""
     parser = argparse.ArgumentParser(
         prog="blhecke",
         description="Exact Bernstein-Lusztig-Hecke computations over Kac-Moody root data",
@@ -489,23 +503,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         sub.add_parser(name, parents=[common])
-    return parser
+    return parser, sub.choices
 
 
-PARSER = build_parser()
+PARSER, COMMAND_PARSERS = build_parser()
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv, then give each absent flag its BLHECKE_ variable or its
-    default, parsed as that flag (so a bad value exits 2 like a bad flag)."""
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = PARSER.parse_args(argv)
+    """Parse argv once, then give each absent flag its BLHECKE_ variable or
+    its default, parsed as that flag by the subcommand's parser into the same
+    namespace (so a bad value exits 2 like a bad flag)."""
+    args = PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     extra = []
     for flag, fallback in ENV_FLAGS.items():
         value = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
         if getattr(args, flag.replace("-", "_")) is None and value is not None:
             extra.append(f"--{flag}={value}")
-    return PARSER.parse_args(argv + extra)
+    return COMMAND_PARSERS[args.command].parse_args(extra, namespace=args)
 
 
 def main(argv=None) -> int:
@@ -520,7 +534,7 @@ def main(argv=None) -> int:
                 raise ConfigError("missing --config (or BLHECKE_CONFIG)")
             try:
                 cfg = load_config(args.config)
-                validate_system(cfg.system, cfg.params)
+                _datum_table.once((cfg.system, cfg.params), lambda: validate_system(cfg.system, cfg.params))
             except ValidationError as exc:
                 if handler is cmd_validate:
                     return cmd_validate(cfg, args, exc)

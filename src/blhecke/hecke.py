@@ -27,7 +27,7 @@ from .errors import IncompatibleData, NotInBLH
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from .memo import ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
 from .rootdata import Coroot, ParameterSet, RootGeneratingSystem
-from .scalars import ONE, Scalar
+from .scalars import ONE, Scalar, as_scalar
 from .scalars import inv as scalar_inv
 
 # process-level, so equal algebras share their memos (see the memo module)
@@ -107,7 +107,7 @@ class HeckeAlgebra:
         def make():
             _, i = self.group.coroot_data(c)
             s, sp = self.params.sigma[i], self.params.sigma_prime[i]
-            return s, sp, s * sp, -s * scalar_inv(sp)
+            return s, sp, as_scalar(s * sp), as_scalar(-s * scalar_inv(sp))
 
         return self._cache["sigma"].once(c, make)
 

@@ -379,7 +379,9 @@ class Character:
         return len(self.values)
 
     def of_vector(self, exp) -> Scalar:
-        out: Scalar = ONE
+        """tau(exp); an `int` when every factor is an `int`, since the product
+        starts from the int 1, so integral characters never pay for `Fraction`."""
+        out: Scalar = 1
         for v, e in zip(self.values, exp):
             e = int(e)
             if e > 0:

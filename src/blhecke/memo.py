@@ -28,17 +28,25 @@ queries enumerated, not by a constant per memo:
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
   the one memo of every `TauStabilizer` of (algebra, tau), holding t by
   coroot of the coroot sets asked, the twisted character w . tau and the
-  greedy coroot word (the one descent) by element of the balls asked, and Phi_tau
-  and Sigma_tau by bound, so `kato_check`, `analyze` and a `PrincipalSeries` read the same tests.
+  greedy coroot word (the one descent) by element of the balls asked, and Phi_tau,
+  Sigma_tau and W_tau (the ball's elements that fix tau) by bound, so
+  `kato_check`, `analyze` and a `PrincipalSeries` read the same tests and scans.
+- `cli._datum_table`: `GROUP_CAP` entries, one per datum, and one per
+  (datum, parameters), that the process's CLI calls met: the standard datum
+  built from each matrix, and the success of `validate_system` for each
+  (system, params).  A build or validation that fails raises and stores nothing.
 
-Two tables belong to the process rather than to an object the caller
+Three tables belong to the process rather than to an object the caller
 passes.  The group registry gives elements their identity: equal elements
 are one interned object while their group lives, so their per-element
 caches (word, inversions, Y-action) are computed once, and the group's
 datum data outlive each CLI call with it.  The algebra table lets equal
 algebras share memos, since the CLI builds a new `HeckeAlgebra` on every
 call: the algebra's memos, and the columns, theta-matrices and stabilizer
-tests of the characters in the table outlive the call.
+tests of the characters in the table outlive the call.  The CLI's datum
+table makes each call on a datum the process has met skip the build and the
+validation; `rootdata.standard_system` and `validate_system` themselves stay
+uncached, so a library caller gets a fresh system.
 
 Attributes bounded by their object, such as `functools.cached_property`
 values and `WeylElement._left` (at most one entry per generator), are not
@@ -48,7 +56,7 @@ caches in this sense.
 from __future__ import annotations
 
 # largest sizes on the seed-1 benchmark workloads in the comments
-GROUP_CAP = 64  # 5 groups
+GROUP_CAP = 64  # 5 groups; 9 entries in the CLI datum table (kato-sweep)
 SERIES_CAP = 4  # per algebra; module-weights meets one series per config
 ALGEBRA_TABLE_CAP = 16  # 4 algebras (module-weights)
 

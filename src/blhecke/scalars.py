@@ -199,11 +199,12 @@ def is_zero(x: Scalar) -> bool:
 
 
 def inv(x: Scalar) -> Scalar:
-    """Exact multiplicative inverse (never float division)."""
+    """Exact multiplicative inverse (never float division), in the normal
+    form of `as_scalar` for an `int`: +-1 stays an `int`."""
     if isinstance(x, QuadExt):
         return x.inverse()
     if isinstance(x, int):
-        return Fraction(1, x)
+        return x if x == 1 or x == -1 else Fraction(1, x)
     return 1 / x
 
 

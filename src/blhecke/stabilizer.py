@@ -43,10 +43,12 @@ orbit index, root and reflection of each coroot (`reflection`,
 each character, one stabilizer memo per (algebra, tau) with what depends on
 tau: t by coroot, and by element w = r_i w' the character w . tau, one
 reflection away from w' . tau, and the greedy coroot word, one coroot longer
-than the word of r_1 w.  `kato_check`, `analyze` and a `PrincipalSeries`
-read the same tests (U_C, W_tau, membership in W_(tau)) from that memo,
-within a call and across calls, so the verdict and the analysis cannot
-disagree and neither recomputes what the other made.
+than the word of r_1 w; and by bound, W_tau in the ball, scanned once.
+`kato_check`, `analyze` and a `PrincipalSeries` read the same tests (U_C,
+W_tau, membership in W_(tau)) from that memo, within a call and across
+calls, so the verdict and the analysis cannot disagree and neither
+recomputes what the other made: W_(tau), R_tau and the semidirect check
+filter the one W_tau scan.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
 from .linalg import cone_contains
 from .rootdata import Coroot, KacMoodyMatrix
-from .scalars import Scalar, is_positive_real, sign_real
+from .scalars import Scalar, as_scalar, is_positive_real, sign_real
 from .scalars import inv as scalar_inv
 
 
@@ -85,12 +87,15 @@ class TauStabilizer:
     # -- pointwise tests (exact) ---------------------------------------------
     def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
         """(t, s, s', s s', -s/s') at a coroot, t = tau(coroot): all the zeta
-        tests and sigma'' read.  A negative coroot reads t^-1 from its negative."""
+        tests and sigma'' read.  A negative coroot reads t^-1 from its negative.
+        t, s s' and -s/s' are in the normal form of `as_scalar`, so the tests
+        against +-1 compare ints when the values are integral."""
         def make():
             if not coroot.positive:
                 t, *sigmas = self._values(-coroot)
-                return scalar_inv(t), *sigmas
-            return self.tau.of_vector(self.system.coroot_to_y(coroot.coords)), *self.algebra.sigma_values(coroot)
+                return as_scalar(scalar_inv(t)), *sigmas
+            t = self.tau.of_vector(self.system.coroot_to_y(coroot.coords))
+            return as_scalar(t), *self.algebra.sigma_values(coroot)
 
         return self._memo.once(("t", coroot), make)
 
@@ -159,7 +164,8 @@ class TauStabilizer:
     def _twisted(self, w: WeylElement) -> Character:
         """w . tau, once per element: for w = r_i w' (i the first letter of
         w's word), (w . tau)(e_j) = (w' . tau)(e_j) t^(-alpha_i(e_j)) with
-        t = (w' . tau)(alpha_i^vee)."""
+        t = (w' . tau)(alpha_i^vee); its values are in the normal form of
+        `as_scalar`, like those of `Character.make`."""
         if w.is_identity:
             return self.tau
         i = w.word[0]
@@ -170,16 +176,14 @@ class TauStabilizer:
             if t == 1:  # r_i fixes w' . tau
                 return prev
             t_inv = scalar_inv(t)
-            return Character(tuple(v * (t ** -a if a < 0 else t_inv ** a) if a else v
+            return Character(tuple(as_scalar(v * (t ** -a if a < 0 else t_inv ** a)) if a else v
                                    for v, a in zip(prev.values, self.system.simple_roots[i])))
 
         return self._memo.once(("twist", w), make)
 
     def in_r_group(self, w: WeylElement) -> bool:
         """w stabilizes tau and inverts no positive coroot of the subsystem."""
-        if not self.fixes_tau(w):
-            return False
-        return not any(self.phi_contains(beta) for beta in inversion_coroots(w))
+        return self.fixes_tau(w) and not any(map(self.phi_contains, inversion_coroots(w)))
 
     # -- bounded enumerations ---------------------------------------------------
     def u_c(self, coroot_bound: int) -> UCResult:
@@ -206,7 +210,8 @@ class TauStabilizer:
         return tuple(self.algebra.group.reflection(c) for c in self.sigma_tau(coroot_bound))
 
     def w_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(w for w in self.algebra.group.ball(length_bound) if self.fixes_tau(w))
+        return self._memo.once(("w_tau", length_bound), lambda: tuple(
+            w for w in self.algebra.group.ball(length_bound) if self.fixes_tau(w)))
 
     def w_paren_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
         """W_(tau) in the ball, scanned inside W_tau: for validated parameters
@@ -216,7 +221,9 @@ class TauStabilizer:
         return tuple(w for w in self.w_tau_ball(length_bound) if self.in_reflection_subgroup(w))
 
     def r_tau_ball(self, length_bound: int) -> tuple[WeylElement, ...]:
-        return tuple(w for w in self.w_tau_ball(length_bound) if self.in_r_group(w))
+        """R_tau in the ball: `in_r_group` on the W_tau scan, past its test that w fixes tau."""
+        return tuple(w for w in self.w_tau_ball(length_bound)
+                     if not any(map(self.phi_contains, inversion_coroots(w))))
 
     def subgroup_ball(self, ell_bound: int, coroot_bound: int) -> tuple[WeylElement, ...]:
         """Elements of the reflection subgroup with relative length <= bound:

@@ -3,7 +3,10 @@ import json
 import pytest
 import yaml
 
+from blhecke import cli
 from blhecke.cli import JobConfig, main
+from blhecke.memo import GROUP_CAP, Memo
+from blhecke.rootdata import KacMoodyMatrix, RootGeneratingSystem, standard_system
 
 A1_ADJOINT = {
     "datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[2]], "simple_coroots": [[1]]},
@@ -76,18 +79,65 @@ def test_validate_parameter_violation(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "kato", "analyze-tau"])
 @pytest.mark.parametrize("cfg", [A2, A1_ADJOINT], ids=["standard", "explicit"])
 def test_one_validation_per_call(tmp_path, capsys, monkeypatch, command, cfg):
-    from blhecke.rootdata import RootGeneratingSystem
-
+    """A process validates a datum once, and builds a standard datum once,
+    however many calls read it."""
     calls = []
     validate = RootGeneratingSystem.validate
+    builds = []
 
     def counted(self):
         calls.append(self)
         validate(self)
 
+    def built(matrix):
+        builds.append(matrix)
+        return standard_system(matrix)
+
+    monkeypatch.setattr(cli, "_datum_table", Memo(GROUP_CAP))
     monkeypatch.setattr(RootGeneratingSystem, "validate", counted)
-    assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+    monkeypatch.setattr(cli, "standard_system", built)
+    path = write_config(tmp_path, cfg)
+    assert main([command, "--config", path]) == 0
+    assert main([command, "--config", path]) == 0
     assert len(calls) == 1
+    assert len(builds) == (1 if cfg is A2 else 0)  # A1_ADJOINT gives its datum explicitly
+
+
+def _run(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_datum_table_masks_no_error(tmp_path, capsys, monkeypatch):
+    """Invalid configs fail after a valid call on the same datum exactly as in
+    a fresh process: a failed build or validation stores nothing."""
+    good = write_config(tmp_path, A2, "good.yaml")
+    conjugate = write_config(tmp_path, dict(A2, parameters={"sigma": ["2", "3"]}), "conjugate.yaml")
+    sign = write_config(tmp_path, {"datum": {"matrix": [[2, 1], [-1, 2]]}, "parameters": {"q": "4"}}, "sign.yaml")
+    calls = [["kato", "--config", good], ["kato", "--config", conjugate],
+             ["validate", "--config", sign, "--format", "json"]]
+    monkeypatch.setattr(cli, "_datum_table", Memo(GROUP_CAP))
+    shared = [_run(argv, capsys) for argv in calls]
+    assert shared[0][0] == 0
+    assert shared[1][0] == 2 and shared[1][1] == "" and "conjugate" in shared[1][2]
+    assert shared[2][0] == 2 and json.loads(shared[2][1])["result"]["violation"] == "SignViolation"
+    for argv, result in zip(calls, shared):
+        monkeypatch.setattr(cli, "_datum_table", Memo(GROUP_CAP))
+        assert _run(argv, capsys) == result
+
+
+def test_datum_table_stays_at_cap(monkeypatch):
+    monkeypatch.setattr(cli, "_datum_table", Memo(GROUP_CAP))
+    matrices = [[[2, -k], [-1, 2]] for k in range(1, GROUP_CAP + 4)]
+    systems = [JobConfig.parse({"datum": {"matrix": m}, "parameters": {"q": "4"}}).system for m in matrices]
+    table = cli._datum_table
+    assert len(table) == GROUP_CAP
+    keys = [KacMoodyMatrix.make(m) for m in matrices]
+    assert all(k not in table for k in keys[:3]) and all(table[k] is s for k, s in zip(keys[3:], systems[3:]))
+    again = JobConfig.parse({"datum": {"matrix": matrices[0]}, "parameters": {"q": "4"}}).system
+    assert again == systems[0] and again is not systems[0]  # rebuilt after its eviction
+    assert len(table) == GROUP_CAP
 
 
 @pytest.mark.parametrize("command", ["kato", "analyze-tau"])
@@ -251,6 +301,18 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BLHECKE_FORMAT", "json")
     assert main(["roots"]) == 0
     json.loads(capsys.readouterr().out)
+
+
+def test_env_fallbacks_after_one_parse(tmp_path, capsys, monkeypatch):
+    """BLHECKE_ variables fill the flags that argv leaves absent, and a flag
+    given in argv keeps its value."""
+    path = write_config(tmp_path, A2)
+    monkeypatch.setenv("BLHECKE_FORMAT", "json")
+    monkeypatch.setenv("BLHECKE_SEED", "3")
+    assert main(["verify-identities", "--config", path, "--samples", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    assert main(["verify-identities", "--config", path, "--samples", "2", "--seed", "5", "--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("(seed 5)")
 
 
 def test_bound_flag_override(tmp_path, capsys):

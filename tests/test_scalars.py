@@ -4,6 +4,7 @@ from blhecke.errors import IncompatibleData
 from blhecke.scalars import (
     QuadExt,
     abs_gt_one,
+    inv,
     is_positive_real,
     quadext,
     rational_sqrt,
@@ -62,6 +63,12 @@ def test_mixing_extensions_rejected():
 
     with pytest.raises(IncompatibleData):
         quadext(0, 1, 2) + quadext(0, 1, 3)
+
+
+def test_inv_keeps_the_normal_form():
+    """The inverse of an integral unit stays an int, as `as_scalar` has it."""
+    assert [type(inv(x)) for x in (1, -1)] == [int, int]
+    assert (inv(1), inv(-1), inv(4), inv(Fraction(1, 4))) == (1, -1, Fraction(1, 4), 4)
 
 
 def test_sign_and_modulus():

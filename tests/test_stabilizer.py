@@ -20,7 +20,7 @@ from blhecke.cli import main as cli_main
 from blhecke.coxeter import WeylGroup, inversion_coroots
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
-from blhecke.memo import Memo
+from blhecke.memo import SERIES_CAP, Memo
 from blhecke.rootdata import coroot_orbit_witness, validate_system
 from blhecke.scalars import inv, is_zero
 from blhecke.stabilizer import (
@@ -348,8 +348,11 @@ def test_lemma37_conjugates():
 
 def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
     """The enumerations belong to the Weyl group: on a cold group the first
-    query makes each once, and no later query with the same bounds does."""
+    query makes each once, and no later query with the same bounds does.
+    The character entries start cold too, since W_tau is memoized by bound
+    in each character's stabilizer memo."""
     monkeypatch.setattr(alg_affine_a2.group, "memo", Memo())
+    monkeypatch.setitem(alg_affine_a2._cache, "series", Memo(SERIES_CAP))
     calls = {"enumerate_coroots": 0, "enumerate_ball": 0}
     for name in calls:
         original = getattr(coxeter, name)
@@ -369,6 +372,26 @@ def test_one_enumeration_per_query(alg_affine_a2, monkeypatch):
         assert calls == {"enumerate_coroots": 0, "enumerate_ball": 0}
     analyze(alg_affine_a2, Character.trivial(4), 9, 3)  # a new bound is a new enumeration
     assert calls == {"enumerate_coroots": 1, "enumerate_ball": 0}
+
+
+def test_analyze_reads_the_w_tau_scan_of_kato(alg_affine_a2, monkeypatch):
+    """W_tau is scanned once per bound: after `kato_check`, `analyze` on the
+    same (algebra, tau, bounds) tests no element for fixing tau."""
+    monkeypatch.setitem(alg_affine_a2._cache, "series", Memo(SERIES_CAP))
+    calls = []
+    fixes_tau = TauStabilizer.fixes_tau
+
+    def counted(self, w):
+        calls.append(w)
+        return fixes_tau(self, w)
+
+    monkeypatch.setattr(TauStabilizer, "fixes_tau", counted)
+    tau = Character.make([-1, 1, 1, 1])
+    assert kato_check(alg_affine_a2, tau, 8, 3).status == IRREDUCIBLE
+    assert calls  # the scan ran once
+    scanned = len(calls)
+    result = analyze(alg_affine_a2, tau, 8, 3)
+    assert len(calls) == scanned and result.w_tau_ball == result.w_paren_tau_ball
 
 
 KATO_SWEEP_DATA = {
