@@ -9,16 +9,40 @@ their Weyl twists is of this shape, so multivariate GCD is never needed.
 Coefficients are in the normal form of `scalars.as_scalar` (integral values
 `int`, other rationals `Fraction`, extension values `QuadExt`), and sums and
 products of ints stay ints.
+
+A `RationalElt` n/d is kept reduced: no factor of d divides n.  A binomial
+1 - c Z^mu whose direction mu is primitive (its coordinates have gcd 1) is
+prime in K[Y]: mu extends to a basis of Y, and in that basis the binomial is
+1 - c x, of degree 1 in one variable.  Its associates (multiples by a unit
+a Z^lambda) among the binomials are itself and 1 - c^-1 Z^-mu; both appear,
+e.g. 1 - Z^a and 1 - Z^-a once Q_s is twisted, and `divide_binomial` treats
+them alike.  So when every factor of two reduced operands is prime, their
+product and sum try only the factors that can divide the new numerator
+(Henrici's cross-cancellation, as in the standard `Fraction`; Knuth, TAOCP
+vol. 2, section 4.5.1), and divide it by the same factors in the same order
+as a full reduction would, so the result is the same:
+
+- n1 n2 / d1 d2: a factor of d1 does not divide n1, so it divides n1 n2 iff
+  it divides n2.  Each side's factors are tried on the running quotient of
+  the other side's numerator, and n1 n2 is divided by the hits only.
+- n1 R2 + n2 R1 over S R1 R2 (S shared, R1 and R2 each side's own): a prime
+  that divides d1 but not d2 divides n2 R1 and not n1 R2, so it cannot
+  divide the sum.  Only the factors whose prime, up to associates, divides
+  both denominators are tried.  Equal denominators try every factor.
+
+A factor with a non-primitive direction that `split` leaves, e.g. 1 + Z^-2
+over Q, need not be prime; an operation with one tries every factor.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import WeylElement
-from .errors import PoleAtCharacter
+from .errors import IncompatibleData, PoleAtCharacter
 from .rootdata import IntVec
 from .scalars import ONE, Scalar, as_scalar, is_zero, scalar_key, scalar_sqrt
 from .scalars import inv as scalar_inv
@@ -64,7 +88,12 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def _same_rank(self, other: "LaurentPoly") -> None:
+        if self.rank != other.rank:
+            raise IncompatibleData(f"Laurent polynomials of ranks {self.rank} and {other.rank}")
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        self._same_rank(other)
         if not self.terms:
             return other
         if not other.terms:
@@ -82,10 +111,12 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        self._same_rank(other)
         out: dict[IntVec, Scalar] = {}
+        right = list(other.terms.items())
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+            for e2, c2 in right:
+                e = tuple(map(operator.add, e1, e2))
                 prev = out.get(e)
                 c = c1 * c2
                 out[e] = c if prev is None else prev + c
@@ -144,7 +175,10 @@ class BinomialFactor:
 
     @staticmethod
     def make(scale, direction) -> "BinomialFactor":
-        return BinomialFactor(as_scalar(scale), tuple(int(x) for x in direction))
+        direction = tuple(int(x) for x in direction)
+        if not any(direction):
+            raise ValueError("a binomial factor needs a nonzero direction")
+        return BinomialFactor(as_scalar(scale), direction)
 
     def expand(self, rank: int) -> LaurentPoly:
         return LaurentPoly(rank, {(0,) * rank: 1, self.direction: -self.scale})
@@ -155,6 +189,15 @@ class BinomialFactor:
     @property
     def sort_key(self):
         return (self.direction, scalar_key(self.scale))
+
+    def prime_class(self):
+        """One key for the factor and its associate 1 - c^-1 Z^-mu when the
+        direction is primitive, so that the factor is prime; else None."""
+        mu = self.direction
+        if math.gcd(*mu) != 1:
+            return None
+        neg = tuple(-x for x in mu)
+        return (mu, self.scale) if mu > neg else (neg, scalar_inv(self.scale))
 
     def split(self) -> list["BinomialFactor"]:
         """Factor 1 - c Z^(2 mu) into (1 - a Z^mu)(1 + a Z^mu), recursively, when
@@ -194,7 +237,7 @@ def divide_binomial(poly: LaurentPoly, factor: BinomialFactor) -> LaurentPoly | 
     classes: dict[IntVec, dict[int, Scalar]] = {}
     for exp, coeff in terms.items():
         k = exp[j] // mu[j]
-        base = tuple(a - k * b for a, b in zip(exp, mu))
+        base = tuple([a - k * b for a, b in zip(exp, mu)])
         classes.setdefault(base, {})[k] = coeff
     out: dict[IntVec, Scalar] = {}
     for base, coeffs in classes.items():
@@ -211,18 +254,20 @@ def divide_binomial(poly: LaurentPoly, factor: BinomialFactor) -> LaurentPoly | 
             return None
         for t, coeff in enumerate(q):
             if not is_zero(coeff):
-                exp = tuple(a + (lo + t) * b for a, b in zip(base, mu))
-                out[exp] = coeff
-    return LaurentPoly(poly.rank, out)
+                out[tuple([a + (lo + t) * b for a, b in zip(base, mu)])] = as_scalar(coeff)
+    return LaurentPoly._raw(poly.rank, out)
 
 
 class RationalElt:
     """Laurent numerator over a multiset of binomial denominator factors.
 
     Instances are always reduced: no stored factor exactly divides the
-    numerator.  Equality is decided over the least common denominator: each
-    numerator is multiplied only by the factors the other side does not share,
-    never by the full expanded denominator.
+    numerator.  The constructor splits the factors and tries each on the
+    numerator; products and sums of prime factors try only those that can
+    divide the new numerator (the module docstring says which).  Equality is
+    decided over the least common denominator: each numerator is multiplied
+    only by the factors the other side does not share, never by the full
+    expanded denominator.
     """
 
     __slots__ = ("num", "den")
@@ -251,20 +296,24 @@ class RationalElt:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num.terms
 
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "RationalElt") -> "RationalElt":
         if not isinstance(other, RationalElt):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
+        if self.is_zero or other.is_zero:
+            self.num._same_rank(other.num)
+            return other if self.is_zero else self
         if self.den == other.den:
-            return RationalElt(self.num + other.num, self.den)
+            return RationalElt._reduced(self.num + other.num, self.den)
         left, right, den = self._over_common(other)
-        return RationalElt(left + right, den)
+        mine = {f.prime_class() for f in self.den}
+        theirs = {f.prime_class() for f in other.den}
+        if None in mine or None in theirs:
+            return RationalElt(left + right, den)
+        both = mine & theirs
+        return RationalElt._reduced(left + right, den, [f.prime_class() in both for f in den])
 
     def _over_common(self, other: "RationalElt") -> tuple[LaurentPoly, LaurentPoly, tuple]:
         """Both numerators over the common denominator (shared factors once,
@@ -289,7 +338,13 @@ class RationalElt:
     def __mul__(self, other: "RationalElt") -> "RationalElt":
         if not isinstance(other, RationalElt):
             return NotImplemented
-        return RationalElt(self.num * other.num, self.den + other.den)
+        num = self.num * other.num
+        if not (self.den or other.den):
+            return RationalElt._raw(num, ())
+        den = self.den + other.den
+        if any(math.gcd(*f.direction) != 1 for f in den):
+            return RationalElt(num, den)
+        return RationalElt._reduced(num, den, _dividing(other.num, self.den) + _dividing(self.num, other.den))
 
     def scale(self, c: Scalar) -> "RationalElt":
         if is_zero(as_scalar(c)):
@@ -302,6 +357,13 @@ class RationalElt:
         out.num = num
         out.den = den
         return out
+
+    @staticmethod
+    def _reduced(num: LaurentPoly, factors, tried: list[bool] | None = None) -> "RationalElt":
+        """num over the split `factors`, reduced by `_reduce` (trying only the
+        factors `tried` flags, when given)."""
+        num, rest = _reduce(num, factors, tried)
+        return RationalElt._raw(num, tuple(sorted(rest, key=lambda f: f.sort_key)))
 
     def __eq__(self, other):
         if not isinstance(other, RationalElt):
@@ -342,19 +404,31 @@ class RationalElt:
         return f"({self.num!r}) / {list(self.den)}"
 
 
-def _reduce(num: LaurentPoly, factors: list[BinomialFactor]) -> tuple[LaurentPoly, list[BinomialFactor]]:
+def _reduce(num: LaurentPoly, factors, tried: list[bool] | None = None) -> tuple[LaurentPoly, list[BinomialFactor]]:
     """Divide out every factor that divides num, each tried once on the quotient
-    so far: a factor that does not divide p divides no quotient of p."""
+    so far: a factor that does not divide p divides no quotient of p.  When
+    `tried` is given, only the factors it flags are tried; the rest are kept."""
     if num.is_zero:
         return num, []
     remaining = []
-    for f in factors:
-        q = divide_binomial(num, f)
+    for k, f in enumerate(factors):
+        q = divide_binomial(num, f) if tried is None or tried[k] else None
         if q is None:
             remaining.append(f)
         else:
             num = q
     return num, remaining
+
+
+def _dividing(p: LaurentPoly, factors) -> list[bool]:
+    """Which factors divide p, each tried once on the quotient so far."""
+    hits = []
+    for f in factors:
+        q = divide_binomial(p, f)
+        hits.append(q is not None)
+        if q is not None:
+            p = q
+    return hits
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,14 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
-from blhecke import Character, ParameterSet, enumerate_coroots, evaluate, laurent
+from blhecke import Character, ParameterSet, enumerate_coroots, evaluate, hecke, laurent, standard_system
 from blhecke.coxeter import WeylGroup, enumerate_ball
-from blhecke.errors import PoleAtCharacter
+from blhecke.errors import IncompatibleData, PoleAtCharacter
 from blhecke.hecke import HeckeAlgebra
+from blhecke.memo import ALGEBRA_TABLE_CAP, Memo
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, _reduce, divide_binomial
 from blhecke.scalars import QuadExt, as_scalar, quadext
 
@@ -287,3 +289,179 @@ def test_integral_coefficients_are_int(alg_a2):
     assert all(type(c) is Fraction for c in (half * p).terms.values())
     assert type((half + q).terms[(0, 0)]) is Fraction
     assert all(type(c) is QuadExt for c in p.scale(ext).terms.values())
+
+
+HYPERBOLIC = [[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]
+
+
+def test_arithmetic_across_ranks_raises():
+    p2, p3 = LaurentPoly(2, {(1, 1): 1}), LaurentPoly(3, {(1, 1, 1): 1})
+    x2, x3 = RationalElt.monomial((1, 1)), RationalElt.monomial((1, 1, 1))
+    y2 = RationalElt(LaurentPoly.one(2), [BinomialFactor.make(1, (1, 0))])
+    y3 = RationalElt(LaurentPoly.one(3), [BinomialFactor.make(1, (0, 0, 1))])
+    for a, b in ((p2, p3), (p3, p2), (LaurentPoly.zero(2), p3), (x2, x3), (y2, y3), (x2, y3),
+                 (RationalElt.from_scalar(0, 2), x3)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(IncompatibleData):
+                op(a, b)
+
+
+def test_zero_direction_rejected():
+    for scale, direction in ((1, (0, 0)), (2, (0, 0)), (-1, (0,))):
+        with pytest.raises(ValueError, match="nonzero direction"):
+            BinomialFactor.make(scale, direction)
+
+
+def _plain_mul(x, y):
+    return RationalElt(x.num * y.num, x.den + y.den)
+
+
+def _plain_add(x, y):
+    """The sum through the constructor, which tries every factor of the common denominator."""
+    if x.is_zero:
+        return y
+    if y.is_zero:
+        return x
+    if x.den == y.den:
+        return RationalElt(x.num + y.num, x.den)
+    left, right, den = x._over_common(y)
+    return RationalElt(left + right, den)
+
+
+def _same(got, want):
+    return (got.rank == want.rank and got.num.terms == want.num.terms and got.den == want.den
+            and [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()])
+
+
+def _associate_pair(x, y):
+    return any(g.direction == tuple(-a for a in f.direction) and f.scale * g.scale == 1
+               for f in x.den for g in y.den)
+
+
+def _hand_built(rank):
+    """Elements over a Gaussian factor and its associate, a repeated factor and
+    1 + Z^(2 e_0), which `split` leaves whole over Q although it is
+    (1 - i Z^e_0)(1 + i Z^e_0): the last two multiply to cancel it."""
+    e0 = (1,) + (0,) * (rank - 1)
+    e1 = (0, 1) + (0,) * (rank - 2)
+    i = quadext(0, 1, -1)
+    gauss, gauss_assoc = BinomialFactor.make(i, e0), BinomialFactor.make(-i, tuple(-a for a in e0))
+    plain = BinomialFactor.make(1, e1)
+    wide = BinomialFactor.make(-1, tuple(2 * a for a in e0))
+    one, z1 = LaurentPoly.one(rank), LaurentPoly.monomial(e1)
+    return [RationalElt(one, [gauss]), RationalElt(z1, [gauss_assoc]), RationalElt(one + z1, [gauss, plain]),
+            RationalElt(z1.scale(3), [plain, plain]), RationalElt(one, [plain, gauss_assoc, gauss_assoc]),
+            RationalElt(z1, [wide]), RationalElt(one + LaurentPoly.monomial(e0), [wide, plain]),
+            RationalElt(gauss.expand(rank), [wide]), RationalElt(BinomialFactor.make(-i, e0).expand(rank), [plain])]
+
+
+@pytest.mark.parametrize("matrix", [[[2, -1], [-3, 2]], [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], HYPERBOLIC],
+                         ids=["G2", "affine-A2", "hyperbolic"])
+def test_kernel_equals_full_reduction(matrix):
+    """Products and sums try only the factors that can divide the new
+    numerator; the result equals the constructor's, which tries them all."""
+    sys = standard_system(matrix)
+    alg = HeckeAlgebra(sys, ParameterSet.equal(Fraction(2), sys.n))
+    base = _twist_samples(alg)
+    pool = [x.twist(w) for w in enumerate_ball(sys, 2) for x in base]
+    pool += [_plain_mul(x, x) for x in base[:6]]
+    rng = random.Random(11)
+    pool += [_plain_mul(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+    pool += [_plain_add(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
+    pool = [x for x in pool if not x.is_zero]
+    # a Weyl twist is a lattice automorphism, so every factor stays prime and the kernel applies
+    assert all(f.prime_class() is not None for x in pool for f in x.den)
+    hand = _hand_built(sys.rank)
+    associate_cancelled = 0
+    for x, y in [(x, y) for x in hand for y in hand] + [(rng.choice(pool), rng.choice(pool)) for _ in range(600)]:
+        assert _same(x * y, _plain_mul(x, y))
+        want = _plain_add(x, y)
+        assert _same(x + y, want)
+        if _associate_pair(x, y) and len(want.den) < len(x._over_common(y)[2]):
+            associate_cancelled += 1
+    assert associate_cancelled
+
+
+def _word(rng, n, rank, with_f):
+    length = rng.randint(1, 3)
+    word = [("T", rng.randrange(n)) if rng.random() < 0.5 else
+            ("Z", tuple(rng.randint(-1, 1) for _ in range(rank)), rng.randint(1, 5)) for _ in range(length)]
+    if with_f:
+        word[rng.randrange(length)] = ("F", rng.randrange(n))
+    return word
+
+
+def _element(alg, word):
+    out = alg.one()
+    for token in word:
+        if token[0] == "T":
+            out = out * alg.T(alg.group.simple(token[1]))
+        elif token[0] == "F":
+            out = out * alg.f_s(token[1])
+        else:
+            out = out * alg.monomial(token[1], token[2])
+    return out
+
+
+@pytest.mark.parametrize("matrix", [[[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], HYPERBOLIC],
+                         ids=["affine-A2", "hyperbolic"])
+def test_kernel_keeps_the_term_budget(monkeypatch, matrix):
+    """F-word associativity products multiply the same Laurent polynomials with
+    and without the kernel, and each division of a product's numerator succeeds."""
+    sys = standard_system(matrix)
+    rng = random.Random(5)
+    triples = []
+    for _ in range(4):
+        words = [_word(rng, sys.n, sys.rank, False) for _ in range(3)]
+        words[rng.randrange(3)] = _word(rng, sys.n, sys.rank, True)
+        triples.append(words)
+    real_mul, real_rmul, real_div = LaurentPoly.__mul__, RationalElt.__mul__, laurent.divide_binomial
+
+    def run(plain):
+        counts = [0, 0]
+        chain, outcomes = [], []
+
+        def poly_mul(a, b):
+            counts[0] += 1
+            counts[1] += len(a.terms) * len(b.terms)
+            out = real_mul(a, b)
+            if chain == [None]:
+                chain[0] = out  # the first product inside RationalElt.__mul__ is its numerator
+            return out
+
+        def rational_mul(x, y):
+            chain[:] = [None]
+            try:
+                return real_rmul(x, y)
+            finally:
+                chain.clear()
+
+        def divide(p, f):
+            q = real_div(p, f)
+            if chain and p is chain[-1]:
+                outcomes.append(q is not None)
+                chain.append(q)
+            return q
+
+        with monkeypatch.context() as m:
+            m.setattr(hecke, "_algebra_memos", Memo(ALGEBRA_TABLE_CAP))
+            m.setattr(LaurentPoly, "__mul__", poly_mul)
+            m.setattr(laurent, "divide_binomial", divide)
+            if plain:
+                m.setattr(RationalElt, "__mul__", _plain_mul)
+                m.setattr(RationalElt, "__add__", _plain_add)
+            else:
+                m.setattr(RationalElt, "__mul__", rational_mul)
+            alg = HeckeAlgebra(sys, ParameterSet.equal(Fraction(2), sys.n))
+            results = []
+            for words in triples:
+                a, b, c = (_element(alg, w) for w in words)
+                for h in ((a * b) * c, a * (b * c)):
+                    results.append({w: (x.num.terms, x.den) for w, x in h.coeffs.items()})
+        return counts, results, outcomes
+
+    kernel_counts, kernel_results, outcomes = run(False)
+    plain_counts, plain_results, _ = run(True)
+    assert kernel_counts == plain_counts
+    assert kernel_results == plain_results
+    assert outcomes and all(outcomes)
