@@ -9,7 +9,7 @@ from .coxeter import (
     enumerate_ball,
     inversion_coroots,
 )
-from .hecke import HeckeAlgebra, HeckeElt, Membership, max_supp, membership
+from .hecke import HeckeAlgebra, HeckeElt, max_supp
 from .laurent import BinomialFactor, Character, LaurentPoly, RationalElt, evaluate
 from .principal import ModuleVector, PrincipalSeries, VectorStats
 from .rootdata import (
@@ -18,7 +18,6 @@ from .rootdata import (
     ParameterSet,
     RootGeneratingSystem,
     enumerate_coroots,
-    find_strictly_dominant,
     standard_system,
     validate_system,
 )
@@ -30,7 +29,6 @@ from .stabilizer import (
     analyze,
     kato_check,
     s_tau_matrix,
-    semidirect_check,
 )
 
 __version__ = "0.1.0"
@@ -44,7 +42,6 @@ __all__ = [
     "KacMoodyMatrix",
     "KatoVerdict",
     "LaurentPoly",
-    "Membership",
     "ModuleVector",
     "ParameterSet",
     "PrincipalSeries",
@@ -63,14 +60,11 @@ __all__ = [
     "enumerate_ball",
     "enumerate_coroots",
     "evaluate",
-    "find_strictly_dominant",
     "inversion_coroots",
     "kato_check",
     "max_supp",
-    "membership",
     "quadext",
     "s_tau_matrix",
-    "semidirect_check",
     "standard_system",
     "validate_system",
     "__version__",

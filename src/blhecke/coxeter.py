@@ -12,8 +12,8 @@ greedy left descents, and the action on Y, needed only to twist exponents
 and characters, is built lazily from that word.
 
 The `WeylGroup` owns the queries that depend on the datum alone: the coroot
-and Bruhat-ball enumerations by bound, the root and reflection of each
-coroot, and the Tits cone.  Callers use the group they hold.  The module
+and Bruhat-ball enumerations by bound, and the root and reflection of each
+coroot.  Callers use the group they hold.  The module
 functions `enumerate_ball` and `inversion_coroots` stay because the
 benchmark's tracer counts and times them there; `enumerate_ball` runs only
 on a memo miss.
@@ -265,49 +265,6 @@ class WeylGroup:
     def ball(self, max_length: int) -> tuple[WeylElement, ...]:
         """The elements of length <= bound (`enumerate_ball`), once per bound."""
         return self.memo.once(("ball", max_length), lambda: enumerate_ball(self.system, max_length))
-
-    def tits_cone(self, lam, step_cap: int | None = None) -> "ConeResult":
-        """Capped dominance iteration deciding membership in the Tits cone.
-
-        Applies r_i at the smallest i with alpha_i(lam) < 0 until dominant (and
-        the mirror iteration until antidominant); returns Undetermined when
-        neither terminates within the cap.  The witness w satisfies: w(lam) is
-        dominant (resp. antidominant).
-        """
-        sys = self.system
-        if step_cap is None:
-            step_cap = 10 * sum(abs(x) for x in lam) + 10
-
-        def iterate(sign: int):
-            cur = lam
-            w = self.identity
-            for step in range(step_cap + 1):
-                bad = next((i for i in range(sys.n) if sign * sys.root_pairing(i, cur) < 0), None)
-                if bad is None:
-                    return w, step
-                cur = sys.reflect(bad, cur)
-                w = w.left_simple(bad)
-            return None
-
-        pos = iterate(+1)
-        if pos is not None:
-            return ConeResult(CONE_POSITIVE, pos[0], pos[1])
-        neg = iterate(-1)
-        if neg is not None:
-            return ConeResult(CONE_NEGATIVE, neg[0], neg[1])
-        return ConeResult(CONE_UNDETERMINED, None, step_cap)
-
-
-CONE_POSITIVE = "InPositiveCone"
-CONE_NEGATIVE = "InNegativeCone"
-CONE_UNDETERMINED = "Undetermined"
-
-
-@dataclass(frozen=True)
-class ConeResult:
-    status: str
-    witness: WeylElement | None  # w with w(lam) (anti)dominant, or None
-    steps: int
 
 
 def bruhat_leq(v: WeylElement, w: WeylElement) -> bool:

@@ -87,13 +87,5 @@ class KacMoodyViolation(BLHeckeError):
     """A derived pairing matrix is not a Kac-Moody matrix (bug signal)."""
 
 
-class BoundTooSmall(BLHeckeError):
-    """A truncation bound was too small to certify the computation."""
-
-    def __init__(self, message: str, suggested: int | None = None):
-        super().__init__(message)
-        self.suggested = suggested
-
-
 class ConfigError(BLHeckeError):
     """Malformed configuration input."""

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coxeter import (
-    CONE_POSITIVE,
-    CONE_UNDETERMINED,
-    WeylElement,
-    WeylGroup,
-    bruhat_leq,
-    inversion_coroots,
-)
+from .coxeter import WeylElement, WeylGroup, bruhat_leq, inversion_coroots
 from .errors import IncompatibleData, NotInBLH
 from .laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from .memo import ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
@@ -344,34 +337,6 @@ def _push_through(alg: HeckeAlgebra, theta: RationalElt, v: WeylElement) -> "Hec
     if not corr.is_zero:
         main = main + _push_through(alg, corr, rest)
     return main
-
-
-@dataclass(frozen=True)
-class Membership:
-    """Membership verdict: in the polynomial subalgebra, and in the
-    Iwahori-Hecke subalgebra (None when a Tits-cone query is undetermined)."""
-
-    in_blh: bool
-    in_ih: bool | None
-
-
-def membership(h: HeckeElt, dominance_cap: int | None = None) -> Membership:
-    group = h.algebra.group
-    in_ih: bool | None = True
-    for _, c in h.coeffs.items():
-        poly = c.is_polynomial()
-        if poly is None:
-            return Membership(False, False)
-        if in_ih is False:
-            continue
-        for exp in poly.terms:
-            res = group.tits_cone(exp, dominance_cap)
-            if res.status == CONE_UNDETERMINED:
-                in_ih = None
-            elif res.status != CONE_POSITIVE:
-                in_ih = False
-                break
-    return Membership(True, in_ih)
 
 
 def max_supp(h: HeckeElt) -> tuple[WeylElement, ...]:

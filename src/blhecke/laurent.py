@@ -60,7 +60,10 @@ class LaurentPoly:
             for exp, coeff in terms.items():
                 coeff = as_scalar(coeff)
                 if coeff:
-                    clean[tuple(int(x) for x in exp)] = coeff
+                    key = tuple(int(x) for x in exp)
+                    if len(key) != rank:
+                        raise IncompatibleData(f"exponent {key} in a rank-{rank} Laurent polynomial")
+                    clean[key] = coeff
         self.terms = clean
 
     @staticmethod
@@ -206,7 +209,7 @@ class BinomialFactor:
             root = scalar_sqrt(self.scale)
             if root is not None:
                 half = tuple(x // 2 for x in self.direction)
-                return BinomialFactor(root, half).split() + BinomialFactor(-root, half).split()
+                return BinomialFactor.make(root, half).split() + BinomialFactor.make(-root, half).split()
         return [self]
 
     def __repr__(self):

@@ -59,6 +59,7 @@ from .coxeter import WeylElement
 from .errors import (
     DecompositionFailure,
     DomainNotLowerSet,
+    IncompatibleData,
     NotInBLH,
     NotInGenWeightSpace,
     NotInItgSpan,
@@ -98,6 +99,7 @@ class ModuleVector:
         return tuple(sorted(self.coeffs, key=lambda w: w.sort_key))
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
+        _same_character(other, self.character)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
@@ -152,6 +154,7 @@ class PrincipalSeries:
     def act(self, h: HeckeElt, x: ModuleVector) -> ModuleVector:
         """Module action of a polynomial-coefficient element: the general path,
         which lifts x, multiplies and evaluates (the scalar engine's reference)."""
+        _same_character(x, self.tau)
         if any(c.is_polynomial() is None for c in h.coeffs.values()):
             raise NotInBLH("action requires polynomial coefficients")
         lift = HeckeElt(
@@ -162,6 +165,7 @@ class PrincipalSeries:
 
     def act_poly(self, p: LaurentPoly, x: ModuleVector) -> ModuleVector:
         """p.x, each monomial applied by the generator columns."""
+        _same_character(x, self.tau)
         return ModuleVector(self.tau, _combine((self._apply(lam, x.coeffs), c) for lam, c in p.terms.items()))
 
     def _apply(self, mu: tuple, vec: dict[WeylElement, Scalar]) -> dict[WeylElement, Scalar]:
@@ -267,6 +271,7 @@ class PrincipalSeries:
 
     def _k_coordinates(self, x: ModuleVector, stab: TauStabilizer) -> dict[WeylElement, Scalar]:
         """Coordinates of x in the evaluated modified-intertwiner basis."""
+        _same_character(x, self.tau)
         residue = x
         coords: dict[WeylElement, Scalar] = {}
         while not residue.is_zero:
@@ -331,6 +336,7 @@ class PrincipalSeries:
     def ord_tau(self, x: ModuleVector) -> int:
         """Least k with every k-fold product of vanishing lattice elements
         killing x, by iterated spans of the rank shifted generators (module docstring)."""
+        _same_character(x, self.tau)
         if x.is_zero:
             return 0
         gens = _rank_shifts(self.tau)
@@ -384,8 +390,15 @@ class Intertwiner:
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         """Sum of c T_w.target over the terms c T_w v of x, by the scalar T_s rule."""
+        _same_character(x, self.series.tau)
         alg, target = self.series.algebra, self.target.coeffs
         return ModuleVector(self.series.tau, _combine((_left_T(alg, w, target, mul), c) for w, c in x.coeffs.items()))
+
+
+def _same_character(x: ModuleVector, tau: Character) -> None:
+    """Raise unless x is a vector over tau: coordinates in I_tau mean nothing in another series."""
+    if x.character != tau:
+        raise IncompatibleData(f"vector over {x.character}, expected {tau}")
 
 
 def _combine(terms) -> dict[WeylElement, Scalar]:

@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from . import linalg
-from .errors import BoundTooSmall, NotARealCoroot, ValidationError
+from .errors import NotARealCoroot, ValidationError
 from .scalars import Scalar, abs_gt_one
 
 IntVec = tuple[int, ...]
@@ -358,17 +357,3 @@ def coroot_orbit_witness(sys: RootGeneratingSystem, coroot: Coroot) -> tuple[lis
             raise NotARealCoroot(f"{coroot} admits no height descent; not a real coroot")
         word.append(step[0])
         cur = step[1]
-
-
-def find_strictly_dominant(sys: RootGeneratingSystem, bound: int = 5) -> IntVec:
-    """Smallest integer vector in the open dominant chamber, coefficients in
-    [-bound, bound]; raises BoundTooSmall when the lattice misses the chamber."""
-    best = None
-    for cand in product(range(-bound, bound + 1), repeat=sys.rank):
-        if all(sys.root_pairing(i, cand) > 0 for i in range(sys.n)):
-            key = (sum(abs(x) for x in cand), cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-    if best is None:
-        raise BoundTooSmall(f"no strictly dominant vector with coefficients in [-{bound}, {bound}]")
-    return tuple(best[1])

@@ -47,8 +47,7 @@ than the word of r_1 w; and by bound, W_tau in the ball, scanned once.
 `kato_check`, `analyze` and a `PrincipalSeries` read the same tests (U_C,
 W_tau, membership in W_(tau)) from that memo, within a call and across
 calls, so the verdict and the analysis cannot disagree and neither
-recomputes what the other made: W_(tau), R_tau and the semidirect check
-filter the one W_tau scan.
+recomputes what the other made: W_(tau) and R_tau filter the one W_tau scan.
 """
 
 from __future__ import annotations
@@ -56,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coxeter import WeylElement, coxeter_ball, inversion_coroots, lifts_below, reduced_words
+from .coxeter import WeylElement, coxeter_ball, inversion_coroots, lifts_below
 from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
@@ -261,10 +260,6 @@ class TauStabilizer:
             raise WordNotReduced(f"leading coefficient of K~[{w!r}] is not the tracked normalizer")
         return inv
 
-    def tau_reduced_words(self, w: WeylElement, coroot_bound: int) -> list[tuple[WeylElement, ...]]:
-        """All reduced words of w over the bounded canonical generator set."""
-        return [tuple(map(self.algebra.group.reflection, word)) for word in reduced_words(w, self.sigma_tau(coroot_bound))]
-
     # -- scalars -------------------------------------------------------------
     def sigma_pp(self, coroot: Coroot) -> Scalar:
         """The weight-shift scalar ((s^2-1) + s(s'-s'^-1) tau(alpha^vee)) / 2."""
@@ -395,21 +390,3 @@ def kato_check(algebra: HeckeAlgebra, tau: Character, coroot_bound: int, length_
         if not stab.in_reflection_subgroup(w):
             return KatoVerdict(REDUCIBLE, coroot_bound, length_bound, True, witness_element=w)
     return KatoVerdict(IRREDUCIBLE, coroot_bound, length_bound, stab.saturated(coroot_bound, length_bound))
-
-
-def semidirect_check(stab: TauStabilizer, length_bound: int, coroot_bound: int) -> bool:
-    """Every stabilizer element in the ball factors uniquely as r * p with r in
-    the R-group and p in the reflection subgroup; conjugation by stabilizer
-    elements preserves the reflection subgroup."""
-    r_ball = stab.r_tau_ball(length_bound)
-    for w in stab.w_tau_ball(length_bound):
-        factorizations = [
-            r for r in r_ball if stab.in_reflection_subgroup(r.inverse() * w)
-        ]
-        if len(factorizations) != 1:
-            return False
-    for r in stab.s_tau(coroot_bound):
-        for w in stab.w_tau_ball(length_bound):
-            if not stab.in_reflection_subgroup(w * r * w.inverse()):
-                return False
-    return True

@@ -12,7 +12,6 @@ from blhecke import (
     enumerate_coroots,
     evaluate,
     max_supp,
-    membership,
 )
 from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots
 from blhecke.errors import IncompatibleData, NotInBLH
@@ -248,32 +247,6 @@ def test_k_tilde_nonsimple_relations(alg_a2):
     th = mono((2, -1))
     omega = alg_a2.q_r(theta_cor) * (th - th.twist(r))
     assert alg_a2.theta(th) * ktr == ktr * alg_a2.theta(th.twist(r)) + alg_a2.theta(omega)
-
-
-def test_membership(alg_a2, alg_affine_a1):
-    g = alg_a2.group
-    m = membership(alg_a2.T(g.simple(0)))
-    assert m.in_blh and m.in_ih
-    bad = alg_a2.T(g.simple(0)).times_fn(alg_a2.q_s(0))
-    m = membership(bad)
-    assert not m.in_blh and not m.in_ih
-    pos = alg_a2.monomial((1, 0))
-    m = membership(pos)
-    assert m.in_blh and m.in_ih
-    # finite type: the whole lattice lies in the Tits cone
-    assert membership(alg_a2.monomial((-1, 0))).in_ih is True
-    # affine: the negative of a dominant vector is in the negative cone only
-    from blhecke import find_strictly_dominant
-
-    lam = find_strictly_dominant(alg_affine_a1.system)
-    down = alg_affine_a1.monomial(tuple(-x for x in lam))
-    assert membership(down, dominance_cap=100).in_ih is False
-
-
-def test_membership_undetermined(alg_affine_a1):
-    # alpha_1^vee sits on the null level outside both cones
-    h = alg_affine_a1.monomial((1, 0, 0))
-    assert membership(h, dominance_cap=30).in_ih is None
 
 
 def test_max_supp_examples(alg_a2):

@@ -187,6 +187,8 @@ def test_factor_split_with_square_scale():
     got = {(p.scale, p.direction) for p in f3.split()}
     root = quadext(1, 1, 2)
     assert got == {(root, (-1,)), (-root, (-1,))}
+    # the halves are in the `as_scalar` normal form, as `make` builds them
+    assert [(type(p.scale), p.scale) for p in BinomialFactor.make(4, (2,)).split()] == [(int, 2), (int, -2)]
 
 
 def test_character_with_extension():
@@ -304,6 +306,13 @@ def test_arithmetic_across_ranks_raises():
         for op in (operator.add, operator.sub, operator.mul):
             with pytest.raises(IncompatibleData):
                 op(a, b)
+
+
+def test_exponent_of_another_rank_rejected():
+    for rank, exp in ((2, (1, 1, 1)), (3, (1,)), (1, ())):
+        with pytest.raises(IncompatibleData, match=f"exponent .* rank-{rank}"):
+            LaurentPoly(rank, {exp: 1})
+    assert LaurentPoly(2, {(1, 1): 1}).terms == {(1, 1): 1}
 
 
 def test_zero_direction_rejected():

@@ -30,6 +30,7 @@ import pytest
 
 from blhecke import Character, ParameterSet, PrincipalSeries, RootGeneratingSystem, kato_check, quadext, standard_system
 from blhecke.hecke import HeckeAlgebra, _left_T_gen
+from blhecke.laurent import LaurentPoly
 from blhecke.scalars import ONE
 from blhecke.stabilizer import IRREDUCIBLE, analyze
 
@@ -206,3 +207,23 @@ def test_kato_verdict_matches_the_module(name):
         analysis = analyze(alg, tau, 10, 8)
         if analysis.u_c.ok:
             assert endomorphism_dim(zs, ts) == len(analysis.r_tau_ball), vals
+
+
+def test_affine_a2_trivial_weight_space_at_ball_2():
+    """The module side of ROADMAP item 1: on affine A2 at q = 4 and the trivial
+    character, the weight space on the ball of length 2 is spanned by v and
+    x = (-T12 + T13 + T21 - T23 - T31 + T32) v, and every Z^(+-e_j) fixes x by
+    both the column walk (`act_poly`) and the lift-multiply-evaluate path (`act`).
+    What this means for the Kato verdict is open (item 1) and not asserted here."""
+    system = standard_system([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
+    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(2), system.n))
+    tau = Character.trivial(system.rank)
+    ser = PrincipalSeries(alg, tau)
+    signs = {(0, 1): -1, (0, 2): 1, (1, 0): 1, (1, 2): -1, (2, 0): -1, (2, 1): 1}
+    x = ser.vector({alg.group.from_word(word): c for word, c in signs.items()})
+    assert ser.weight_space(tau, 2) == [ser.v(), x]
+    for j in range(system.rank):
+        for sign in (1, -1):
+            exp = tuple(sign * int(i == j) for i in range(system.rank))
+            assert ser.act_poly(LaurentPoly.monomial(exp), x) == x, exp
+            assert ser.act(alg.monomial(exp), x) == x, exp

@@ -19,6 +19,7 @@ from blhecke import (
 from blhecke.coxeter import WeylGroup, bruhat_leq, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
+    IncompatibleData,
     NotInBLH,
     NotInGenWeightSpace,
     NotInItgSpan,
@@ -197,9 +198,7 @@ def test_k_act_extends_plain_action(alg_b2):
         x = ModuleVector(tau, {})
         for w in ball:
             x = x + basis[w].scale(Fraction(rng.randint(0, 2)))
-        from blhecke.hecke import membership
-
-        assert membership(h).in_blh
+        assert all(c.is_polynomial() is not None for c in h.coeffs.values())
         assert ser.k_act(h, x) == ser.act(h, x)
 
 
@@ -542,3 +541,27 @@ def test_weight_queries_ask_only_positive_unit_exponents(monkeypatch):
     ser.generalized_weight_space(ser.tau, 2, 2)
     ser.ord_tau(ser.vector({alg.group.simple(0): Fraction(1)}))
     assert set(asked) == {exp for exp in unit_exponents(rank) if sum(exp) == 1}
+
+
+def test_vectors_of_another_character_raise(alg_a2):
+    """A vector of I_(7, 11) has no meaning in I_(3, 5): adding it, or handing it
+    to an action, an intertwiner, `ord_tau` or the K~ coordinates (through
+    `stats` and `k_act`) raises instead of reading its coefficients with the
+    series' tau."""
+    ser = series(alg_a2, Character.make([3, 5]))
+    other = series(alg_a2, Character.make([7, 11])).v()
+    z = LaurentPoly.monomial((1, 0))
+    calls = [
+        lambda: ser.v() + other,
+        lambda: ser.v() - other,
+        lambda: ser.act(alg_a2.monomial((1, 0)), other),
+        lambda: ser.act_poly(z, other),
+        lambda: ser.psi(alg_a2.group.identity)(other),
+        lambda: ser.ord_tau(other),
+        lambda: ser.stats(other),
+        lambda: ser.k_act(alg_a2.monomial((1, 0)), other),
+    ]
+    for call in calls:
+        with pytest.raises(IncompatibleData, match="7, 11"):
+            call()
+    assert ser.act_poly(z, ser.v()) == ser.v().scale(3)

@@ -8,7 +8,6 @@ from blhecke import (
     ParameterSet,
     RootGeneratingSystem,
     enumerate_coroots,
-    find_strictly_dominant,
     standard_system,
     validate_system,
 )
@@ -169,13 +168,6 @@ def test_orbit_witness_roundtrip(affine_a1):
 def test_orbit_witness_rejects_non_coroot(a2):
     with pytest.raises(NotARealCoroot):
         coroot_orbit_witness(a2, Coroot((2, 0)))
-
-
-def test_find_strictly_dominant(a2, affine_a1):
-    lam = find_strictly_dominant(a2)
-    assert all(a2.root_pairing(i, lam) > 0 for i in range(2))
-    lam = find_strictly_dominant(affine_a1)
-    assert all(affine_a1.root_pairing(i, lam) > 0 for i in range(2))
 
 
 def test_standard_system_shape(affine_a2):

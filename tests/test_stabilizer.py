@@ -17,7 +17,7 @@ from blhecke import (
 from blhecke import coxeter
 from blhecke.cli import lemma37_system
 from blhecke.cli import main as cli_main
-from blhecke.coxeter import WeylGroup, inversion_coroots
+from blhecke.coxeter import WeylGroup, inversion_coroots, reduced_words
 from blhecke.errors import KacMoodyViolation
 from blhecke.hecke import HeckeAlgebra
 from blhecke.memo import SERIES_CAP, Memo
@@ -30,7 +30,6 @@ from blhecke.stabilizer import (
     analyze,
     kato_check,
     s_tau_matrix,
-    semidirect_check,
     sigma_tau_minimal_direct,
 )
 
@@ -220,6 +219,24 @@ def test_reducible_verdict_is_absolute(alg_affine_a1):
     assert v.status == REDUCIBLE and v.witness_element is not None and v.absolute
 
 
+def semidirect_check(stab: TauStabilizer, length_bound: int, coroot_bound: int) -> bool:
+    """Every stabilizer element in the ball factors uniquely as r * p with r in
+    the R-group and p in the reflection subgroup; conjugation by stabilizer
+    elements preserves the reflection subgroup."""
+    r_ball = stab.r_tau_ball(length_bound)
+    for w in stab.w_tau_ball(length_bound):
+        factorizations = [
+            r for r in r_ball if stab.in_reflection_subgroup(r.inverse() * w)
+        ]
+        if len(factorizations) != 1:
+            return False
+    for r in stab.s_tau(coroot_bound):
+        for w in stab.w_tau_ball(length_bound):
+            if not stab.in_reflection_subgroup(w * r * w.inverse()):
+                return False
+    return True
+
+
 def test_semidirect_examples(alg_a2, alg_a1_adjoint, alg_b2, trivial2):
     assert semidirect_check(TauStabilizer(alg_a2, trivial2), 3, 4)
     assert semidirect_check(TauStabilizer(alg_a1_adjoint, Character.make([-1])), 2, 4)
@@ -305,7 +322,7 @@ def test_reflection_subgroup_walks_match_brute_force(name):
                 assert set(level) == {w for w in inside if stab.ell_tau(w) == k}, (tau, k)
         gens = stab.s_tau(10)
         for w in inside:
-            words = stab.tau_reduced_words(w, 10)
+            words = [tuple(map(group.reflection, word)) for word in reduced_words(w, stab.sigma_tau(10))]
             brute = [word for word in itertools.product(gens, repeat=stab.ell_tau(w)) if _product(group, word) == w]
             assert all(len(word) == stab.ell_tau(w) and _product(group, word) == w for word in words)
             assert len(words) == len(brute) and set(words) == set(brute), (tau, w)
@@ -668,7 +685,8 @@ def test_walks_match_the_length_walks(name, ell):
         ball = stab.subgroup_ball(ell, 10)
         assert ball == _ball_by_length(alg.group.identity, gens, stab.ell_tau, ell), tau
         for w in ball:
-            assert stab.tau_reduced_words(w, 10) == _reduced_words_by_length(w, gens, stab.ell_tau), (tau, w)
+            words = [tuple(map(alg.group.reflection, word)) for word in reduced_words(w, stab.sigma_tau(10))]
+            assert words == _reduced_words_by_length(w, gens, stab.ell_tau), (tau, w)
             word = stab.tau_reduced_word(w)
             for v in ball:
                 assert stab.bruhat_leq_tau(v, w) == _lifts_below_by_length(v, word, stab.ell_tau), (tau, v, w)
