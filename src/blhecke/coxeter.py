@@ -7,9 +7,11 @@ reflection r_i is `reflect_coroot(i, alpha_j^vee)`, read off the Kac-Moody
 matrix.  The representation is faithful: if w(alpha_i^vee) > 0 for every i
 then l(w) = 0, so w = 1 (Kac, Infinite-Dimensional Lie Algebras, 3.11-3.13,
 applied to the dual datum, whose real roots are the coroots).  Descents are
-sign tests on one column, the canonical ShortLex reduced word comes from
-greedy left descents, and the action on Y, needed only to twist exponents
-and characters, is built lazily from that word.
+sign tests on one column.  The word, N(w) and the Y-action (needed only to
+twist exponents and characters) each step from the interned left factor
+w' = r_i w, i the least left descent: word(w) = (i,) + word(w') as ShortLex
+is greedy, N(w) = N(w') + {w'^{-1}(alpha_i^vee)} (Humphreys, Reflection
+Groups and Coxeter Groups, 5.6), and w acts on Y as r_i after w'.
 
 The `WeylGroup` owns the queries that depend on the datum alone: the coroot
 and Bruhat-ball enumerations by bound, and the root and reflection of each
@@ -22,13 +24,12 @@ The three walks of a Coxeter system, the ball by levels (`coxeter_ball`),
 the Bruhat order by lifting (`lifts_below`) and reduced words by descent
 (`reduced_words`), take their generators as positive coroots and multiply
 only along the steps they keep, by one descent rule: r_beta descends w,
-l(r_beta w) < l(w), iff w^{-1}(beta^vee) < 0 (`descends`; Humphreys,
-Reflection Groups and Coxeter Groups, 5.4).  W calls them with its simple
-coroots.  The reflection subgroup W_(tau) generated by the reflections of
-Phi_tau is a Coxeter system with canonical generators S_tau, length ell_tau
-and the same rule (Dyer, "Reflection subgroups of Coxeter systems",
-J. Algebra 135, 1990; Deodhar, Arch. Math. 53, 1989), so the stabilizer
-calls the walks with their coroots Sigma_tau.
+l(r_beta w) < l(w), iff w^{-1}(beta^vee) < 0 (`descends`; Humphreys 5.4).
+W calls them with its simple coroots.  The reflection subgroup W_(tau)
+generated by the reflections of Phi_tau is a Coxeter system with canonical
+generators S_tau, length ell_tau and the same rule (Dyer, "Reflection
+subgroups of Coxeter systems", J. Algebra 135, 1990; Deodhar, Arch. Math.
+53, 1989), so the stabilizer calls the walks with their coroots Sigma_tau.
 """
 
 from __future__ import annotations
@@ -100,21 +101,8 @@ class WeylElement:
 
     @cached_property
     def word(self) -> tuple[int, ...]:
-        """Canonical ShortLex-minimal reduced word (greedy smallest left descent)."""
-        a = self.system.matrix.entries
-        n = self.system.n
-        cols = [list(c) for c in zip(*self.inv)]  # cols[j] = u^{-1}(alpha_j^vee)
-        word: list[int] = []
-        while True:
-            i = next((j for j in range(n) if min(cols[j]) < 0), None)
-            if i is None:
-                return tuple(word)
-            word.append(i)
-            # u -> r_i u, so u^{-1} -> u^{-1} r_i: column j loses a[j][i] times column i
-            ci = cols[i]
-            for j in range(n):
-                if a[j][i]:
-                    cols[j] = [x - a[j][i] * y for x, y in zip(cols[j], ci)]
+        """Canonical ShortLex-minimal reduced word: (i,) + word(r_i w)."""
+        return self._from_left("word", (), lambda i, left, word: (i,) + word)
 
     @property
     def length(self) -> int:
@@ -130,30 +118,31 @@ class WeylElement:
 
     @cached_property
     def inversions(self) -> tuple[Coroot, ...]:
-        """N(w) by N(u r_i) = r_i N(u) + {alpha_i^vee} along the word, sorted
-        by `sort_key`: the stabilizer's least fixed inversion reads the order."""
-        sys = self.system
-        out: list[Coroot] = []
-        for i in self.word:
-            out = [sys.reflect_coroot(i, c) for c in out]
-            out.append(sys.simple_coroot(i))
-        return tuple(sorted(out, key=lambda c: c.sort_key))
+        """N(w) = N(w') + {w'^{-1}(alpha_i^vee)} for w' = r_i w, sorted by
+        `sort_key`: the stabilizer's least fixed inversion reads the order."""
+        return self._from_left("inversions", (), lambda i, left, inversions: tuple(
+            sorted((*inversions, Coroot(tuple(row[i] for row in left.inv))), key=lambda c: c.sort_key)))
 
     @cached_property
     def y_mat(self) -> Mat:
-        """Matrix of the action on Y-coordinates, reflected along the word."""
+        """Matrix of the action on Y-coordinates: r_i on each column of that of r_i w."""
         sys = self.system
-        cols = []
-        for j in range(sys.rank):
-            v = tuple(int(j == k) for k in range(sys.rank))
-            for i in reversed(self.word):
-                v = sys.reflect(i, v)
-            cols.append(v)
-        return tuple(zip(*cols))
+        return self._from_left("y_mat", _identity(sys.rank),
+                               lambda i, left, m: tuple(zip(*(sys.reflect(i, col) for col in zip(*m)))))
 
-    @cached_property
-    def y_inv(self) -> Mat:
-        return self.inverse().y_mat
+    def _from_left(self, name: str, base, step):
+        """The cached property `name` by value(w) = step(i, r_i w, value(r_i w)),
+        i the least left descent, value(e) = base: down the interned left
+        factors to one that holds the value, then back up, with no recursion."""
+        down, left = [], self
+        while name not in left.__dict__ and left.left_descents:
+            down.append(left)
+            left = left.left_simple(min(left.left_descents))
+        value = left.__dict__.get(name, base)
+        for w in reversed(down):
+            value = w.__dict__[name] = step(min(w.left_descents), left, value)
+            left = w
+        return value
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.system is not other.system and self.system != other.system:

@@ -478,7 +478,7 @@ class Character:
 
     def twist(self, w: WeylElement) -> "Character":
         """(w . tau)(lambda) = tau(w^{-1} lambda)."""
-        cols = tuple(zip(*w.y_inv))  # column j = w^{-1}(e_j)
+        cols = tuple(zip(*w.inverse().y_mat))  # column j = w^{-1}(e_j)
         return Character(tuple(self.of_vector(col) for col in cols))
 
     def __repr__(self):

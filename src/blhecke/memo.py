@@ -12,7 +12,11 @@ queries enumerated, not by a constant per memo:
 
 - `WeylGroup._instances`: the group of each root datum, `GROUP_CAP`.  Per
   group, with no cap: `_elements`, the intern table by matrix (the elements
-  that the group's balls, words and products reached), and `memo`, what
+  that the group's balls and products reached, and the left factors r_i w
+  of every element whose word, inversions or Y-action was asked: a ball
+  holds its own, but a lone reflection of length l brings l of them, each
+  with a word and inversions of its length, so memory grows as l^2, while
+  reflections of one family share their factors), and `memo`, what
   depends on the datum alone (the root and orbit index and the reflection
   of each coroot met, and the coroots and the Bruhat ball by bound).
   `WeylGroup.coroots` and `WeylGroup.ball` are the only readers of the
@@ -26,11 +30,12 @@ queries enumerated, not by a constant per memo:
   per character (`HeckeAlgebra.character_memos`), `theta`, the matrices
   Z^(e_j) on the balls the weight-space queries asked, `column`, the
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
-  the one memo of every `TauStabilizer` of (algebra, tau), holding t by
-  coroot of the coroot sets asked, the twisted character w . tau and the
-  greedy coroot word (the one descent) by element of the balls asked, and Phi_tau,
-  Sigma_tau and W_tau (the ball's elements that fix tau) by bound, so
-  `kato_check`, `analyze` and a `PrincipalSeries` read the same tests and scans.
+  the one memo of every `TauStabilizer` of (algebra, tau), holding the
+  simple values tau(alpha_i^vee), t by coroot of the coroot sets asked, the
+  twisted character w . tau and the greedy coroot word (the one descent) by
+  element of the balls asked, and Phi_tau, Sigma_tau and W_tau (the ball's
+  elements that fix tau) by bound, so `kato_check`, `analyze` and a
+  `PrincipalSeries` read the same tests and scans.
 - `cli._datum_table`: `GROUP_CAP` entries, one per datum, and one per
   (datum, parameters), that the process's CLI calls met: the standard datum
   built from each matrix, and the success of `validate_system` for each

@@ -99,7 +99,7 @@ class ModuleVector:
         return tuple(sorted(self.coeffs, key=lambda w: w.sort_key))
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        _same_character(other, self.character)
+        _in_series(other, self.character)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
             out[w] = out.get(w, 0) + c
@@ -136,7 +136,7 @@ class PrincipalSeries:
         return ModuleVector(self.tau, {self.algebra.group.identity: ONE})
 
     def vector(self, coeffs: dict[WeylElement, Scalar]) -> ModuleVector:
-        return ModuleVector(self.tau, coeffs)
+        return _in_series(ModuleVector(self.tau, coeffs), self.tau, self.algebra.system)
 
     # -- evaluation and the plain action ------------------------------------
     def ev(self, h: HeckeElt) -> ModuleVector:
@@ -154,7 +154,7 @@ class PrincipalSeries:
     def act(self, h: HeckeElt, x: ModuleVector) -> ModuleVector:
         """Module action of a polynomial-coefficient element: the general path,
         which lifts x, multiplies and evaluates (the scalar engine's reference)."""
-        _same_character(x, self.tau)
+        _in_series(x, self.tau, self.algebra.system)
         if any(c.is_polynomial() is None for c in h.coeffs.values()):
             raise NotInBLH("action requires polynomial coefficients")
         lift = HeckeElt(
@@ -165,7 +165,7 @@ class PrincipalSeries:
 
     def act_poly(self, p: LaurentPoly, x: ModuleVector) -> ModuleVector:
         """p.x, each monomial applied by the generator columns."""
-        _same_character(x, self.tau)
+        _in_series(x, self.tau, self.algebra.system)
         return ModuleVector(self.tau, _combine((self._apply(lam, x.coeffs), c) for lam, c in p.terms.items()))
 
     def _apply(self, mu: tuple, vec: dict[WeylElement, Scalar]) -> dict[WeylElement, Scalar]:
@@ -271,7 +271,7 @@ class PrincipalSeries:
 
     def _k_coordinates(self, x: ModuleVector, stab: TauStabilizer) -> dict[WeylElement, Scalar]:
         """Coordinates of x in the evaluated modified-intertwiner basis."""
-        _same_character(x, self.tau)
+        _in_series(x, self.tau, self.algebra.system)
         residue = x
         coords: dict[WeylElement, Scalar] = {}
         while not residue.is_zero:
@@ -336,7 +336,7 @@ class PrincipalSeries:
     def ord_tau(self, x: ModuleVector) -> int:
         """Least k with every k-fold product of vanishing lattice elements
         killing x, by iterated spans of the rank shifted generators (module docstring)."""
-        _same_character(x, self.tau)
+        _in_series(x, self.tau, self.algebra.system)
         if x.is_zero:
             return 0
         gens = _rank_shifts(self.tau)
@@ -390,15 +390,19 @@ class Intertwiner:
 
     def __call__(self, x: ModuleVector) -> ModuleVector:
         """Sum of c T_w.target over the terms c T_w v of x, by the scalar T_s rule."""
-        _same_character(x, self.series.tau)
+        _in_series(x, self.series.tau, self.series.algebra.system)
         alg, target = self.series.algebra, self.target.coeffs
         return ModuleVector(self.series.tau, _combine((_left_T(alg, w, target, mul), c) for w, c in x.coeffs.items()))
 
 
-def _same_character(x: ModuleVector, tau: Character) -> None:
-    """Raise unless x is a vector over tau: coordinates in I_tau mean nothing in another series."""
+def _in_series(x: ModuleVector, tau: Character, system=None) -> ModuleVector:
+    """x, when it is a vector over tau (coordinates in I_tau mean nothing in
+    another series) whose support lies in the group of system, when given."""
     if x.character != tau:
         raise IncompatibleData(f"vector over {x.character}, expected {tau}")
+    if system is not None and (other := next((w for w in x.coeffs if w.system != system), None)):
+        raise IncompatibleData(f"support element {other!r} of another Weyl group")
+    return x
 
 
 def _combine(terms) -> dict[WeylElement, Scalar]:

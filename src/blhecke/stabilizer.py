@@ -41,9 +41,9 @@ orbit index, root and reflection of each coroot (`reflection`,
 (`coroots`, `ball`), which the CLI and the identity checks read too.  The
 `HeckeAlgebra` holds (s, s', s s', -s/s') by coroot, and, in the entry of
 each character, one stabilizer memo per (algebra, tau) with what depends on
-tau: t by coroot, and by element w = r_i w' the character w . tau, one
-reflection away from w' . tau, and the greedy coroot word, one coroot longer
-than the word of r_1 w; and by bound, W_tau in the ball, scanned once.
+tau: t by coroot from the simple values tau(alpha_i^vee), and by element
+w = r_i w' the character w . tau, one reflection away from w' . tau, and
+the greedy coroot word, one coroot longer than r_1 w's; by bound, W_tau.
 `kato_check`, `analyze` and a `PrincipalSeries` read the same tests (U_C,
 W_tau, membership in W_(tau)) from that memo, within a call and across
 calls, so the verdict and the analysis cannot disagree and neither
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .coxeter import WeylElement, coxeter_ball, inversion_coroots, lifts_below
 from .errors import KacMoodyViolation, WordNotReduced
@@ -86,15 +87,16 @@ class TauStabilizer:
     # -- pointwise tests (exact) ---------------------------------------------
     def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
         """(t, s, s', s s', -s/s') at a coroot, t = tau(coroot): all the zeta
-        tests and sigma'' read.  A negative coroot reads t^-1 from its negative.
+        tests and sigma'' read.  A positive coroot sum_i c_i alpha_i^vee reads
+        t = prod_i tau(alpha_i^vee)^c_i, a negative one t^-1 from its negative.
         t, s s' and -s/s' are in the normal form of `as_scalar`, so the tests
         against +-1 compare ints when the values are integral."""
         def make():
             if not coroot.positive:
                 t, *sigmas = self._values(-coroot)
                 return as_scalar(scalar_inv(t)), *sigmas
-            t = self.tau.of_vector(self.system.coroot_to_y(coroot.coords))
-            return as_scalar(t), *self.algebra.sigma_values(coroot)
+            simple = self._memo.once("simple t", lambda: tuple(map(self.tau.of_vector, self.system.simple_coroots)))
+            return as_scalar(prod(v ** c for v, c in zip(simple, coroot.coords) if c)), *self.algebra.sigma_values(coroot)
 
         return self._memo.once(("t", coroot), make)
 

@@ -15,6 +15,7 @@ from blhecke import (
 )
 from blhecke.coxeter import WeylGroup
 from blhecke.errors import NotARealCoroot
+from blhecke.memo import GROUP_CAP, Memo
 from blhecke.rootdata import coroot_orbit_witness
 
 
@@ -308,3 +309,94 @@ def test_enumerate_ball_matches_right_multiplication_walk(name):
     sys, _ = _BALLS[name]
     for length in range(5):
         assert enumerate_ball(sys, length) == _right_multiplication_ball(sys, length)
+
+
+# -- the word, N(w) and the Y-action against the loops along the word they replace ----
+
+def _word_by_columns(w):
+    """The canonical word by greedy least left descents, updating the columns
+    of u^{-1} (column j is u^{-1}(alpha_j^vee)) as u -> r_i u."""
+    a = w.system.matrix.entries
+    n = w.system.n
+    cols = [list(c) for c in zip(*w.inv)]
+    word = []
+    while True:
+        i = next((j for j in range(n) if min(cols[j]) < 0), None)
+        if i is None:
+            return tuple(word)
+        word.append(i)
+        # u -> r_i u, so u^{-1} -> u^{-1} r_i: column j loses a[j][i] times column i
+        ci = cols[i]
+        for j in range(n):
+            if a[j][i]:
+                cols[j] = [x - a[j][i] * y for x, y in zip(cols[j], ci)]
+
+
+def _inversions_along_word(w):
+    """N(w) by N(u r_i) = r_i N(u) + {alpha_i^vee} along the word, sorted by `sort_key`."""
+    sys = w.system
+    out = []
+    for i in _word_by_columns(w):
+        out = [sys.reflect_coroot(i, c) for c in out]
+        out.append(sys.simple_coroot(i))
+    return tuple(sorted(out, key=lambda c: c.sort_key))
+
+
+def _y_mat_along_word(w):
+    """The matrix of the action on Y-coordinates, each basis vector reflected along the word."""
+    sys = w.system
+    word = _word_by_columns(w)
+    cols = []
+    for j in range(sys.rank):
+        v = tuple(int(j == k) for k in range(sys.rank))
+        for i in reversed(word):
+            v = sys.reflect(i, v)
+        cols.append(v)
+    return tuple(zip(*cols))
+
+
+def _assert_matches_loops(w):
+    assert w.word == _word_by_columns(w)
+    assert w.inversions == _inversions_along_word(w)
+    assert w.y_mat == _y_mat_along_word(w)
+
+
+@pytest.fixture
+def fresh_groups(monkeypatch):
+    """An empty group registry, so every element's word, inversions and
+    Y-action are computed by this test, not read from an earlier one."""
+    monkeypatch.setattr(WeylGroup, "_instances", Memo(GROUP_CAP))
+
+
+_ORACLE_DATA = {
+    "A2": standard_system([[2, -1], [-1, 2]]),
+    "B2": standard_system([[2, -1], [-2, 2]]),
+    "G2": standard_system([[2, -1], [-3, 2]]),
+    "affine A1": standard_system([[2, -2], [-2, 2]]),
+    "affine A2": _BALLS["affine A2"][0],
+    "hyperbolic": _BALLS["hyperbolic"][0],
+    "Lemma 3.7": _BALLS["Lemma 3.7"][0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DATA))
+def test_left_factor_step_matches_loops_along_the_word(name, fresh_groups):
+    """On the ball of length 5 (the longest elements asked first, so the
+    inversions and the Y-action walk down their left factors) and on the
+    reflection of every positive coroot of height <= 16, built from its matrix."""
+    group = WeylGroup(_ORACLE_DATA[name])
+    for w in reversed(group.ball(5)):
+        _assert_matches_loops(w)
+    for c in group.coroots(16):
+        if c.positive:
+            _assert_matches_loops(group.reflection(c))
+
+
+def test_long_lone_reflection_walks_without_recursion(fresh_groups):
+    """The reflection at the highest affine A1 coroot of height <= 1001 has
+    length 1001, deeper than the default recursion limit; in a fresh group
+    none of its left factors holds a value when it is asked."""
+    group = WeylGroup(standard_system([[2, -2], [-2, 2]]))
+    r = group.reflection(Coroot((500, 501)))
+    assert r.length == 1001
+    _assert_matches_loops(r)

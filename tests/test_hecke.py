@@ -13,7 +13,7 @@ from blhecke import (
     evaluate,
     max_supp,
 )
-from blhecke.coxeter import WeylGroup, all_reduced_words, enumerate_ball, inversion_coroots
+from blhecke.coxeter import all_reduced_words, enumerate_ball, inversion_coroots
 from blhecke.errors import IncompatibleData, NotInBLH
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import check_omega_polynomial, random_element, run_suite

@@ -29,6 +29,7 @@ from operator import mul
 import pytest
 
 from blhecke import Character, ParameterSet, PrincipalSeries, RootGeneratingSystem, kato_check, quadext, standard_system
+from blhecke.coxeter import WeylGroup
 from blhecke.hecke import HeckeAlgebra, _left_T_gen
 from blhecke.laurent import LaurentPoly
 from blhecke.scalars import ONE
@@ -227,3 +228,53 @@ def test_affine_a2_trivial_weight_space_at_ball_2():
             exp = tuple(sign * int(i == j) for i in range(system.rank))
             assert ser.act_poly(LaurentPoly.monomial(exp), x) == x, exp
             assert ser.act(alg.monomial(exp), x) == x, exp
+
+
+def _weight_space_dimension(matrix, values, ball):
+    system = standard_system(matrix)
+    alg = HeckeAlgebra(system, ParameterSet.equal(Fraction(2), system.n))
+    tau = Character.trivial(system.rank) if values is None else Character.make(values)
+    return len(PrincipalSeries(alg, tau).weight_space(tau, ball))
+
+
+# (matrix, |W|, length of the longest element)
+_FINITE_CONTROLS = {
+    "A2": ([[2, -1], [-1, 2]], 6, 3),
+    "A3": ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], 24, 6),
+    "B3": ([[2, -1, 0], [-1, 2, -1], [0, -2, 2]], 48, 9),
+    "A1xA2": ([[2, 0, 0], [0, 2, -1], [0, -1, 2]], 12, 4),
+    "A1^3": ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], 8, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FINITE_CONTROLS))
+def test_trivial_weight_space_is_a_line_on_finite_groups(name):
+    """The controls of ROADMAP item 1 in finite type: at q = 4 and the trivial
+    character the weight space on the whole group is spanned by v."""
+    matrix, order, longest = _FINITE_CONTROLS[name]
+    assert len(WeylGroup(standard_system(matrix)).ball(longest + 1)) == order
+    assert _weight_space_dimension(matrix, None, longest) == 1
+
+
+@pytest.mark.parametrize(
+    "matrix, values, ball",
+    [
+        ([[2, -2], [-2, 2]], None, 8),
+        ([[2, -3], [-3, 2]], None, 8),
+        ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [3, 5, 7, 3], 5),
+        ([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]], [3, 5, 7], 5),
+    ],
+    ids=["affine A1 trivial", "rank-2 hyperbolic trivial", "affine A2 regular", "hyperbolic regular"],
+)
+def test_weight_space_is_a_line_on_infinite_controls(matrix, values, ball):
+    """The infinite controls of ROADMAP item 1 at q = 4: rank 2 at the trivial
+    character, and a regular character on the rank-3 data with a triangle in
+    the Coxeter graph, where the trivial character gives more (item 1)."""
+    assert _weight_space_dimension(matrix, values, ball) == 1
+
+
+def test_affine_a2_trivial_weight_space_grows_with_the_ball():
+    """Affine A2 at q = 4 and the trivial character: dimensions 1, 2, 2, 3 on
+    the balls of length 1 to 4.  The Kato verdict is not asserted (item 1)."""
+    matrix = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert [_weight_space_dimension(matrix, None, ball) for ball in range(1, 5)] == [1, 2, 2, 3]

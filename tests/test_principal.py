@@ -8,7 +8,6 @@ from conftest import ZETA_ALGEBRAS, shifted_both_signs, unit_exponents
 
 from blhecke import (
     Character,
-    Coroot,
     ModuleVector,
     ParameterSet,
     PrincipalSeries,
@@ -16,7 +15,7 @@ from blhecke import (
     quadext,
     standard_system,
 )
-from blhecke.coxeter import WeylGroup, bruhat_leq, enumerate_ball
+from blhecke.coxeter import bruhat_leq, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
     IncompatibleData,
@@ -565,3 +564,29 @@ def test_vectors_of_another_character_raise(alg_a2):
         with pytest.raises(IncompatibleData, match="7, 11"):
             call()
     assert ser.act_poly(z, ser.v()) == ser.v().scale(3)
+
+
+def test_vectors_on_another_group_raise(alg_a2, alg_b2):
+    """T_w v for w = s1 s2 s1 s2 of B2's group has no meaning in a series over
+    A2: building it, or handing a vector holding it to an action, an
+    intertwiner, `ord_tau` or the K~ coordinates raises instead of mixing the
+    two groups' elements."""
+    ser = series(alg_a2, Character.make([3, 5]))
+    w = alg_b2.group.from_word([0, 1, 0, 1])
+    with pytest.raises(IncompatibleData, match="another Weyl group"):
+        ser.vector({w: 1})
+    other = ModuleVector(ser.tau, {w: 1})
+    z = LaurentPoly.monomial((1, 0))
+    calls = [
+        lambda: ser.act(alg_a2.monomial((1, 0)), other),
+        lambda: ser.act_poly(z, other),
+        lambda: ser.psi(alg_a2.group.identity)(other),
+        lambda: ser.ord_tau(other),
+        lambda: ser.stats(other),
+        lambda: ser.k_act(alg_a2.monomial((1, 0)), other),
+    ]
+    for call in calls:
+        with pytest.raises(IncompatibleData, match=r"s1\*s2\*s1\*s2"):
+            call()
+    u = alg_a2.group.from_word([0, 1])
+    assert ser.vector({u: 1}).coeffs == {u: 1}

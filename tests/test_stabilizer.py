@@ -8,7 +8,6 @@ from blhecke import (
     Character,
     Coroot,
     ParameterSet,
-    RootGeneratingSystem,
     enumerate_ball,
     enumerate_coroots,
     quadext,
