@@ -11,14 +11,15 @@ sign tests on one column.  The word, N(w) and the Y-action (needed only to
 twist exponents and characters) each step from the interned left factor
 w' = r_i w, i the least left descent: word(w) = (i,) + word(w') as ShortLex
 is greedy, N(w) = N(w') + {w'^{-1}(alpha_i^vee)} (Humphreys, Reflection
-Groups and Coxeter Groups, 5.6), and w acts on Y as r_i after w'.
+Groups and Coxeter Groups, 5.6), and w acts on Y as r_i after w'.  These,
+w . tau, the greedy tau-word and the module's columns take the one walk
+down left factors, `walk_down`.
 
 The `WeylGroup` owns the queries that depend on the datum alone: the coroot
 and Bruhat-ball enumerations by bound, and the root and reflection of each
-coroot.  Callers use the group they hold.  The module
-functions `enumerate_ball` and `inversion_coroots` stay because the
-benchmark's tracer counts and times them there; `enumerate_ball` runs only
-on a memo miss.
+coroot.  Callers use the group they hold.  The module functions
+`enumerate_ball` and `inversion_coroots` stay because the benchmark's tracer
+counts and times them there; `enumerate_ball` runs only on a memo miss.
 
 The three walks of a Coxeter system, the ball by levels (`coxeter_ball`),
 the Bruhat order by lifting (`lifts_below`) and reduced words by descent
@@ -102,7 +103,7 @@ class WeylElement:
     @cached_property
     def word(self) -> tuple[int, ...]:
         """Canonical ShortLex-minimal reduced word: (i,) + word(r_i w)."""
-        return self._from_left("word", (), lambda i, left, word: (i,) + word)
+        return walk_down(self, lambda u: (u.__dict__, "word"), tuple, lambda i, left, word: (i,) + word)
 
     @property
     def length(self) -> int:
@@ -120,29 +121,15 @@ class WeylElement:
     def inversions(self) -> tuple[Coroot, ...]:
         """N(w) = N(w') + {w'^{-1}(alpha_i^vee)} for w' = r_i w, sorted by
         `sort_key`: the stabilizer's least fixed inversion reads the order."""
-        return self._from_left("inversions", (), lambda i, left, inversions: tuple(
+        return walk_down(self, lambda u: (u.__dict__, "inversions"), tuple, lambda i, left, inversions: tuple(
             sorted((*inversions, Coroot(tuple(row[i] for row in left.inv))), key=lambda c: c.sort_key)))
 
     @cached_property
     def y_mat(self) -> Mat:
         """Matrix of the action on Y-coordinates: r_i on each column of that of r_i w."""
         sys = self.system
-        return self._from_left("y_mat", _identity(sys.rank),
-                               lambda i, left, m: tuple(zip(*(sys.reflect(i, col) for col in zip(*m)))))
-
-    def _from_left(self, name: str, base, step):
-        """The cached property `name` by value(w) = step(i, r_i w, value(r_i w)),
-        i the least left descent, value(e) = base: down the interned left
-        factors to one that holds the value, then back up, with no recursion."""
-        down, left = [], self
-        while name not in left.__dict__ and left.left_descents:
-            down.append(left)
-            left = left.left_simple(min(left.left_descents))
-        value = left.__dict__.get(name, base)
-        for w in reversed(down):
-            value = w.__dict__[name] = step(min(w.left_descents), left, value)
-            left = w
-        return value
+        return walk_down(self, lambda u: (u.__dict__, "y_mat"), lambda: _identity(sys.rank),
+                         lambda i, left, m: tuple(zip(*(sys.reflect(i, col) for col in zip(*m)))))
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.system is not other.system and self.system != other.system:
@@ -174,6 +161,27 @@ class WeylElement:
         if not self.word:
             return "e"
         return "*".join(f"s{i + 1}" for i in self.word)
+
+
+def walk_down(w: WeylElement, slot, base, step, down=lambda w: ((i := min(w.left_descents)), w.left_simple(i))):
+    """value(w) = step(letter, u, value(u)) for (letter, u) = down(w), by default
+    (i, r_i w) with i the least left descent; value(e) = base(); None at and above
+    an element where down returns None.  Stored at slot(u) = (table, key): down to
+    the first element whose table holds its value, then back up, no recursion."""
+    chain = []
+    table, key = slot(w)
+    while key not in table:
+        below = None if w.is_identity else down(w)
+        if below is None:
+            table[key] = base() if w.is_identity else None
+            break
+        chain.append((table, key, *below))
+        w = below[1]
+        table, key = slot(w)
+    value = table[key]
+    for table, key, letter, u in reversed(chain):
+        value = table[key] = None if value is None else step(letter, u, value)
+    return value
 
 
 class WeylGroup:

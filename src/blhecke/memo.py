@@ -4,7 +4,9 @@ A `Memo` is a dict whose values are each computed once: `once(key, make)`
 returns the value at key and calls `make()` only when the key is missing.
 Every value must be a pure function of its key, so dropping an entry only
 costs a recomputation, never a different answer.  A memo with a `cap`
-evicts its oldest entry first past the cap; `Memo()` has none.
+evicts its oldest entry first past the cap; `Memo()` has none.  No cap sees
+the stores of `coxeter.walk_down`, so it writes only into uncapped tables:
+element dicts and the `stabilizer` and `column` memos, never a capped one.
 
 Tables of owners are capped, and a memo with no cap lives exactly as long
 as its owner, so memory is bounded by the live owners times what their
@@ -33,9 +35,9 @@ queries enumerated, not by a constant per memo:
   the one memo of every `TauStabilizer` of (algebra, tau), holding the
   simple values tau(alpha_i^vee), t by coroot of the coroot sets asked, the
   twisted character w . tau and the greedy coroot word (the one descent) by
-  element of the balls asked, and Phi_tau, Sigma_tau and W_tau (the ball's
-  elements that fix tau) by bound, so `kato_check`, `analyze` and a
-  `PrincipalSeries` read the same tests and scans.
+  element of the balls asked and of the walks below them, and Phi_tau,
+  Sigma_tau and W_tau (the ball's elements that fix tau) by bound, so
+  `kato_check`, `analyze` and a `PrincipalSeries` read the same tests and scans.
 - `cli._datum_table`: `GROUP_CAP` entries, one per datum, and one per
   (datum, parameters), that the process's CLI calls met: the standard datum
   built from each matrix, and the success of `validate_system` for each
@@ -63,6 +65,7 @@ from __future__ import annotations
 # largest sizes on the seed-1 benchmark workloads in the comments
 GROUP_CAP = 64  # 5 groups; 9 entries in the CLI datum table (kato-sweep)
 SERIES_CAP = 4  # per algebra; module-weights meets one series per config
+# FIFO stays: LRU warms 122 of the 210 seed-1 kato-sweep CLI calls to its 120, and the same 250 of 324 in module-weights
 ALGEBRA_TABLE_CAP = 16  # 4 algebras (module-weights)
 
 _MISSING = object()

@@ -44,7 +44,8 @@ Q_s^T is a rational function of Z^step finite at 0 and at infinity (`omega_walk`
 checks each j).  Where lambda + j step is 0 or some +-e_k, v_j is read from the
 columns instead.  From lambda = +-e_k the walk reads only generator columns
 Z^(+-e_k) T_u v, u <= w': at most 2 * rank per element.  This is exact, and as
-Omega_s keeps polynomials polynomial, tau is applied at the bottom of the walk.
+Omega_s keeps polynomials polynomial, tau is applied at the bottom of the walk,
+`coxeter.walk_down`, which goes down to the first left factor whose column is held.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import mul
 
-from .coxeter import WeylElement
+from .coxeter import WeylElement, walk_down
 from .errors import (
     DecompositionFailure,
     DomainNotLowerSet,
@@ -179,20 +180,17 @@ class PrincipalSeries:
     def _column(self, lam: tuple, w: WeylElement) -> dict[WeylElement, Scalar]:
         """Z^lam T_w v for a generator lam = +-e_k, as a map u -> scalar, by the
         walk of the module docstring; memoized per series, so callers must not mutate it."""
-        def make() -> dict[WeylElement, Scalar]:
-            if w.is_identity:
-                return {w: as_scalar(self.tau.of_vector(lam))}
-            i = w.word[0]
+        def up(i: int, rest: WeylElement, below: dict) -> dict[WeylElement, Scalar]:
             step, n, coeffs = self.algebra.omega_walk(i, lam)
-            rest = w.left_simple(i)
-            walk = [self._column(lam, rest)]
+            walk = [below]
             for j in range(1, n + 1):
                 mu = tuple(x + j * a for x, a in zip(lam, step))
                 walk.append(self._apply(mu, {rest: 1}) if sum(map(abs, mu)) <= 1 else self._apply(step, walk[-1]))
             top = _left_T_gen(self.algebra, i, walk[n], mul)
             return _combine([(top, 1), *((walk[j], c) for j, c in coeffs.items())])
 
-        return self._memos["column"].once((lam, w), make)
+        memo, e = self._memos["column"], self.algebra.group.identity
+        return walk_down(w, lambda u: (memo, (lam, u)), lambda: {e: as_scalar(self.tau.of_vector(lam))}, up)
 
     @cached_property
     def _memos(self) -> dict[str, Memo]:

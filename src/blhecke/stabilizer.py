@@ -41,9 +41,9 @@ orbit index, root and reflection of each coroot (`reflection`,
 (`coroots`, `ball`), which the CLI and the identity checks read too.  The
 `HeckeAlgebra` holds (s, s', s s', -s/s') by coroot, and, in the entry of
 each character, one stabilizer memo per (algebra, tau) with what depends on
-tau: t by coroot from the simple values tau(alpha_i^vee), and by element
-w = r_i w' the character w . tau, one reflection away from w' . tau, and
-the greedy coroot word, one coroot longer than r_1 w's; by bound, W_tau.
+tau: t by coroot from the simple values tau(alpha_i^vee); by element, w . tau
+and the greedy coroot word, filled from r_i w and r_beta w by the walk down
+left factors (`coxeter.walk_down`); by bound, W_tau.
 `kato_check`, `analyze` and a `PrincipalSeries` read the same tests (U_C,
 W_tau, membership in W_(tau)) from that memo, within a call and across
 calls, so the verdict and the analysis cannot disagree and neither
@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .coxeter import WeylElement, coxeter_ball, inversion_coroots, lifts_below
+from .coxeter import WeylElement, coxeter_ball, inversion_coroots, lifts_below, walk_down
 from .errors import KacMoodyViolation, WordNotReduced
 from .hecke import HeckeAlgebra, HeckeElt
 from .laurent import Character, RationalElt
@@ -88,17 +88,18 @@ class TauStabilizer:
     def _values(self, coroot: Coroot) -> tuple[Scalar, Scalar, Scalar, Scalar, Scalar]:
         """(t, s, s', s s', -s/s') at a coroot, t = tau(coroot): all the zeta
         tests and sigma'' read.  A positive coroot sum_i c_i alpha_i^vee reads
-        t = prod_i tau(alpha_i^vee)^c_i, a negative one t^-1 from its negative.
-        t, s s' and -s/s' are in the normal form of `as_scalar`, so the tests
-        against +-1 compare ints when the values are integral."""
-        def make():
-            if not coroot.positive:
-                t, *sigmas = self._values(-coroot)
-                return as_scalar(scalar_inv(t)), *sigmas
+        t = prod_i tau(alpha_i^vee)^c_i, a negative one t^-1 from the values
+        of its negative.  t, s s' and -s/s' are in the normal form of
+        `as_scalar`, so the tests against +-1 compare ints when integral."""
+        def positive(c=coroot):
             simple = self._memo.once("simple t", lambda: tuple(map(self.tau.of_vector, self.system.simple_coroots)))
-            return as_scalar(prod(v ** c for v, c in zip(simple, coroot.coords) if c)), *self.algebra.sigma_values(coroot)
+            return as_scalar(prod(v ** k for v, k in zip(simple, c.coords) if k)), *self.algebra.sigma_values(c)
 
-        return self._memo.once(("t", coroot), make)
+        def negative():
+            t, *sigmas = self._memo.once(("t", -coroot), lambda: positive(-coroot))
+            return as_scalar(scalar_inv(t)), *sigmas
+
+        return self._memo.once(("t", coroot), positive if coroot.positive else negative)
 
     def phi_contains(self, coroot: Coroot) -> bool:
         """Does the reduced zeta denominator vanish: t in {1, -1} minus {s s', -s/s'}?"""
@@ -134,19 +135,14 @@ class TauStabilizer:
     def _greedy_word(self, w: WeylElement) -> tuple[Coroot, ...] | None:
         """The one descent, once per element, read by membership, K~_w and the
         Bruhat order: the coroot word whose first letter is the least fixed
-        inversion beta_1 of w^{-1}, a canonical generator (module docstring),
-        followed by the word of r_1 w (None when w^{-1} inverts no fixed coroot)."""
-        if w.is_identity:
-            return ()
+        inversion beta of w^{-1}, a canonical generator (module docstring),
+        followed by the word of r_beta w (None when the descent stops short
+        of e, at an element whose inverse inverts no fixed coroot)."""
+        def down(u: WeylElement):
+            beta = self._least_fixed_inversion(u)
+            return None if beta is None else (beta, self.algebra.group.reflection(beta) * u)
 
-        def make():
-            beta = self._least_fixed_inversion(w)
-            if beta is None:
-                return None
-            rest = self._greedy_word(self.algebra.group.reflection(beta) * w)
-            return None if rest is None else (beta, *rest)
-
-        return self._memo.once(("word", w), make)
+        return walk_down(w, lambda u: (self._memo, ("word", u)), tuple, lambda beta, u, rest: (beta, *rest), down)
 
     def in_reflection_subgroup(self, w: WeylElement) -> bool:
         return self._greedy_word(w) is not None
@@ -163,16 +159,11 @@ class TauStabilizer:
         return self._twisted(w) == self.tau
 
     def _twisted(self, w: WeylElement) -> Character:
-        """w . tau, once per element: for w = r_i w' (i the first letter of
-        w's word), (w . tau)(e_j) = (w' . tau)(e_j) t^(-alpha_i(e_j)) with
+        """w . tau, once per element: for w = r_i w' (i the least left descent),
+        (w . tau)(e_j) = (w' . tau)(e_j) t^(-alpha_i(e_j)) with
         t = (w' . tau)(alpha_i^vee); its values are in the normal form of
         `as_scalar`, like those of `Character.make`."""
-        if w.is_identity:
-            return self.tau
-        i = w.word[0]
-
-        def make() -> Character:
-            prev = self._twisted(w.left_simple(i))
+        def up(i: int, u: WeylElement, prev: Character) -> Character:
             t = prev.of_vector(self.system.simple_coroots[i])
             if t == 1:  # r_i fixes w' . tau
                 return prev
@@ -180,7 +171,7 @@ class TauStabilizer:
             return Character(tuple(as_scalar(v * (t ** -a if a < 0 else t_inv ** a)) if a else v
                                    for v, a in zip(prev.values, self.system.simple_roots[i])))
 
-        return self._memo.once(("twist", w), make)
+        return walk_down(w, lambda u: (self._memo, ("twist", u)), lambda: self.tau, up)
 
     def in_r_group(self, w: WeylElement) -> bool:
         """w stabilizes tau and inverts no positive coroot of the subsystem."""

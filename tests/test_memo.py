@@ -138,31 +138,27 @@ def test_element_identity_survives_evictions(affine_a2, monkeypatch):
 def test_stabilizer_makes_each_key_once_at_scale(monkeypatch):
     """The stabilizer memo lives as long as its character entry: on the
     hyperbolic datum at tau = -1, `kato_check` then `analyze` at bounds
-    (64, 13) fill more entries than the 4 096 of the old cap (W_tau has 1 063
-    elements of length <= 13), and none is made twice, as a capped recursive
-    memo would."""
+    (64, 13) write more entries than the 4 096 of the old cap (W_tau has 1 063
+    elements of length <= 13), and none is written twice, as a capped memo
+    would.  Writes are counted, since `Memo.once` and the left-factor walk
+    both store through `__setitem__`."""
     alg = HeckeAlgebra(standard_system([[2, -2, -1], [-2, 2, -1], [-1, -1, 2]]), q4(3))
     tau = Character.make([-1, -1, -1])
     alg._cache["series"].pop(tau, None)
     memo = alg.character_memos(tau)["stabilizer"]
-    made = []
-    once = Memo.once
+    written = []
+    setitem = Memo.__setitem__
 
-    def counted(self, key, make):
-        if self is not memo:
-            return once(self, key, make)
+    def logged(self, key, value):
+        if self is memo:
+            written.append(key)
+        setitem(self, key, value)
 
-        def logged():
-            made.append(key)
-            return make()
-
-        return once(self, key, logged)
-
-    monkeypatch.setattr(Memo, "once", counted)
+    monkeypatch.setattr(Memo, "__setitem__", logged)
     kato_check(alg, tau, 64, 13)
     analyze(alg, tau, 64, 13)
-    assert len(made) > 4096
-    assert len(made) == len(set(made))
+    assert len(written) > 4096
+    assert len(written) == len(set(written))
 
 
 def test_column_memo_holds_generator_columns_of_the_ball():

@@ -8,6 +8,7 @@ from conftest import ZETA_ALGEBRAS, shifted_both_signs, unit_exponents
 
 from blhecke import (
     Character,
+    Coroot,
     ModuleVector,
     ParameterSet,
     PrincipalSeries,
@@ -15,7 +16,7 @@ from blhecke import (
     quadext,
     standard_system,
 )
-from blhecke.coxeter import bruhat_leq, enumerate_ball
+from blhecke.coxeter import WeylGroup, bruhat_leq, enumerate_ball
 from blhecke.errors import (
     DomainNotLowerSet,
     IncompatibleData,
@@ -29,6 +30,7 @@ from blhecke.errors import (
 from blhecke.hecke import HeckeAlgebra, HeckeElt, _left_T_gen
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt
 from blhecke.linalg import mat_pow, mat_vec, rref, triangular_kernel
+from blhecke.memo import GROUP_CAP, Memo
 from blhecke.principal import NEG_INF, Intertwiner
 from blhecke.scalars import as_scalar, is_zero
 from blhecke.stabilizer import TauStabilizer
@@ -590,3 +592,28 @@ def test_vectors_on_another_group_raise(alg_a2, alg_b2):
             call()
     u = alg_a2.group.from_word([0, 1])
     assert ser.vector({u: 1}).coeffs == {u: 1}
+
+
+def test_long_lone_reflection_reads_its_stabilizer_and_columns(monkeypatch):
+    """On affine A1 at q = 4 the reflection r at the coroot (200, 201) has
+    length 401, deeper than the default recursion limit.  In a fresh group
+    registry and fresh character entries none of its left factors holds a
+    value when r is asked: r . tau, the greedy tau-word and the generator
+    column each walk down the left factors without recursion."""
+    monkeypatch.setattr(WeylGroup, "_instances", Memo(GROUP_CAP))
+    alg = HeckeAlgebra(standard_system([[2, -2], [-2, 2]]), ParameterSet.equal(Fraction(2), 2))
+    r = alg.group.reflection(Coroot((200, 201)))
+    assert r.length == 401
+    minus, trivial = Character.make([-1] * alg.system.rank), Character.trivial(alg.system.rank)
+    for tau in (minus, trivial):
+        alg._cache["series"].pop(tau, None)
+        stab = TauStabilizer(alg, tau)
+        assert stab._twisted(r) == tau.twist(r)
+        assert stab.fixes_tau(r)
+    stab = TauStabilizer(alg, trivial)
+    assert len(stab._greedy_word(r)) == stab.ell_tau(r) == 401
+    assert TauStabilizer(alg, minus)._greedy_word(r) is None  # r is in W_tau, not in W_(tau)
+    ser = PrincipalSeries(alg, minus)
+    e1 = tuple(int(i == 0) for i in range(alg.system.rank))
+    x = ser.vector({r: 1})
+    assert ser.act_poly(LaurentPoly.monomial(e1), x) == ser.vector({r: minus.twist(r).of_vector(e1)}) == ser.vector({r: -1})

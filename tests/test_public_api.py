@@ -1,5 +1,6 @@
-"""Every public name of the package has a caller in the package itself, and
-no module imports a name it never uses.
+"""Every public name of the package has a caller in the package itself, no
+module imports a name it never uses, and no nested function calls the
+function it is nested in.
 
 A name exported by `blhecke.__all__` counts as used when some module other
 than `__init__.py` refers to it, as a `Name` or an `Attribute`, outside the
@@ -53,3 +54,29 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_module_imports_a_name_it_never_uses():
     paths = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"] + sorted(TESTS.glob("*.py"))
     assert [entry for path in paths for entry in _unused_imports(path)] == []
+
+
+def _recursive_nested_calls(path: Path) -> list[str]:
+    """The functions that a function or lambda nested in them calls by name,
+    as `f(...)` or, for a method, `self.f(...)`: the recursion through a
+    memo's `make` that the walk down left factors (`coxeter.walk_down`)
+    replaces.  Direct recursion is not matched."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for outer in ast.walk(tree):
+        if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        owner = outer.args.args[0].arg if outer.args.args else None
+        nested = [node for stmt in outer.body for node in ast.walk(stmt)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+        for call in (node for inner in nested for node in ast.walk(inner) if isinstance(node, ast.Call)):
+            func = call.func
+            if (isinstance(func, ast.Name) and func.id == outer.name) or (
+                    isinstance(func, ast.Attribute) and func.attr == outer.name
+                    and isinstance(func.value, ast.Name) and func.value.id == owner):
+                found.append(f"{path.name}:{call.lineno} {outer.name}")
+    return found
+
+
+def test_no_nested_function_calls_its_enclosing_function():
+    assert [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _recursive_nested_calls(path)] == []
