@@ -30,7 +30,8 @@ queries enumerated, not by a constant per memo:
   and `omega`, the walks of `HeckeAlgebra.omega_walk`: one per (i, n) met,
   n = alpha_i(lambda), each with at most |n| + 1 coefficients;
   per character (`HeckeAlgebra.character_memos`), `theta`, the matrices
-  Z^(e_j) on the balls the weight-space queries asked, `column`, the
+  Z^(e_j) on the leading blocks of the balls the weight-space queries asked
+  (`PrincipalSeries._kernel_basis`), `column`, the
   columns Z^(+-e_k) T_w v (2 * rank per element at most), and `stabilizer`,
   the one memo of every `TauStabilizer` of (algebra, tau), holding the
   simple values tau(alpha_i^vee), t by coroot of the coroot sets asked, the

@@ -24,6 +24,17 @@ the same zero diagonal entries, hence the same canonical basis from
 `triangular_kernel` as all 2*rank Z^(+-e_j) give.  The k-fold products of
 either set generate the k-th power of the ideal, so `ord_tau` stops at the same k.
 
+The kernels are solved on a leading block of the ball only.  A kernel vector's
+last nonzero position u has a zero diagonal entry (u . tau)(e_j) - chi(e_j) in
+every shifted generator, and in its powers, so u . tau = chi.  Let c be the
+last such position of the ball.  Every prefix of the ball is a lower set (it
+holds every element of smaller length), so the span of the first c + 1
+elements is invariant and the blocks there are the powers' leading blocks;
+the rows after c vanish on it.  So `triangular_kernel` meets the same pivots
+and the same small system on that prefix, and returns the same basis.  When
+chi = tau and only the identity fixes tau (a regular character), c = 0 and
+the basis is [v].
+
 `ord_tau` spans the shifted images of coefficient maps (`_apply`, then `rref`
 over the union U of the supports met) and fails before the k-th span when
 k > |U|: if ord x = K, the prefixes of a nonzero (K-1)-fold product on x are
@@ -236,7 +247,17 @@ class PrincipalSeries:
         return self._kernel_basis(eigen, ball, n_cap)
 
     def _kernel_basis(self, eigen: Character, ball: int, n_cap: int) -> list[ModuleVector]:
-        dom = self.algebra.group.ball(ball)
+        """The kernel basis on the leading block of the ball that ends at its
+        last element u with u . tau = eigen, or [] when there is none: the
+        diagonal of Z^(e_j) at T_u v is (u . tau)(e_j), so every kernel vector
+        ends at such a u (module docstring), and the basis is the whole ball's."""
+        if eigen.rank != self.tau.rank:
+            raise IncompatibleData(f"eigencharacter of rank {eigen.rank} for a series of rank {self.tau.rank}")
+        dom, twisted = self.algebra.group.ball(ball), self.stabilizer()._twisted
+        last = next((k for k in range(len(dom) - 1, -1, -1) if twisted(dom[k]) == eigen), None)
+        if last is None:
+            return []
+        dom = dom[:last + 1]
         mats = [mat_pow(m, n_cap) for m in self._shifted_matrices(eigen, dom)]
         basis = triangular_kernel(mats, len(dom))
         return [ModuleVector(self.tau, dict(zip(dom, vec))) for vec in basis]

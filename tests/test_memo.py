@@ -11,7 +11,7 @@ from blhecke.coxeter import WeylGroup, enumerate_ball
 from blhecke.errors import NotInGenWeightSpace
 from blhecke.hecke import HeckeAlgebra
 from blhecke.identities import run_suite
-from blhecke.memo import ALGEBRA_TABLE_CAP, SERIES_CAP, Memo
+from blhecke.memo import ALGEBRA_TABLE_CAP, GROUP_CAP, SERIES_CAP, Memo
 from blhecke.stabilizer import TauStabilizer, analyze, kato_check
 from conftest import q4
 
@@ -115,6 +115,9 @@ def test_algebra_table_stays_at_cap(a2):
 
 
 def test_element_identity_survives_evictions(affine_a2, monkeypatch):
+    # a fresh group registry, so the balls below are interned here and the
+    # capped table evicts whatever ran before
+    monkeypatch.setattr(WeylGroup, "_instances", Memo(GROUP_CAP))
     group = WeylGroup(affine_a2)
     ball = enumerate_ball(affine_a2, 3)
     table = {(u.mat, v.mat): (u * v).mat for u in ball for v in ball}
@@ -183,7 +186,9 @@ def test_theta_memo_holds_the_weight_space_domains_only(alg_a2):
     """`ord_tau` acts by the generator columns and asks no theta-matrix: on a
     cold character it leaves the theta memo empty, and after the weight-space
     queries and `ord_tau` on every basis vector of a ball the memo holds the
-    rank matrices Z^(e_j) of that ball alone."""
+    rank matrices Z^(e_j) of that ball's leading block alone, the prefix that
+    ends at the last element fixing tau.  At a regular character that block
+    is the identity alone."""
     tau = Character.make([1, 4])
     alg_a2._cache["series"].pop(tau, None)
     ser = PrincipalSeries(alg_a2, tau)
@@ -199,7 +204,14 @@ def test_theta_memo_holds_the_weight_space_domains_only(alg_a2):
             pass
     rank = alg_a2.system.rank
     units = [tuple(int(i == j) for i in range(rank)) for j in range(rank)]
-    assert set(principal._matrix_cache(ser)) == {(e, dom) for e in units}
+    c = max(k for k, w in enumerate(dom) if ser.stabilizer().fixes_tau(w))
+    assert c == 1  # tau(alpha_1^vee) = 1: e and s1 fix tau
+    assert set(principal._matrix_cache(ser)) == {(e, dom[:c + 1]) for e in units}
+    regular = Character.make([3, 5])
+    alg_a2._cache["series"].pop(regular, None)
+    ser = PrincipalSeries(alg_a2, regular)
+    assert ser.weight_space(regular, 3) == ser.generalized_weight_space(regular, 3, 2) == [ser.v()]
+    assert {dom for _, dom in principal._matrix_cache(ser)} == {(group.identity,)}
 
 
 def test_ball_elements_are_their_groups_interned_objects():

@@ -544,6 +544,92 @@ def test_weight_queries_ask_only_positive_unit_exponents(monkeypatch):
     assert set(asked) == {exp for exp in unit_exponents(rank) if sum(exp) == 1}
 
 
+def _kernel_on_the_whole_ball(ser, eigen, ball, n_cap):
+    """The path the leading block replaced: the shifted rank generators
+    Z^(e_j) - eigen(e_j) on the whole ball, their n_cap-th powers, and
+    `triangular_kernel` on all of them."""
+    dom = ser.algebra.group.ball(ball)
+    mats = []
+    for exp in unit_exponents(ser.algebra.system.rank)[::2]:
+        m = [list(row) for row in ser._theta_matrix(exp, dom)]
+        for i, row in enumerate(m):
+            row[i] -= eigen.of_vector(exp)
+        mats.append(mat_pow(m, n_cap))
+    return [ModuleVector(ser.tau, dict(zip(dom, v))) for v in triangular_kernel(mats, len(dom))]
+
+
+LEADING_BLOCK_BALLS = {"affine A1 q=4": 4, "G2 q=4": 5, "affine A2 q=4": 3, "hyperbolic q=4": 3}
+LEADING_BLOCK_VALUES = (1, 1, -1, -1, 3, -5, Fraction(1, 4), 4, quadext(0, 1, -1))
+
+
+@pytest.mark.parametrize("name", sorted(LEADING_BLOCK_BALLS))
+def test_kernels_on_the_leading_block_match_the_whole_ball(name):
+    """Both queries, at eigen = tau, at eigen = u . tau for u in the ball and at
+    an unrelated eigen, give the whole ball's basis (values and types) on
+    seeded rational and sqrt(-1) characters, for n_cap 1 to 3: the last
+    element u with u . tau = eigen ends the block, and no such u gives []."""
+    alg, ball = ZETA_ALGEBRAS[name], LEADING_BLOCK_BALLS[name]
+    rank, dom = alg.system.rank, alg.group.ball(ball)
+    rng = random.Random(name)
+    kinds = set()
+    for _ in range(6):
+        tau = Character.make([rng.choice(LEADING_BLOCK_VALUES) for _ in range(rank)])
+        ser = series(alg, tau)
+        unrelated = Character.make([rng.choice(LEADING_BLOCK_VALUES) for _ in range(rank)])
+        for eigen in (tau, tau.twist(rng.choice(dom)), unrelated):
+            block = [k for k, u in enumerate(dom) if tau.twist(u) == eigen]
+            kinds.add("empty" if not block else "prefix" if block[-1] < len(dom) - 1 else "whole ball")
+            for n_cap in (1, 2, 3):
+                want = _typed_basis(_kernel_on_the_whole_ball(ser, eigen, ball, n_cap))
+                assert _typed_basis(ser.generalized_weight_space(eigen, ball, n_cap)) == want, (tau, eigen, n_cap)
+                if n_cap == 1:
+                    assert _typed_basis(ser.weight_space(eigen, ball)) == want, (tau, eigen)
+                kinds.add(f"dimension {min(len(want), 2)}")
+    assert kinds >= {"empty", "prefix", "dimension 0", "dimension 1", "dimension 2"}, kinds
+
+
+def test_eigencharacter_of_another_rank_raises(alg_affine_a2):
+    """An eigencharacter of rank 3 or 5 has no meaning on the rank-4 lattice of
+    affine A2: both queries raise, also on a series whose memos are warm,
+    instead of dropping or padding its values."""
+    for tau in (Character.trivial(4), Character.make([3, -5, 7, 11])):
+        ser = series(alg_affine_a2, tau)
+        assert ser.weight_space(tau, 2) and ser.ord_tau(ser.v()) == 1
+        for values in ([3, 5, 7], [3, 5, 7, 11, 13]):
+            eigen = Character.make(values)
+            with pytest.raises(IncompatibleData, match=f"rank {len(values)} .* rank 4"):
+                ser.weight_space(eigen, 2)
+            with pytest.raises(IncompatibleData, match=f"rank {len(values)} .* rank 4"):
+                ser.generalized_weight_space(eigen, 2, 2)
+
+
+# (datum, tau, u with eigen = u . tau, ball, #{w in the ball : w . tau = eigen})
+DIMENSION_CASES = [
+    ("hyperbolic q=4", [-1, -1, -1], [], 4, 11),
+    ("hyperbolic q=4", [1, 1, -1], [], 4, 11),
+    ("G2 q=4", [-1, 1], [], 5, 3),
+    ("G2 q=4", [1, 1], [], 4, 9),
+    ("affine A1 q=4", [-1, -1, 1], [], 4, 5),
+    ("affine A2 q=4", [1, -1, -1, 1], [], 3, 3),
+    ("affine A2 q=4", [-1, -1, -1, 1], [0], 4, 7),
+    ("affine A2 q=4", [3, -5, 7, 11], [0, 1], 3, 1),
+]
+
+
+@pytest.mark.parametrize("name, values, word, ball, count", DIMENSION_CASES)
+def test_generalized_dimension_counts_the_diagonal(name, values, word, ball, count):
+    """On a ball the Z^(e_j) are commuting upper-triangular matrices with
+    diagonal (w . tau)(e_j) at T_w v, so once n_cap reaches the count of the w
+    with w . tau = eigen, the generalized weight space has that dimension."""
+    alg = ZETA_ALGEBRAS[name]
+    tau = Character.make(values)
+    eigen = tau.twist(alg.group.from_word(word))
+    assert sum(tau.twist(w) == eigen for w in alg.group.ball(ball)) == count
+    ser = series(alg, tau)
+    for n_cap in (count, count + 1):
+        assert len(ser.generalized_weight_space(eigen, ball, n_cap)) == count
+
+
 def test_vectors_of_another_character_raise(alg_a2):
     """A vector of I_(7, 11) has no meaning in I_(3, 5): adding it, or handing it
     to an action, an intertwiner, `ord_tau` or the K~ coordinates (through
