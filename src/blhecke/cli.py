@@ -11,26 +11,42 @@ standard datum of each matrix is built once, and each (datum, parameters)
 validated once, in one table (`_datum_table`, see the `memo` module).  They
 are built and validated where a call would build and validate them, and a
 failure stores nothing, so an invalid config fails as it would in a fresh
-process.  argv is parsed once; the `BLHECKE_` fallbacks of the absent flags
-are parsed by the subcommand's parser into the same namespace.
+process.
+
+A call pays for its mathematics, not its plumbing:
+- argv is parsed once.  The subcommand's parser runs again only on the
+  `BLHECKE_` variables that fill absent flags, into the same namespace; an
+  absent --format or --seed with no variable is set to text or 0.
+- A config file is read once.  A JSON text is read by `json`, any other by
+  YAML's safe loader.  YAML 1.1 reads JSON alike but for three kinds of text,
+  which go to YAML: (1) a character outside printable ASCII and LF, a \\u
+  escape, a line over 1024 characters or a line that starts with a colon:
+  YAML rejects tabs before a token, DEL, lone surrogates, and a key whose
+  colon is on a later line or over 1024 characters on, which `json` accepts;
+  (2) a number with a fraction or an exponent, NaN or Infinity, as YAML
+  reads 1e3 as a string; (3) a text that `json` rejects, so every error
+  message stays YAML's.
+- A JSON report is written by `serial.dumps`, the bytes of `json.dumps`
+  without its pure-Python encoder.
+- `yaml` is imported by the first config that is not JSON, and the
+  `identities` module by `verify-identities`.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import yaml
 
 from . import __version__, serial
 from .coxeter import WeylGroup, inversion_coroots
 from .errors import BLHeckeError, ConfigError, IncompatibleData, KacMoodyViolation, ValidationError
 from .hecke import HeckeAlgebra
-from .identities import run_suite
 from .laurent import Character
 from .memo import GROUP_CAP, Memo
 from .principal import ModuleVector, PrincipalSeries
@@ -215,12 +231,48 @@ def _parse_parameters(block: dict, system: RootGeneratingSystem, square) -> Para
 def load_config(path: str) -> JobConfig:
     try:
         with open(path) as fh:
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-    except OSError as exc:
+            text = fh.read()
+        data = _config_data(text, path)
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, an int past the digit limit
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return JobConfig.parse(data or {})
+
+
+_COLON_FIRST = re.compile(r"\n *:")
+
+
+def _yaml_reads_as_json(text: str) -> bool:
+    """False for a text of kind (1) in the module docstring."""
+    lines = text.split("\n")
+    return (
+        text.isascii()
+        and "".join(lines).isprintable()
+        and max(map(len, lines)) <= 1024
+        and "\\u" not in text
+        and _COLON_FIRST.search(text) is None
+    )
+
+
+def _not_json(text: str):
+    raise ValueError(f"YAML may read {text} otherwise")
+
+
+def _config_data(text: str, path: str):
+    """The data of a config text, read by `json` where YAML reads the same
+    (see the module docstring), else by YAML."""
+    if _yaml_reads_as_json(text):
+        try:
+            return json.loads(text, parse_float=_not_json, parse_constant=_not_json)
+        except (ValueError, RecursionError):
+            pass
+    import yaml
+
+    stream = io.StringIO(text)
+    stream.name = path  # YAML's messages name the file, as when it reads the file itself
+    try:
+        return yaml.load(stream, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed YAML in {path}: {exc}") from exc
-    return JobConfig.parse(data or {})
 
 
 def _require_character(cfg: JobConfig) -> Character:
@@ -239,7 +291,7 @@ def _one_field(cfg: JobConfig, *scalars: Scalar) -> None:
 
 def _emit(report: dict, fmt: str, text_lines: list[str]) -> None:
     if fmt == "json":
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(serial.dumps(report))
     else:
         for line in text_lines:
             print(line)
@@ -386,6 +438,8 @@ def cmd_ord(cfg: JobConfig, args) -> int:
 
 
 def cmd_verify_identities(cfg: JobConfig, args) -> int:
+    from .identities import run_suite
+
     tau = cfg.character or Character.trivial(cfg.system.rank)
     _one_field(cfg, *tau.values)
     alg = HeckeAlgebra(cfg.system, cfg.params)
@@ -476,7 +530,7 @@ COMMANDS = {
 ENV_FLAGS = {
     "config": None,
     "format": "text",
-    "seed": "0",
+    "seed": 0,
     "bound-coroot": None,
     "bound-length": None,
     "expect": None,
@@ -510,16 +564,22 @@ PARSER, COMMAND_PARSERS = build_parser()
 
 
 def _parse_args(argv) -> argparse.Namespace:
-    """Parse argv once, then give each absent flag its BLHECKE_ variable or
-    its default, parsed as that flag by the subcommand's parser into the same
-    namespace (so a bad value exits 2 like a bad flag)."""
+    """Parse argv once, then give each absent flag its BLHECKE_ variable,
+    parsed as that flag by the subcommand's parser into the same namespace
+    (so a bad value exits 2 like a bad flag), or else its fallback."""
     args = PARSER.parse_args(sys.argv[1:] if argv is None else argv)
     extra = []
     for flag, fallback in ENV_FLAGS.items():
-        value = os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
-        if getattr(args, flag.replace("-", "_")) is None and value is not None:
-            extra.append(f"--{flag}={value}")
-    return COMMAND_PARSERS[args.command].parse_args(extra, namespace=args)
+        dest = flag.replace("-", "_")
+        if getattr(args, dest) is None:
+            value = os.environ.get(ENV_PREFIX + dest.upper())
+            if value is None:
+                setattr(args, dest, fallback)
+            else:
+                extra.append(f"--{flag}={value}")
+    if extra:
+        COMMAND_PARSERS[args.command].parse_args(extra, namespace=args)
+    return args
 
 
 def main(argv=None) -> int:

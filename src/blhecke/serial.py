@@ -3,11 +3,17 @@
 Scalars serialize as exact rational strings "p/q"; when the quadratic
 extension is active, as {"a": "p/q", "b": "p/q", "square": "d"} meaning
 a + b*sqrt(square).  Weyl words serialize as 1-based integer lists.
+
+`dumps` writes `json.dumps(report, sort_keys=True, indent=2)` byte for byte
+without `json`'s pure-Python encoder, which it runs whenever `indent` is
+given: it walks dicts, lists and tuples and writes each leaf as `json` does.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from .coxeter import WeylElement
 from .errors import ConfigError
@@ -110,3 +116,54 @@ def verdict_to_obj(verdict: KatoVerdict) -> dict:
         "witness_coroot": None if verdict.witness_coroot is None else coroot_to_obj(verdict.witness_coroot),
         "witness_element": None if verdict.witness_element is None else word_to_obj(verdict.witness_element),
     }
+
+
+def dumps(obj) -> str:
+    """`json.dumps(obj, sort_keys=True, indent=2)`, byte for byte."""
+    out: list[str] = []
+    _dump(obj, "\n", out)
+    return "".join(out)
+
+
+def _dump(obj, newline: str, out: list[str]) -> None:
+    """Append obj, whose line starts after `newline`, as `json` writes it."""
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in sorted(obj.items()):  # sorted as sort_keys sorts, before the keys are written
+            out.append(sep + _string(key if isinstance(key, str) else _leaf(key)) + ": ")
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            _dump(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        out.append(_leaf(obj))
+
+
+def _leaf(obj) -> str:
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj in (math.inf, -math.inf):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

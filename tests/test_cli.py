@@ -1,10 +1,18 @@
 import json
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
-from blhecke import cli
+import blhecke
+from blhecke import cli, serial
 from blhecke.cli import JobConfig, main
+from blhecke.errors import ConfigError
 from blhecke.memo import GROUP_CAP, Memo
 from blhecke.rootdata import KacMoodyMatrix, RootGeneratingSystem, standard_system
 
@@ -27,6 +35,12 @@ A2 = {
 def write_config(tmp_path, data, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data))
+    return str(path)
+
+
+def write_json(tmp_path, data, name="cfg.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -458,57 +472,33 @@ def test_malformed_yaml_rejected(tmp_path, capsys):
     assert "malformed YAML" in report.err
 
 
-@pytest.mark.parametrize(
-    "change",
-    [
-        {"character": {"values": ["1", "1"], "extension": "-1"}},
-        {"vector": ["1"]},
-        {"bounds": ["ball", 2]},
-        {"parameters": "q=4"},
-        {"datum": {"matrix": "2 -1 -1 2"}},
-        {"datum": {"matrix": [[2, -1], [-1, "two"]]}},
-        {"character": {"values": ["0", "1"]}},
-        {"character": {"values": "11"}},
-        {"eigen_character": {"values": ["1"]}},
-        {"bounds": {"dominance_cap": 60}},
-        {"bounds": {"probe_coeff": 5}},
-        {"bound": {"ball": 1}},
-        {"datum": {"matrix": [[2, -1], [-1, 2]], "ranks": 2}},
-        {"datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[1]]}, "character": {"values": ["-1"]}},
-        {"datum": {"matrix": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}},
-        {"parameters": {"q": "4", "sigma_primes": ["2", "2"]}},
-        {"parameters": {"q": "4", "sigma": ["2", "3"]}},
-        {"parameters": {"q": "4", "sigma_prime": ["2", "3"]}},
-        {"character": {"values": ["1", "1"], "value": ["-1", "-1"]}},
-        {"character": {"values": ["1", "1"], "extension": {"square": "-1", "sqare": "2"}}},
-        {"eigen_character": {"values": ["1", "1"], "extension": {"square": "-1"}}},
-        {"vector": [{"word": [1], "coeff": "1", "coef": "2"}]},
-    ],
-    ids=[
-        "extension-not-mapping",
-        "vector-record-not-mapping",
-        "bounds-not-mapping",
-        "parameters-not-mapping",
-        "matrix-not-list",
-        "matrix-entry-not-integer",
-        "character-value-zero",
-        "character-values-not-list",
-        "eigen-character-short",
-        "unknown-bound-dominance-cap",
-        "unknown-bound-probe-coeff",
-        "unknown-top-level-key",
-        "unknown-datum-key",
-        "datum-without-coroots",
-        "datum-coroots-only",
-        "unknown-parameters-key",
-        "q-beside-sigma",
-        "q-beside-sigma-prime",
-        "unknown-character-key",
-        "unknown-extension-key",
-        "unknown-eigen-character-key",
-        "unknown-vector-key",
-    ],
-)
+MALFORMED = {  # config changes that kato rejects, by test id
+    "extension-not-mapping": {"character": {"values": ["1", "1"], "extension": "-1"}},
+    "vector-record-not-mapping": {"vector": ["1"]},
+    "bounds-not-mapping": {"bounds": ["ball", 2]},
+    "parameters-not-mapping": {"parameters": "q=4"},
+    "matrix-not-list": {"datum": {"matrix": "2 -1 -1 2"}},
+    "matrix-entry-not-integer": {"datum": {"matrix": [[2, -1], [-1, "two"]]}},
+    "character-value-zero": {"character": {"values": ["0", "1"]}},
+    "character-values-not-list": {"character": {"values": "11"}},
+    "eigen-character-short": {"eigen_character": {"values": ["1"]}},
+    "unknown-bound-dominance-cap": {"bounds": {"dominance_cap": 60}},
+    "unknown-bound-probe-coeff": {"bounds": {"probe_coeff": 5}},
+    "unknown-top-level-key": {"bound": {"ball": 1}},
+    "unknown-datum-key": {"datum": {"matrix": [[2, -1], [-1, 2]], "ranks": 2}},
+    "datum-without-coroots": {"datum": {"matrix": [[2]], "rank": 1, "simple_roots": [[1]]}, "character": {"values": ["-1"]}},
+    "datum-coroots-only": {"datum": {"matrix": [[2, -1], [-1, 2]], "simple_coroots": [[1, 0], [0, 1]]}},
+    "unknown-parameters-key": {"parameters": {"q": "4", "sigma_primes": ["2", "2"]}},
+    "q-beside-sigma": {"parameters": {"q": "4", "sigma": ["2", "3"]}},
+    "q-beside-sigma-prime": {"parameters": {"q": "4", "sigma_prime": ["2", "3"]}},
+    "unknown-character-key": {"character": {"values": ["1", "1"], "value": ["-1", "-1"]}},
+    "unknown-extension-key": {"character": {"values": ["1", "1"], "extension": {"square": "-1", "sqare": "2"}}},
+    "unknown-eigen-character-key": {"eigen_character": {"values": ["1", "1"], "extension": {"square": "-1"}}},
+    "unknown-vector-key": {"vector": [{"word": [1], "coeff": "1", "coef": "2"}]},
+}
+
+
+@pytest.mark.parametrize("change", list(MALFORMED.values()), ids=list(MALFORMED))
 def test_malformed_config_rejected(tmp_path, capsys, change):
     path = write_config(tmp_path, dict(A2, **change))
     assert main(["kato", "--config", path]) == 2
@@ -517,16 +507,15 @@ def test_malformed_config_rejected(tmp_path, capsys, change):
     assert report.err.startswith("error: ")
 
 
-@pytest.mark.parametrize(
-    "change, named",
-    [
-        ({"bound": {"ball": 1}}, "unknown key bound"),
-        ({"character": {"values": ["1", "1"], "extension": {"sqare": "2"}}}, "unknown key character.extension.sqare"),
-        ({"vector": [{"word": [1], "value": "2"}]}, "unknown key vector.value"),
-        ({"datum": {"matrix": [[2, -1], [-1, 2]], "rank": 2}}, "datum gives only rank of rank, simple_roots, simple_coroots"),
-    ],
-    ids=["top-level", "extension", "vector-record", "partial-datum"],
-)
+IGNORED = {  # config changes that name the key the parser would ignore, by test id
+    "top-level": ({"bound": {"ball": 1}}, "unknown key bound"),
+    "extension": ({"character": {"values": ["1", "1"], "extension": {"sqare": "2"}}}, "unknown key character.extension.sqare"),
+    "vector-record": ({"vector": [{"word": [1], "value": "2"}]}, "unknown key vector.value"),
+    "partial-datum": ({"datum": {"matrix": [[2, -1], [-1, 2]], "rank": 2}}, "datum gives only rank of rank, simple_roots, simple_coroots"),
+}
+
+
+@pytest.mark.parametrize("change, named", list(IGNORED.values()), ids=list(IGNORED))
 def test_ignored_key_named(tmp_path, capsys, change, named):
     path = write_config(tmp_path, dict(A2, **change))
     assert main(["weight-space", "--config", path]) == 2
@@ -549,3 +538,188 @@ def test_bad_env_value_rejected(tmp_path, capsys, monkeypatch, name, value, flag
     assert exc.value.code == 2
     assert "invalid" in capsys.readouterr().err
     assert main(["kato", "--config", path, *flag]) == 0  # the flag wins over the variable
+
+
+# -- config text, reports and argv: the same bytes for less work ----------------------
+
+def test_undecodable_config_rejected(tmp_path, capsys):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"datum: {matrix: [[2]]}\ncharacter: {values: ['\xe9']}\n")
+    assert main(["kato", "--config", str(path)]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert report.err.startswith(f"error: ConfigError: cannot read config {path}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="int() has no digit limit here")
+@pytest.mark.parametrize("text", ['{{"bounds": {{"ball": {}}}}}', "bounds: {{ball: {}}}\n"], ids=["json", "yaml"])
+def test_oversized_integer_rejected(tmp_path, capsys, text):
+    path = tmp_path / "big.yaml"
+    path.write_text(text.format("9" * (sys.get_int_max_str_digits() + 1)))
+    assert main(["kato", "--config", str(path)]) == 2
+    report = capsys.readouterr()
+    assert report.out == ""
+    assert report.err.startswith(f"error: ConfigError: cannot read config {path}: Exceeds the limit")
+
+
+SPELLED_CONFIGS = {
+    "A2": A2,
+    "A1_ADJOINT": A1_ADJOINT,
+    **{f"malformed-{key}": dict(A2, **change) for key, change in MALFORMED.items()},
+    **{f"ignored-{key}": dict(A2, **change) for key, (change, _) in IGNORED.items()},
+}
+
+
+@pytest.fixture
+def yaml_loads(monkeypatch):
+    """The texts that reach yaml.load, in order."""
+    texts = []
+    load = yaml.load
+
+    def counted(stream, Loader):
+        texts.append(stream.getvalue())
+        return load(stream, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "load", counted)
+    return texts
+
+
+@pytest.mark.parametrize("cfg", list(SPELLED_CONFIGS.values()), ids=list(SPELLED_CONFIGS))
+def test_json_and_yaml_spellings_agree(tmp_path, capsys, yaml_loads, cfg):
+    """A config written by json.dumps, which `json` reads, and by
+    yaml.safe_dump, which YAML reads, gives the same bytes and exit code."""
+    as_json, as_yaml = write_json(tmp_path, cfg), write_config(tmp_path, cfg)
+    for command in ("kato", "analyze-tau", "weight-space", "gen-weight-space", "ord"):
+        runs = [_run([command, "--config", path, "--format", "json"], capsys) for path in (as_json, as_yaml)]
+        assert runs[0] == runs[1], command
+    assert yaml_loads == [Path(as_yaml).read_text()] * 5
+
+
+def _outcome(read, text):
+    """What read(text) gives, with every type spelled out, or that it failed."""
+    def typed(x):
+        if isinstance(x, dict):
+            return "dict", [(typed(k), typed(v)) for k, v in x.items()]
+        if isinstance(x, list):
+            return "list", [typed(v) for v in x]
+        return type(x).__name__, repr(x)
+
+    try:
+        return typed(read(text))
+    except (ConfigError, ValueError, yaml.YAMLError):
+        return "error"
+
+
+def _yaml_reads(text, load=yaml.load):
+    return load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+
+
+FUZZ_STRINGS = ["", "a", "b", "<<", "1e3", "yes", "null", "~", "#x", "? x", "a: b", "'", '"', "\\", "/", "\t",
+                "\x7f", "\x00", "\x85", "\xe9", "\u2603", "\ud800", "!tag", "&a", "*a", "%YAML", "---", "...",
+                "2001-12-14", "0x1F", "017", "1_000", "+5", ".5", "1:20", " lead", "trail ", "k" * 600, "k" * 1100]
+
+
+def _fuzz_value(rng, depth=0, floats=True):
+    """A nested value of the kinds a config or a report holds, and some it never does."""
+    kind = rng.random()
+    if depth < 3 and kind < 0.25:
+        return [_fuzz_value(rng, depth + 1, floats) for _ in range(rng.randint(0, 4))]
+    if depth < 3 and kind < 0.5:
+        return {rng.choice(FUZZ_STRINGS): _fuzz_value(rng, depth + 1, floats) for _ in range(rng.randint(0, 4))}
+    leaves = [rng.randint(-9, 9), rng.randint(-10**30, 10**30), rng.choice([True, False, None]), rng.choice(FUZZ_STRINGS)]
+    if floats:
+        leaves.append(rng.choice([0.0, -0.0, 1.5, 1e3, 1e300, -2.5e-7, math.nan, math.inf, -math.inf]))
+    return rng.choice(leaves)
+
+
+def test_loader_fuzz_matches_yaml(yaml_loads):
+    """Seeded texts in several json.dumps layouts, some with a token or
+    whitespace spliced in: what the loader reads, by either path, is what
+    YAML reads, types and all, and a text YAML rejects is rejected."""
+    rng = random.Random(34)
+    layouts = [{}, {"indent": 2}, {"indent": 0}, {"separators": (",", ":")}, {"indent": "\t"}, {"ensure_ascii": False}]
+    splices = ["", "", " ", "\n", "\t", "\n : ", "1e3", "1.5e+3", "NaN", "#c", "\\u0041", "\x7f", "\xe9", " " * 600]
+    by_json = 0
+    for _ in range(4000):
+        text = json.dumps(_fuzz_value(rng, floats=rng.random() < 0.3), **rng.choice(layouts))
+        cut = rng.randint(0, len(text))
+        text = text[:cut] + rng.choice(splices) + text[cut:]
+        seen = len(yaml_loads)
+        assert _outcome(lambda t: cli._config_data(t, "fuzz"), text) == _outcome(_yaml_reads, text), text
+        by_json += len(yaml_loads) == seen
+    assert by_json > 500, by_json  # the JSON path is exercised
+
+
+@pytest.mark.parametrize("text", [
+    "1e3", '{"a": 1.5e+3}', '{"a": NaN}', '\t{"a": 1}', '{"a": "\\u00e9"}', '{"a": "\xe9"}',
+    '{"a": 1}  # a comment', "a: 1\nb: [2]\n", '{"a"\n: 1}', '{"%s": 1}' % ("k" * 1100), '{"a"%s: 1}' % (" " * 1100),
+], ids=["exponent", "signed-exponent", "nan", "leading-tab", "u-escape", "non-ascii",
+        "comment", "block-style", "key-line-break", "long-key", "long-key-gap"])
+def test_text_goes_to_yaml(yaml_loads, text):
+    assert _outcome(lambda t: cli._config_data(t, "text"), text) == _outcome(_yaml_reads, text)
+    assert yaml_loads == [text]
+
+
+def test_emitter_matches_json_dumps():
+    rng = random.Random(34)
+    for _ in range(3000):
+        value = _fuzz_value(rng)
+        if rng.random() < 0.2:
+            value = tuple(value) if isinstance(value, list) else {rng.choice([3, -1.5, True, None]): value}
+        assert serial.dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
+
+
+def test_reports_match_json_dumps(tmp_path, capsys, monkeypatch):
+    """Every subcommand's report on A2 is written as json.dumps writes it."""
+    reports = []
+    dumps = serial.dumps
+
+    def checked(report):
+        reports.append(report["command"])
+        text = dumps(report)
+        assert text == json.dumps(report, sort_keys=True, indent=2)
+        return text
+
+    monkeypatch.setattr(serial, "dumps", checked)
+    path = write_config(tmp_path, A2)
+    for command in cli.COMMANDS:
+        assert main([command, "--config", path, "--format", "json", "--samples", "2"]) == 0, command
+    assert reports == list(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("write, loads_yaml", [(write_json, False), (write_config, True)], ids=["json", "yaml"])
+def test_imports_follow_the_config(tmp_path, write, loads_yaml):
+    """A call imports yaml only for a config that is not JSON, and the
+    identities module not at all."""
+    path = write(tmp_path, A2)
+    code = ("import sys; from blhecke.cli import main; code = main(['kato', '--config', sys.argv[1]]); "
+            "print(code, 'yaml' in sys.modules, 'blhecke.identities' in sys.modules)")
+    env = {k: v for k, v in os.environ.items() if not k.startswith(cli.ENV_PREFIX)}
+    env["PYTHONPATH"] = str(Path(blhecke.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, path], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads_yaml} False"
+
+
+def test_subcommand_parsed_again_only_for_a_variable(tmp_path, capsys, monkeypatch):
+    """With no BLHECKE_ variable, argv is parsed once and the absent flags
+    take their fallbacks; a variable is parsed by the subcommand's parser."""
+    for flag in cli.ENV_FLAGS:
+        monkeypatch.delenv(cli.ENV_PREFIX + flag.upper().replace("-", "_"), raising=False)
+    parses = []
+    parser = cli.COMMAND_PARSERS["kato"]
+    parse = parser.parse_known_args
+
+    def counted(*args):
+        parses.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(parser, "parse_known_args", counted)
+    path = write_config(tmp_path, A2)
+    args = cli._parse_args(["kato", "--config", path])
+    assert parses == [["--config", path]]  # the subcommand's part of argv, in the one parse
+    assert (args.format, args.seed, args.expect, args.bound_coroot) == ("text", 0, None, None)
+    monkeypatch.setenv("BLHECKE_SEED", "3")
+    args = cli._parse_args(["kato", "--config", path])
+    assert parses[1:] == [["--config", path], ["--seed=3"]]
+    assert (args.format, args.seed) == ("text", 3)
