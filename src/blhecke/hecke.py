@@ -8,6 +8,12 @@ Omega_s(theta) = Q_s^T (theta - ^s theta).  Consistency of this relation with
 the quadratic relation forces the intertwiner normalization F_s = T_s - Q_s^T
 (the sign that makes theta * F_w = F_w * ^(w^-1) theta and F_s^2 = zeta_s ^s
 zeta_s exact identities); see the repository notes for the worked derivation.
+
+A product h * T_v theta_v multiplies all of h on the right by each letter s of
+v's canonical word, T_x phi T_s = T_x Omega_s(phi) + T_x T_s ^s(phi), with T_x T_s by
+the quadratic relation (l(xs) < l(x) iff x(alpha_i^vee) < 0), and then by theta_v.
+One coefficient per T_x is kept, so like terms merge after every letter: Z^(e_1) T_w
+on affine A1 takes l(l-1) + 1 Omega calls, l = l(w), where a recursion without merging takes 2^(l+1) - 1.
 """
 
 from __future__ import annotations
@@ -58,7 +64,12 @@ class HeckeAlgebra:
         return self.T(self.group.identity)
 
     def T(self, w: WeylElement) -> "HeckeElt":
-        return HeckeElt(self, {w: RationalElt.from_scalar(ONE, self.system.rank)})
+        return HeckeElt(self, {self._check_element(w): RationalElt.from_scalar(ONE, self.system.rank)})
+
+    def _check_element(self, w: WeylElement) -> WeylElement:
+        if w.system is not self.system and w.system != self.system:
+            raise IncompatibleData(f"the element {w!r} of another Weyl group in this algebra")
+        return w
 
     def theta(self, x: RationalElt | LaurentPoly) -> "HeckeElt":
         if isinstance(x, LaurentPoly):
@@ -159,13 +170,7 @@ class HeckeAlgebra:
     # -- intertwiners ----------------------------------------------------------
     def f_s(self, i: int) -> "HeckeElt":
         """F_s = T_s - Q_s^T for a simple generator."""
-        return HeckeElt(
-            self,
-            {
-                self.group.simple(i): RationalElt.from_scalar(ONE, self.system.rank),
-                self.group.identity: -self.q_s(i),
-            },
-        )
+        return self.T(self.group.simple(i)) - self.theta(self.q_s(i))
 
     def f_w(self, w: WeylElement) -> "HeckeElt":
         """Intertwiner along the canonical reduced word; word-independent."""
@@ -175,7 +180,7 @@ class HeckeAlgebra:
                 out = out * self.f_s(i)
             return out
 
-        return self._cache["f"].once(w, make)
+        return self._cache["f"].once(self._check_element(w), make)
 
     def f_reflection(self, coroot: Coroot) -> "HeckeElt":
         """Normalized intertwiner for the reflection r at a positive coroot:
@@ -243,7 +248,7 @@ class HeckeElt:
         self._check(other)
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            out[w] = out[w] + c if w in out else c
+            _add(out, w, c)
         return HeckeElt(self.algebra, out)
 
     def __neg__(self) -> "HeckeElt":
@@ -264,14 +269,17 @@ class HeckeElt:
             raise IncompatibleData("elements of different Hecke algebras")
 
     def __mul__(self, other: "HeckeElt") -> "HeckeElt":
+        """self * T_v * theta_v for each term of other, by the module docstring's rule."""
         self._check(other)
         alg = self.algebra
-        out = alg.zero()
-        for u, theta_u in self.coeffs.items():
-            for v, theta_v in other.coeffs.items():
-                part = HeckeElt(alg, _left_T(alg, u, _push_through(alg, theta_u, v).coeffs))
-                out = out + part.times_fn(theta_v)
-        return out
+        out: dict = {}
+        for v, theta_v in other.coeffs.items():
+            coeffs = self.coeffs
+            for i in v.word:
+                coeffs = _right_T_gen(alg, i, coeffs)
+            for x, c in coeffs.items():
+                _add(out, x, c * theta_v)
+        return HeckeElt(alg, out)
 
     def __eq__(self, other):
         if not isinstance(other, HeckeElt):
@@ -292,58 +300,50 @@ class HeckeElt:
         return " + ".join(f"T[{w!r}]*({c!r})" for w, c in self.items())
 
 
-def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict, scale=RationalElt.scale) -> dict:
-    """Left multiplication by T_{s_i} of an element in normal form; scale(c, k)
-    is c times the scalar k (`operator.mul` for scalar coefficients)."""
+def _add(out: dict, w: WeylElement, c) -> None:
+    out[w] = out[w] + c if w in out else c
+
+
+def _right_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict[WeylElement, RationalElt]) -> dict:
+    """Right multiplication by T_s, s = s_i, of an element in normal form (module docstring)."""
+    out: dict = {}
+    s = alg.group.simple(i)
+    sigma2 = alg.params.sigma[i] ** 2
+    for x, phi in coeffs.items():
+        if phi.constant_value() is None:
+            _add(out, x, alg.omega(i, phi))
+            phi = phi.twist(s)
+        if any(row[i] < 0 for row in x.mat):
+            # l(xs) = l(x) - 1: T_x T_s = (sigma^2-1) T_x + sigma^2 T_xs
+            _add(out, x, phi.scale(sigma2 - 1))
+            _add(out, x * s, phi.scale(sigma2))
+        else:
+            _add(out, x * s, phi)
+    return out
+
+
+def _left_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict) -> dict:
+    """Left multiplication by T_{s_i} of a map w -> scalar, by the quadratic relation."""
     out: dict = {}
     sigma2 = alg.params.sigma[i] ** 2
-
-    def acc(w, c):
-        if w in out:
-            out[w] = out[w] + c
-        else:
-            out[w] = c
-
     for w, c in coeffs.items():
         sw = w.left_simple(i)
         if i in w.left_descents:
             # l(sw) = l(w) - 1: T_s T_w = (sigma^2-1) T_w + sigma^2 T_sw
-            acc(w, scale(c, sigma2 - 1))
-            acc(sw, scale(c, sigma2))
+            _add(out, w, c * (sigma2 - 1))
+            _add(out, sw, c * sigma2)
         else:
-            acc(sw, c)
+            _add(out, sw, c)
     return out
 
 
-def _left_T(alg: HeckeAlgebra, u: WeylElement, coeffs: dict, scale=RationalElt.scale) -> dict:
+def _left_T(alg: HeckeAlgebra, u: WeylElement, coeffs: dict) -> dict:
     """Left multiplication by T_u, one generator of u's word at a time."""
     for i in reversed(u.word):
-        coeffs = _left_T_gen(alg, i, coeffs, scale)
+        coeffs = _left_T_gen(alg, i, coeffs)
     return coeffs
-
-
-def _push_through(alg: HeckeAlgebra, theta: RationalElt, v: WeylElement) -> "HeckeElt":
-    """Normal form of theta * T_v via theta*T_s = T_s*^s(theta) + Omega_s(theta)."""
-    if theta.is_zero:
-        return alg.zero()
-    if v.is_identity or theta.constant_value() is not None:
-        return HeckeElt(alg, {v: theta})
-    i = v.word[0]
-    s = alg.group.simple(i)
-    rest = v.left_simple(i)
-    main = _push_through(alg, theta.twist(s), rest)
-    main = HeckeElt(alg, _left_T_gen(alg, i, main.coeffs))
-    corr = alg.omega(i, theta)
-    if not corr.is_zero:
-        main = main + _push_through(alg, corr, rest)
-    return main
 
 
 def max_supp(h: HeckeElt) -> tuple[WeylElement, ...]:
     """Bruhat-maximal elements of the support."""
-    supp = list(h.coeffs)
-    out = []
-    for w in supp:
-        if not any(v != w and bruhat_leq(w, v) for v in supp):
-            out.append(w)
-    return tuple(sorted(out, key=lambda w: w.sort_key))
+    return tuple(w for w in h.support() if not any(v != w and bruhat_leq(w, v) for v in h.coeffs))

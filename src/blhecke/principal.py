@@ -65,7 +65,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .coxeter import WeylElement, walk_down
 from .errors import (
@@ -197,7 +196,7 @@ class PrincipalSeries:
             for j in range(1, n + 1):
                 mu = tuple(x + j * a for x, a in zip(lam, step))
                 walk.append(self._apply(mu, {rest: 1}) if sum(map(abs, mu)) <= 1 else self._apply(step, walk[-1]))
-            top = _left_T_gen(self.algebra, i, walk[n], mul)
+            top = _left_T_gen(self.algebra, i, walk[n])
             return _combine([(top, 1), *((walk[j], c) for j, c in coeffs.items())])
 
         memo, e = self._memos["column"], self.algebra.group.identity
@@ -411,7 +410,7 @@ class Intertwiner:
         """Sum of c T_w.target over the terms c T_w v of x, by the scalar T_s rule."""
         _in_series(x, self.series.tau, self.series.algebra.system)
         alg, target = self.series.algebra, self.target.coeffs
-        return ModuleVector(self.series.tau, _combine((_left_T(alg, w, target, mul), c) for w, c in x.coeffs.items()))
+        return ModuleVector(self.series.tau, _combine((_left_T(alg, w, target), c) for w, c in x.coeffs.items()))
 
 
 def _in_series(x: ModuleVector, tau: Character, system=None) -> ModuleVector:

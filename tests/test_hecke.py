@@ -1,4 +1,6 @@
 import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +17,7 @@ from blhecke import (
 )
 from blhecke.coxeter import all_reduced_words, enumerate_ball, inversion_coroots
 from blhecke.errors import IncompatibleData, NotInBLH
-from blhecke.hecke import HeckeAlgebra
+from blhecke.hecke import HeckeAlgebra, HeckeElt
 from blhecke.identities import check_omega_polynomial, random_element, run_suite
 from blhecke.laurent import BinomialFactor, LaurentPoly, RationalElt, times_binomials
 from blhecke.scalars import inv as scalar_inv
@@ -295,3 +297,132 @@ def test_equal_elements_hash_equal(alg_affine_a1):
         assert not x.is_zero and x == y
         assert hash(x) == hash(y)
         assert len({x, y}) == 1
+
+
+def test_elements_of_another_weyl_group_are_rejected(alg_a2, alg_b2):
+    """s1s2s1s2 of B2 has length 4, above A2's longest element: T and F_w of
+    the A2 algebra raise on it, naming it, and cache nothing under its key."""
+    g = alg_b2.group
+    w = g.simple(0) * g.simple(1) * g.simple(0) * g.simple(1)
+    for make in (alg_a2.T, alg_a2.f_w):
+        with pytest.raises(IncompatibleData, match=re.escape(repr(w))):
+            make(w)
+    assert w not in alg_a2._cache["f"]
+    assert alg_b2.T(w).support() == (w,)
+
+
+# -- the recursion the product replaced, kept as its reference --------------------
+
+def _left_T_s(alg, i, coeffs):
+    """T_{s_i} times a normal form on the left, by the quadratic relation."""
+    out = {}
+    sigma2 = alg.params.sigma[i] ** 2
+    for w, c in coeffs.items():
+        sw = w.left_simple(i)
+        terms = [(w, c.scale(sigma2 - 1)), (sw, c.scale(sigma2))] if i in w.left_descents else [(sw, c)]
+        for u, d in terms:
+            out[u] = out[u] + d if u in out else d
+    return out
+
+
+def _push_through(alg, theta, v):
+    """Normal form of theta * T_v by theta T_s T_v' = T_s (^s theta T_v') + Omega_s(theta) T_v',
+    s the first letter of v: two calls per letter, and terms merge only on the way back up."""
+    if theta.is_zero:
+        return alg.zero()
+    if v.is_identity or theta.constant_value() is not None:
+        return HeckeElt(alg, {v: theta})
+    i = v.word[0]
+    rest = v.left_simple(i)
+    main = HeckeElt(alg, _left_T_s(alg, i, _push_through(alg, theta.twist(alg.group.simple(i)), rest).coeffs))
+    corr = alg.omega(i, theta)
+    if not corr.is_zero:
+        main = main + _push_through(alg, corr, rest)
+    return main
+
+
+def tree_product(a, b):
+    """a * b as the sum over pairs of terms of T_u (theta_u T_v) theta_v."""
+    alg = a.algebra
+    out = alg.zero()
+    for u, theta_u in a.coeffs.items():
+        for v, theta_v in b.coeffs.items():
+            part = _push_through(alg, theta_u, v).coeffs
+            for i in reversed(u.word):
+                part = _left_T_s(alg, i, part)
+            out = out + HeckeElt(alg, part).times_fn(theta_v)
+    return out
+
+
+def _word_element(alg, rng, f_word):
+    """A product of 1-4 letters T_s and c Z^lam, |lam_j| <= 1; an F word has one
+    letter F_s in place of one of them, and so binomial denominators."""
+    letters = []
+    for _ in range(rng.randint(1, 4)):
+        if rng.random() < 0.5:
+            letters.append(alg.T(alg.group.simple(rng.randrange(alg.system.n))))
+        else:
+            exp = tuple(rng.randint(-1, 1) for _ in range(alg.system.rank))
+            letters.append(alg.monomial(exp, Fraction(rng.randint(1, 5) * rng.choice((1, -1)))))
+    if f_word:
+        letters[rng.randrange(len(letters))] = alg.f_s(rng.randrange(alg.system.n))
+    out = alg.one()
+    for x in letters:
+        out = out * x
+    return out
+
+
+def _denominator_primes(c):
+    return Counter(f.prime_class() for f in c.den)
+
+
+@pytest.mark.parametrize("name", ["G2 q=4", "affine A2 q=4", "hyperbolic q=4", "A1 (2, 3)", "G2 q=2"])
+def test_product_matches_the_tree(name):
+    """On seeded T/Z words, whose coefficients are polynomials, the product is
+    the tree's to the last character.  On F words it is the tree's value, kept
+    over the same reduced denominator up to associates: the sums are grouped by
+    the first letters of the word, not the last, so one side may keep
+    1 - c Z^mu where the other keeps 1 - c^-1 Z^-mu."""
+    alg = ZETA_ALGEBRAS[name]
+    rng = random.Random(11)
+    for k in range(12):
+        f_word = k % 3 == 2
+        a, b = _word_element(alg, rng, f_word), _word_element(alg, rng, f_word)
+        got, want = a * b, tree_product(a, b)
+        assert got == want, (name, k)
+        if f_word:
+            assert got.support() == want.support()
+            assert all(_denominator_primes(got.coeffs[w]) == _denominator_primes(want.coeffs[w]) for w in got.coeffs)
+        else:
+            assert repr(got) == repr(want), (name, k)
+
+
+def _zt(alg, ell):
+    """Z^(e_1) and T_w for w = s1 s2 s3 ... of length ell, cycling through the generators."""
+    g = alg.group
+    w = g.identity
+    for k in range(ell):
+        w = w * g.simple(k % alg.system.n)
+    return alg.monomial(tuple(int(j == 0) for j in range(alg.system.rank))), alg.T(w)
+
+
+@pytest.mark.parametrize("name, ell", [("affine A1 q=4", 12), ("affine A2 q=4", 12), ("hyperbolic q=4", 7)])
+def test_long_words_match_the_tree(name, ell):
+    z, t = _zt(ZETA_ALGEBRAS[name], ell)
+    assert repr(z * t) == repr(tree_product(z, t))
+
+
+def test_omega_calls_grow_polynomially(alg_affine_a1, monkeypatch):
+    """Z^(e_1) T_w on affine A1 at l(w) = 16 makes l(l-1) + 1 = 241 Omega calls
+    for its 2l terms; the tree made 2^(l+1) - 1 = 65535."""
+    ell, calls = 16, []
+    omega = HeckeAlgebra.omega
+
+    def counted(self, i, theta):
+        calls.append(i)
+        return omega(self, i, theta)
+
+    z, t = _zt(alg_affine_a1, ell)
+    monkeypatch.setattr(HeckeAlgebra, "omega", counted)
+    assert len((z * t).coeffs) == 2 * ell
+    assert len(calls) <= ell ** 2

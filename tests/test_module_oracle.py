@@ -154,7 +154,7 @@ def module_matrices(alg: HeckeAlgebra, tau: Character):
     for i in range(alg.system.n):
         m = [[Fraction(0)] * len(dom) for _ in dom]
         for j, w in enumerate(dom):
-            for u, c in _left_T_gen(alg, i, {w: ONE}, mul).items():
+            for u, c in _left_T_gen(alg, i, {w: ONE}).items():
                 m[index[u]][j] = c
         ts.append(m)
     return zs, ts

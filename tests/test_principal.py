@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from operator import mul
 
 import pytest
 
@@ -378,7 +377,7 @@ def _column_by_recursion(ser, lam, w, memo):
         else:
             alg, i = ser.algebra, w.word[0]
             rest = w.left_simple(i)
-            out = _left_T_gen(alg, i, _column_by_recursion(ser, alg.group.simple(i).apply(lam), rest, memo), mul)
+            out = _left_T_gen(alg, i, _column_by_recursion(ser, alg.group.simple(i).apply(lam), rest, memo))
             for mu, c in alg._omega(i, RationalElt.monomial(lam)).is_polynomial().terms.items():
                 for u, a in _column_by_recursion(ser, mu, rest, memo).items():
                     out[u] = out.get(u, 0) + c * a
