@@ -537,37 +537,29 @@ ENV_FLAGS = {
 }
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The CLI parser and the parser of each subcommand."""
-    parser = argparse.ArgumentParser(
-        prog="blhecke",
-        description="Exact Bernstein-Lusztig-Hecke computations over Kac-Moody root data",
-    )
-    parser.add_argument("--version", action="version", version=f"blhecke {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to the YAML config")
-    common.add_argument("--format", choices=("text", "json"), help="report format (default text)")
-    common.add_argument("--seed", type=int, help="seed for randomized checks (default 0)")
-    common.add_argument("--samples", type=int, default=25, help="sample count for randomized checks")
-    common.add_argument("--bound-coroot", type=int, help="override coroot height bound")
-    common.add_argument("--bound-length", type=int, help="override Weyl length bound")
-    common.add_argument(
-        "--expect", choices=("irreducible", "reducible"), help="exit 1 when the kato verdict differs"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common])
-    return parser, sub.choices
-
-
-PARSER, COMMAND_PARSERS = build_parser()
+# one parser: the command, then the flags every command takes
+PARSER = argparse.ArgumentParser(
+    prog="blhecke",
+    description="Exact Bernstein-Lusztig-Hecke computations over Kac-Moody root data",
+)
+PARSER.add_argument("--version", action="version", version=f"blhecke {__version__}")
+PARSER.add_argument("command", choices=COMMANDS)
+PARSER.add_argument("--config", help="path to the YAML config")
+PARSER.add_argument("--format", choices=("text", "json"), help="report format (default text)")
+PARSER.add_argument("--seed", type=int, help="seed for randomized checks (default 0)")
+PARSER.add_argument("--samples", type=int, default=25, help="sample count for randomized checks")
+PARSER.add_argument("--bound-coroot", type=int, help="override coroot height bound")
+PARSER.add_argument("--bound-length", type=int, help="override Weyl length bound")
+PARSER.add_argument(
+    "--expect", choices=("irreducible", "reducible"), help="exit 1 when the kato verdict differs"
+)
 
 
 def _parse_args(argv) -> argparse.Namespace:
     """Parse argv once, then give each absent flag its BLHECKE_ variable,
-    parsed as that flag by the subcommand's parser into the same namespace
-    (so a bad value exits 2 like a bad flag), or else its fallback."""
-    args = PARSER.parse_args(sys.argv[1:] if argv is None else argv)
+    parsed as that flag with the command into the same namespace (so a bad
+    value exits 2 like a bad flag), or else its fallback."""
+    args = PARSER.parse_args(argv)
     extra = []
     for flag, fallback in ENV_FLAGS.items():
         dest = flag.replace("-", "_")
@@ -578,7 +570,7 @@ def _parse_args(argv) -> argparse.Namespace:
             else:
                 extra.append(f"--{flag}={value}")
     if extra:
-        COMMAND_PARSERS[args.command].parse_args(extra, namespace=args)
+        PARSER.parse_args([args.command, *extra], namespace=args)
     return args
 
 

@@ -74,11 +74,11 @@ class HeckeAlgebra:
     def theta(self, x: RationalElt | LaurentPoly) -> "HeckeElt":
         if isinstance(x, LaurentPoly):
             x = RationalElt.from_poly(x)
-        return HeckeElt(self, {self.group.identity: self._check_rank(x)})
+        return HeckeElt(self, {self.group.identity: self.check_rank(x)})
 
-    def _check_rank(self, x: RationalElt) -> RationalElt:
+    def check_rank(self, x):
         if x.rank != self.system.rank:
-            raise IncompatibleData(f"an element of rank {x.rank} in an algebra of rank {self.system.rank}")
+            raise IncompatibleData(f"a {type(x).__name__} of rank {x.rank} in an algebra of rank {self.system.rank}")
         return x
 
     def monomial(self, exp, coeff=ONE) -> "HeckeElt":
@@ -118,7 +118,7 @@ class HeckeAlgebra:
     def omega(self, i: int, theta: RationalElt) -> RationalElt:
         """Omega_s(theta) = Q_s^T (theta - ^s theta); on a polynomial, the sum of its terms
         c Z^lam times their walks (`omega_walk`), which depend on n = alpha_s(lam) alone."""
-        poly = self._check_rank(theta).is_polynomial()
+        poly = self.check_rank(theta).is_polynomial()
         if poly is None:
             return self._omega(i, theta)
         out: dict = {}

@@ -13,22 +13,24 @@ products of ints stay ints.
 A `RationalElt` n/d is kept reduced: no factor of d divides n.  A binomial
 1 - c Z^mu whose direction mu is primitive (its coordinates have gcd 1) is
 prime in K[Y]: mu extends to a basis of Y, and in that basis the binomial is
-1 - c x, of degree 1 in one variable.  Its associates (multiples by a unit
-a Z^lambda) among the binomials are itself and 1 - c^-1 Z^-mu; both appear,
-e.g. 1 - Z^a and 1 - Z^-a once Q_s is twisted, and `divide_binomial` treats
-them alike.  So when every factor of two reduced operands is prime, their
-product and sum try only the factors that can divide the new numerator
-(Henrici's cross-cancellation, as in the standard `Fraction`; Knuth, TAOCP
-vol. 2, section 4.5.1), and divide it by the same factors in the same order
-as a full reduction would, so the result is the same:
+1 - c x, of degree 1 in one variable.  Its only associate among the binomials
+is 1 - c^-1 Z^-mu = (1 - c Z^mu) / (-c Z^mu).  A factor is stored as the one
+of the two whose direction is below its negative, the form `q_r` and `zeta`
+build; the constructor (after `split`) and `twist` choose it (`_stored`), and
+every other path reuses stored factors.  So prime factors are associates iff
+equal, and when every factor of two reduced operands is prime, their product
+and sum try only the factors that can divide the new numerator (Henrici's
+cross-cancellation, as in the standard `Fraction`; Knuth, TAOCP vol. 2,
+section 4.5.1), and divide it by the same factors in the same order as a full
+reduction would, so the result is the same:
 
 - n1 n2 / d1 d2: a factor of d1 does not divide n1, so it divides n1 n2 iff
   it divides n2.  Each side's factors are tried on the running quotient of
   the other side's numerator, and n1 n2 is divided by the hits only.
 - n1 R2 + n2 R1 over S R1 R2 (S shared, R1 and R2 each side's own): a prime
-  that divides d1 but not d2 divides n2 R1 and not n1 R2, so it cannot
-  divide the sum.  Only the factors whose prime, up to associates, divides
-  both denominators are tried.  Equal denominators try every factor.
+  p that d1 and d2 hold m1 != m2 times has v_p(x1 + x2) = -max(m1, m2), so it
+  cannot divide the new numerator.  Only the factors that both sides hold
+  equally often are tried.  Equal denominators try every factor.
 
 A factor with a non-primitive direction that `split` leaves, e.g. 1 + Z^-2
 over Q, need not be prime; an operation with one tries every factor.
@@ -38,13 +40,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import WeylElement
 from .errors import IncompatibleData, PoleAtCharacter
 from .rootdata import IntVec
-from .scalars import ONE, Scalar, as_scalar, is_zero, scalar_key, scalar_sqrt
+from .scalars import Scalar, as_scalar, is_zero, scalar_key, scalar_sqrt
 from .scalars import inv as scalar_inv
 
 
@@ -193,15 +196,6 @@ class BinomialFactor:
     def sort_key(self):
         return (self.direction, scalar_key(self.scale))
 
-    def prime_class(self):
-        """One key for the factor and its associate 1 - c^-1 Z^-mu when the
-        direction is primitive, so that the factor is prime; else None."""
-        mu = self.direction
-        if math.gcd(*mu) != 1:
-            return None
-        neg = tuple(-x for x in mu)
-        return (mu, self.scale) if mu > neg else (neg, scalar_inv(self.scale))
-
     def split(self) -> list["BinomialFactor"]:
         """Factor 1 - c Z^(2 mu) into (1 - a Z^mu)(1 + a Z^mu), recursively, when
         a = sqrt(c) exists in the working field, so that either half can cancel."""
@@ -276,7 +270,7 @@ class RationalElt:
     __slots__ = ("num", "den")
 
     def __init__(self, num: LaurentPoly, den=()):
-        num, factors = _reduce(num, [g for f in den for g in f.split()])
+        num, factors = _reduce(*_stored(num, [g for f in den for g in f.split()]))
         self.num = num
         self.den = tuple(sorted(factors, key=lambda f: f.sort_key))
 
@@ -311,12 +305,10 @@ class RationalElt:
         if self.den == other.den:
             return RationalElt._reduced(self.num + other.num, self.den)
         left, right, den = self._over_common(other)
-        mine = {f.prime_class() for f in self.den}
-        theirs = {f.prime_class() for f in other.den}
-        if None in mine or None in theirs:
-            return RationalElt(left + right, den)
-        both = mine & theirs
-        return RationalElt._reduced(left + right, den, [f.prime_class() in both for f in den])
+        if any(math.gcd(*f.direction) != 1 for f in den):
+            return RationalElt._reduced(left + right, den)
+        mine, theirs = Counter(self.den), Counter(other.den)
+        return RationalElt._reduced(left + right, den, [mine[f] == theirs[f] for f in den])
 
     def _over_common(self, other: "RationalElt") -> tuple[LaurentPoly, LaurentPoly, tuple]:
         """Both numerators over the common denominator (shared factors once,
@@ -346,7 +338,7 @@ class RationalElt:
             return RationalElt._raw(num, ())
         den = self.den + other.den
         if any(math.gcd(*f.direction) != 1 for f in den):
-            return RationalElt(num, den)
+            return RationalElt._reduced(num, den)
         return RationalElt._reduced(num, den, _dividing(other.num, self.den) + _dividing(self.num, other.den))
 
     def scale(self, c: Scalar) -> "RationalElt":
@@ -391,10 +383,10 @@ class RationalElt:
         return None
 
     def twist(self, w: WeylElement) -> "RationalElt":
-        """The Weyl twist ^w: exponents lambda -> w(lambda) everywhere.  A lattice
-        automorphism keeps a reduced element reduced and split factors split."""
-        den = tuple(sorted((f.twist(w) for f in self.den), key=lambda f: f.sort_key))
-        return RationalElt._raw(self.num.apply_matrix(w), den)
+        """The Weyl twist ^w: exponents lambda -> w(lambda), factors as `_stored`.  A
+        lattice automorphism keeps a reduced element reduced and split factors split."""
+        num, den = _stored(self.num.apply_matrix(w), [f.twist(w) for f in self.den])
+        return RationalElt._raw(num, tuple(sorted(den, key=lambda f: f.sort_key)))
 
     def constant_value(self) -> Scalar | None:
         if self.den:
@@ -405,6 +397,21 @@ class RationalElt:
         if not self.den:
             return repr(self.num)
         return f"({self.num!r}) / {list(self.den)}"
+
+
+def _stored(num: LaurentPoly, factors) -> tuple[LaurentPoly, list[BinomialFactor]]:
+    """num over `factors`, each factor whose direction is above its negative replaced
+    by its associate: 1 / (1 - c Z^mu) = -c^-1 Z^-mu / (1 - c^-1 Z^-mu)."""
+    shift, unit, out = (0,) * num.rank, 1, []
+    for f in factors:
+        neg = tuple(-x for x in f.direction)
+        if f.direction > neg:
+            f = BinomialFactor.make(scalar_inv(f.scale), neg)
+            shift, unit = tuple(map(operator.add, shift, neg)), -unit * f.scale
+        out.append(f)
+    if any(shift):  # a sum of directions below their negatives is never 0
+        num = LaurentPoly._raw(num.rank, {tuple(map(operator.add, e, shift)): as_scalar(c * unit) for e, c in num.terms.items()})
+    return num, out
 
 
 def _reduce(num: LaurentPoly, factors, tried: list[bool] | None = None) -> tuple[LaurentPoly, list[BinomialFactor]]:
@@ -449,7 +456,7 @@ class Character:
 
     @staticmethod
     def trivial(rank: int) -> "Character":
-        return Character(tuple([ONE] * rank))
+        return Character((1,) * rank)
 
     @property
     def rank(self) -> int:

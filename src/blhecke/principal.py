@@ -143,6 +143,9 @@ class PrincipalSeries:
     algebra: HeckeAlgebra
     tau: Character
 
+    def __post_init__(self):
+        self.algebra.check_rank(self.tau)
+
     def v(self) -> ModuleVector:
         return ModuleVector(self.tau, {self.algebra.group.identity: ONE})
 
@@ -337,9 +340,9 @@ class PrincipalSeries:
     def _poly_rep(self, stab: TauStabilizer, w: WeylElement) -> HeckeElt:
         """Polynomial representative K~_w g_w / tau(g_w) with the same value at tau.
 
-        g_w is a least common multiple of the coefficient denominators (max
-        multiplicity per distinct binomial factor), which keeps the clearing
-        polynomial small while matching the construction's value at tau.
+        g_w is the least common multiple of the coefficient denominators (max
+        multiplicity per stored factor; stored primes are associates iff equal),
+        which keeps the clearing polynomial small and matches the value at tau.
         """
         ktw = stab.k_tilde_of(w)
         needed: Counter = Counter()

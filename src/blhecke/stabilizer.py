@@ -74,10 +74,8 @@ class TauStabilizer:
     `kato_check`, `analyze` or a `PrincipalSeries`, reads the same tests."""
 
     def __init__(self, algebra: HeckeAlgebra, tau: Character):
-        if tau.rank != algebra.system.rank:
-            raise ValueError("character rank does not match the lattice rank")
         self.algebra = algebra
-        self.tau = tau
+        self.tau = algebra.check_rank(tau)
         self._memo = algebra.character_memos(tau)["stabilizer"]
 
     @property

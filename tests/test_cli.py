@@ -703,11 +703,11 @@ def test_imports_follow_the_config(tmp_path, write, loads_yaml):
 
 def test_subcommand_parsed_again_only_for_a_variable(tmp_path, capsys, monkeypatch):
     """With no BLHECKE_ variable, argv is parsed once and the absent flags
-    take their fallbacks; a variable is parsed by the subcommand's parser."""
+    take their fallbacks; a variable is parsed with the command, once more."""
     for flag in cli.ENV_FLAGS:
         monkeypatch.delenv(cli.ENV_PREFIX + flag.upper().replace("-", "_"), raising=False)
     parses = []
-    parser = cli.COMMAND_PARSERS["kato"]
+    parser = cli.PARSER
     parse = parser.parse_known_args
 
     def counted(*args):
@@ -717,9 +717,9 @@ def test_subcommand_parsed_again_only_for_a_variable(tmp_path, capsys, monkeypat
     monkeypatch.setattr(parser, "parse_known_args", counted)
     path = write_config(tmp_path, A2)
     args = cli._parse_args(["kato", "--config", path])
-    assert parses == [["--config", path]]  # the subcommand's part of argv, in the one parse
+    assert parses == [["kato", "--config", path]]  # argv, in the one parse
     assert (args.format, args.seed, args.expect, args.bound_coroot) == ("text", 0, None, None)
     monkeypatch.setenv("BLHECKE_SEED", "3")
     args = cli._parse_args(["kato", "--config", path])
-    assert parses[1:] == [["--config", path], ["--seed=3"]]
+    assert parses[1:] == [["kato", "--config", path], ["kato", "--seed=3"]]
     assert (args.format, args.seed) == ("text", 3)

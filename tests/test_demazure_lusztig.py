@@ -14,13 +14,24 @@ dicts over Fraction; it reads only the root datum, the parameters and the
 coefficients of an element, and shares no code with `hecke`, `laurent` or
 `principal`.  So phi(h1 h2) f = phi(h1) (phi(h2) f) on seeded f checks the
 product, and through the operators, which satisfy the braid relations on their
-own, the braid relations of the T_w basis too.  T/Z words only: their
-coefficients are polynomials.
+own, the braid relations of the T_w basis too.
+
+An F word has rational coefficients, so the same operators act on C(Y), and
+the check runs on values at seeded rational characters chi away from the
+poles.  With (chi s)(lam) = chi(s lam), (s g)(chi) = g(chi s), so
+
+    (T_s g)(chi) = sigma^2 g(chi s) + Q_s(chi) (g(chi) - g(chi s))
+
+reads g at chi and at chi s, and T_w g at chi reads g at chi u for u in the
+subwords of w: no rational-function arithmetic.  A coefficient theta is read
+as its value num(chi) / prod (1 - c chi(mu)) over its stored factors.  Two
+different rational functions agree at a random point only on a proper
+subvariety (Schwartz-Zippel), so a few characters make a false pass unlikely.
 """
 
 import random
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -105,10 +116,12 @@ def _poly(rng, rank, terms=2, max_exp=1):
     return out
 
 
-def _ball_element(alg, rng, ball):
-    """sum of T_w theta_w over the Bruhat ball, theta_w a seeded polynomial."""
+def _ball_element(alg, rng, ball, terms=None):
+    """sum of T_w theta_w over the Bruhat ball, or over `terms` seeded elements
+    of it, theta_w a seeded polynomial."""
     out = alg.zero()
-    for w in alg.group.ball(ball):
+    elements = alg.group.ball(ball)
+    for w in elements if terms is None else rng.sample(elements, terms):
         poly = _poly(rng, alg.system.rank, rng.randint(1, 2))
         if poly:
             out = out + alg.T(w) * alg.theta(LaurentPoly(alg.system.rank, poly))
@@ -152,3 +165,88 @@ def test_products_act_as_composites(name):
         composites = [act(h1, act(h2, f)) for f in fs]
         assert [act(h1 * h2, f) for f in fs] == composites
         assert [act(h2 * h1, f) for f in fs] != composites
+
+
+@lru_cache(maxsize=None)
+def _at(chi, lam):
+    """chi(Z^lam) for chi given by its values on the basis of Y."""
+    out = Fraction(1)
+    for v, e in zip(chi, lam):
+        out *= v ** e
+    return out
+
+
+def _poly_at(poly, chi):
+    return sum((Fraction(c) * _at(chi, lam) for lam, c in poly.items()), Fraction(0))
+
+
+def _rational_at(theta, chi):
+    """theta(chi) from the stored numerator and factors 1 - c Z^mu."""
+    out = _poly_at(theta.num.terms, chi)
+    for f in theta.den:
+        out /= 1 - Fraction(f.scale) * _at(chi, f.direction)
+    return out
+
+
+def _t_at(alg, i, g, chi):
+    """(T_{s_i} g)(chi) for g given by its values."""
+    sigma, sigma_prime = Fraction(alg.params.sigma[i]), Fraction(alg.params.sigma_prime[i])
+    root, coroot = alg.system.simple_roots[i], alg.system.simple_coroots[i]
+    u = 1 / _at(chi, coroot)  # chi(Z^(-alpha^vee))
+    q = (sigma ** 2 - 1 + sigma * (sigma_prime - 1 / sigma_prime) * u) / (1 - u * u)
+    chi_s = tuple(v * _at(chi, coroot) ** -a for v, a in zip(chi, root))  # chi(s e_k), s e_k = e_k - a_k alpha^vee
+    g_s = g(chi_s)
+    return sigma ** 2 * g_s + q * (g(chi) - g_s)
+
+
+def act_at(h, g):
+    """phi(h) g, as its values, for h with rational coefficients and g given by its values."""
+    alg = h.algebra
+
+    @lru_cache(maxsize=None)
+    def value(chi):
+        out = Fraction(0)
+        for w, theta in h.coeffs.items():
+            term = lambda x, theta=theta: _rational_at(theta, x) * g(x)
+            for i in reversed(w.word):
+                term = partial(_t_at, alg, i, term)
+            out += term(chi)
+        return out
+
+    return value
+
+
+def _characters(rng, rank, count):
+    """Characters +-p_j with the rank primes p_j distinct, so chi(mu) = +-1 only
+    at mu = 0, and no denominator 1 -+ Z^mu of an F word vanishes anywhere on
+    the W-orbit."""
+    return [tuple(Fraction(p * rng.choice((1, -1))) for p in rng.sample([2, 3, 5, 7, 11, 13], rank))
+            for _ in range(count)]
+
+
+def _with_f_letter(alg, rng, x):
+    """x F_s or F_s x, for a seeded s and side."""
+    f = alg.f_s(rng.randrange(alg.system.n))
+    return x * f if rng.random() < 0.5 else f * x
+
+
+@pytest.mark.parametrize("name", ["G2 q=4", "affine A1 q=4", "A1 (2, 3)"])
+def test_f_word_products_act_as_composites(name):
+    """phi(h1 h2) g = phi(h1) (phi(h2) g) at seeded characters, for seeded
+    elements of the ball of length 2 with one F_s letter on a seeded side; the
+    swapped product fails.  On T/Z elements the values are those of the
+    polynomial model."""
+    alg = ZETA_ALGEBRAS[name]
+    rng = random.Random(3)
+    rank = alg.system.rank
+    chis = _characters(rng, rank, 3)
+    h = _ball_element(alg, rng, 2)
+    f = _poly(rng, rank, 2)
+    assert [act_at(h, partial(_poly_at, f))(chi) for chi in chis] == [_poly_at(act(h, f), chi) for chi in chis]
+    for _ in range(4):
+        h1, h2 = (_with_f_letter(alg, rng, _ball_element(alg, rng, 2, 2)) for _ in range(2))
+        assert any(theta.den for theta in h1.coeffs.values())
+        g = partial(_poly_at, _poly(rng, rank, 2))
+        composite = [act_at(h1, act_at(h2, g))(chi) for chi in chis]
+        assert [act_at(h1 * h2, g)(chi) for chi in chis] == composite
+        assert [act_at(h2 * h1, g)(chi) for chi in chis] != composite

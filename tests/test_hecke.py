@@ -1,6 +1,5 @@
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -372,17 +371,11 @@ def _word_element(alg, rng, f_word):
     return out
 
 
-def _denominator_primes(c):
-    return Counter(f.prime_class() for f in c.den)
-
-
 @pytest.mark.parametrize("name", ["G2 q=4", "affine A2 q=4", "hyperbolic q=4", "A1 (2, 3)", "G2 q=2"])
 def test_product_matches_the_tree(name):
-    """On seeded T/Z words, whose coefficients are polynomials, the product is
-    the tree's to the last character.  On F words it is the tree's value, kept
-    over the same reduced denominator up to associates: the sums are grouped by
-    the first letters of the word, not the last, so one side may keep
-    1 - c Z^mu where the other keeps 1 - c^-1 Z^-mu."""
+    """On seeded T/Z and F words the product is the tree's to the last
+    character: the sums are grouped by the first letters of the word, not the
+    last, but a rational coefficient has one stored form whatever the grouping."""
     alg = ZETA_ALGEBRAS[name]
     rng = random.Random(11)
     for k in range(12):
@@ -390,11 +383,7 @@ def test_product_matches_the_tree(name):
         a, b = _word_element(alg, rng, f_word), _word_element(alg, rng, f_word)
         got, want = a * b, tree_product(a, b)
         assert got == want, (name, k)
-        if f_word:
-            assert got.support() == want.support()
-            assert all(_denominator_primes(got.coeffs[w]) == _denominator_primes(want.coeffs[w]) for w in got.coeffs)
-        else:
-            assert repr(got) == repr(want), (name, k)
+        assert repr(got) == repr(want), (name, k)
 
 
 def _zt(alg, ell):

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -315,6 +316,14 @@ def test_exponent_of_another_rank_rejected():
     assert LaurentPoly(2, {(1, 1): 1}).terms == {(1, 1): 1}
 
 
+def test_trivial_character_is_in_normal_form():
+    for rank in (1, 2, 3):
+        trivial = Character.trivial(rank)
+        assert repr(trivial) == repr(Character.make([1] * rank)) == f"Character{(1,) * rank}"
+        assert all(type(v) is int for v in trivial.values)
+        assert type(trivial.of_vector((2, -3, 1)[:rank])) is int
+
+
 def test_zero_direction_rejected():
     for scale, direction in ((1, (0, 0)), (2, (0, 0)), (-1, (0,))):
         with pytest.raises(ValueError, match="nonzero direction"):
@@ -340,11 +349,6 @@ def _plain_add(x, y):
 def _same(got, want):
     return (got.rank == want.rank and got.num.terms == want.num.terms and got.den == want.den
             and [type(c) for c in got.num.terms.values()] == [type(c) for c in want.num.terms.values()])
-
-
-def _associate_pair(x, y):
-    return any(g.direction == tuple(-a for a in f.direction) and f.scale * g.scale == 1
-               for f in x.den for g in y.den)
 
 
 def _hand_built(rank):
@@ -378,17 +382,21 @@ def test_kernel_equals_full_reduction(matrix):
     pool += [_plain_mul(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
     pool += [_plain_add(rng.choice(pool), rng.choice(pool)) for _ in range(60)]
     pool = [x for x in pool if not x.is_zero]
-    # a Weyl twist is a lattice automorphism, so every factor stays prime and the kernel applies
-    assert all(f.prime_class() is not None for x in pool for f in x.den)
+    # a Weyl twist is a lattice automorphism, so every factor stays prime and the kernel
+    # applies; each is stored as the associate whose direction is below its negative
+    assert all(math.gcd(*f.direction) == 1 and f.direction < tuple(-a for a in f.direction)
+               for x in pool for f in x.den)
     hand = _hand_built(sys.rank)
-    associate_cancelled = 0
     for x, y in [(x, y) for x in hand for y in hand] + [(rng.choice(pool), rng.choice(pool)) for _ in range(600)]:
         assert _same(x * y, _plain_mul(x, y))
-        want = _plain_add(x, y)
-        assert _same(x + y, want)
-        if _associate_pair(x, y) and len(want.den) < len(x._over_common(y)[2]):
-            associate_cancelled += 1
-    assert associate_cancelled
+        assert _same(x + y, _plain_add(x, y))
+    # the constructor stores a Gaussian factor and its associate as one factor, the
+    # numerator taking the unit: 1 / (1 - i Z^e0) = i Z^-e0 / (1 + i Z^-e0)
+    e0 = (1,) + (0,) * (sys.rank - 1)
+    neg, i = tuple(-a for a in e0), quadext(0, 1, -1)
+    gauss, assoc = BinomialFactor.make(i, e0), BinomialFactor.make(-i, neg)
+    x = RationalElt(LaurentPoly.one(sys.rank), [gauss, assoc])
+    assert x.den == (assoc, assoc) and x.num == LaurentPoly.monomial(neg, i)
 
 
 def _word(rng, n, rank, with_f):

@@ -32,7 +32,7 @@ from blhecke.linalg import mat_pow, mat_vec, rref, triangular_kernel
 from blhecke.memo import GROUP_CAP, Memo
 from blhecke.principal import NEG_INF, Intertwiner
 from blhecke.scalars import as_scalar, is_zero
-from blhecke.stabilizer import TauStabilizer
+from blhecke.stabilizer import TauStabilizer, kato_check
 
 
 def series(alg, tau):
@@ -61,6 +61,15 @@ def test_act_examples(alg_a1_adjoint):
     assert ser.act(alg_a1_adjoint.monomial((1,)), x) == x.scale(Fraction(-1))
     got = ser.act(alg_a1_adjoint.T(s), x)
     assert got == x.scale(Fraction(3)) + v.scale(Fraction(4))
+
+
+def test_character_of_another_rank_rejected(alg_a2):
+    """A rank-1 character on the rank-2 lattice of A2 raises IncompatibleData,
+    naming both ranks, when the series or stabilizer is built."""
+    tau = Character.make([3])
+    for build in (lambda: series(alg_a2, tau), lambda: TauStabilizer(alg_a2, tau), lambda: kato_check(alg_a2, tau, 4, 3)):
+        with pytest.raises(IncompatibleData, match="Character of rank 1 in an algebra of rank 2"):
+            build()
 
 
 def test_act_requires_polynomial(alg_a1_adjoint):
