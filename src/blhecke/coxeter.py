@@ -7,8 +7,9 @@ reflection r_i is `reflect_coroot(i, alpha_j^vee)`, read off the Kac-Moody
 matrix.  The representation is faithful: if w(alpha_i^vee) > 0 for every i
 then l(w) = 0, so w = 1 (Kac, Infinite-Dimensional Lie Algebras, 3.11-3.13,
 applied to the dual datum, whose real roots are the coroots).  Descents are
-sign tests on one column.  The word, N(w) and the Y-action (needed only to
-twist exponents and characters) each step from the interned left factor
+sign tests on one column; the neighbours r_i w and w r_i are kept once asked
+(`left_simple`, `right_simple`).  The word, N(w) and the Y-action (needed only
+to twist exponents and characters) each step from the interned left factor
 w' = r_i w, i the least left descent: word(w) = (i,) + word(w') as ShortLex
 is greedy, N(w) = N(w') + {w'^{-1}(alpha_i^vee)} (Humphreys, Reflection
 Groups and Coxeter Groups, 5.6), and w acts on Y as r_i after w'.  These,
@@ -81,6 +82,7 @@ class WeylElement:
     mat: Mat
     inv: Mat
     _left: dict = field(default_factory=dict, repr=False)  # i -> r_i * self
+    _right: dict = field(default_factory=dict, repr=False)  # i -> self * r_i
 
     def __eq__(self, other):
         if self is other:
@@ -118,6 +120,10 @@ class WeylElement:
         return _negative_columns(self.inv)
 
     @cached_property
+    def right_descents(self) -> frozenset[int]:
+        return _negative_columns(self.mat)
+
+    @cached_property
     def inversions(self) -> tuple[Coroot, ...]:
         """N(w) = N(w') + {w'^{-1}(alpha_i^vee)} for w' = r_i w, sorted by
         `sort_key`: the stabilizer's least fixed inversion reads the order."""
@@ -142,6 +148,10 @@ class WeylElement:
         if out is None:
             out = self._left[i] = self.group.simple(i) * self
         return out
+
+    def right_simple(self, i: int) -> "WeylElement":
+        """w * r_i, remembered on the element."""
+        return self._right.get(i) or self._right.setdefault(i, self * self.group.simple(i))
 
     def inverse(self) -> "WeylElement":
         return self.group.intern(self.inv, self.mat)

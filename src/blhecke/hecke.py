@@ -9,9 +9,10 @@ the quadratic relation forces the intertwiner normalization F_s = T_s - Q_s^T
 (the sign that makes theta * F_w = F_w * ^(w^-1) theta and F_s^2 = zeta_s ^s
 zeta_s exact identities); see the repository notes for the worked derivation.
 
-A product h * T_v theta_v multiplies all of h on the right by each letter s of
-v's canonical word, T_x phi T_s = T_x Omega_s(phi) + T_x T_s ^s(phi), with T_x T_s by
-the quadratic relation (l(xs) < l(x) iff x(alpha_i^vee) < 0), and then by theta_v.
+A product h * T_v theta_v multiplies all of h on the right by each letter s of v's canonical word,
+T_x phi T_s = T_x Omega_s(phi) + T_x T_s ^s(phi): Omega_s(phi) and ^s(phi) in one pass (`omega_twist`,
+none for a constant phi), T_x T_s by the quadratic relation on xs and the descent (l(xs) < l(x) iff
+x(alpha_i^vee) < 0), both kept on x; then by theta_v, a scaling if constant and no work if it is 1.
 One coefficient per T_x is kept, so like terms merge after every letter: Z^(e_1) T_w
 on affine A1 takes l(l-1) + 1 Omega calls, l = l(w), where a recursion without merging takes 2^(l+1) - 1.
 """
@@ -45,6 +46,14 @@ class HeckeAlgebra:
         return WeylGroup(self.system)
 
     @cached_property
+    def _unit(self) -> RationalElt:
+        return RationalElt.from_scalar(ONE, self.system.rank)
+
+    @cached_property
+    def _sigma2(self) -> tuple[Scalar, ...]:
+        return tuple(s ** 2 for s in self.params.sigma)
+
+    @cached_property
     def _cache(self) -> dict[str, Memo]:
         """The memos of (system, params), shared by equal algebras (see the memo module)."""
         return _algebra_memos.once((self.system, self.params), lambda: {
@@ -64,7 +73,7 @@ class HeckeAlgebra:
         return self.T(self.group.identity)
 
     def T(self, w: WeylElement) -> "HeckeElt":
-        return HeckeElt(self, {self._check_element(w): RationalElt.from_scalar(ONE, self.system.rank)})
+        return HeckeElt(self, {self._check_element(w): self._unit})
 
     def _check_element(self, w: WeylElement) -> WeylElement:
         if w.system is not self.system and w.system != self.system:
@@ -116,18 +125,24 @@ class HeckeAlgebra:
         return self._cache["sigma"].once(c, make)
 
     def omega(self, i: int, theta: RationalElt) -> RationalElt:
-        """Omega_s(theta) = Q_s^T (theta - ^s theta); on a polynomial, the sum of its terms
-        c Z^lam times their walks (`omega_walk`), which depend on n = alpha_s(lam) alone."""
+        """Omega_s(theta) = Q_s^T (theta - ^s theta), the first of `omega_twist`."""
+        return self.omega_twist(i, theta)[0]
+
+    def omega_twist(self, i: int, theta: RationalElt) -> tuple[RationalElt, RationalElt]:
+        """(Omega_s(theta), ^s theta); on a polynomial, one pass over the walks of its terms c Z^lam
+        (`omega_walk`, a function of n = alpha_s(lam)), whose last points Z^(lam + |n| step) are ^s Z^lam."""
         poly = self.check_rank(theta).is_polynomial()
         if poly is None:
-            return self._omega(i, theta)
-        out: dict = {}
+            return self.q_s(i) * (theta - (twisted := theta.twist(self.group.simple(i)))), twisted
+        out, twisted = {}, {}
         for lam, c in poly.terms.items():
-            step, _, coeffs = self.omega_walk(i, lam)
+            step, n, coeffs = self.omega_walk(i, lam)
             for j, cj in coeffs.items():
                 mu = tuple(x + j * a for x, a in zip(lam, step))
                 out[mu] = out.get(mu, 0) + c * cj
-        return RationalElt.from_poly(LaurentPoly(self.system.rank, out))
+            twisted[tuple(x + n * a for x, a in zip(lam, step))] = c
+        omega = LaurentPoly._raw(self.system.rank, {mu: as_scalar(c) for mu, c in out.items()})
+        return RationalElt._raw(omega, ()), RationalElt._raw(LaurentPoly._raw(self.system.rank, twisted), ())
 
     def omega_walk(self, i: int, lam: tuple) -> tuple[tuple, int, dict[int, Scalar]]:
         """(step, |n|, {j: c_j}) with Omega_s(Z^lam) = sum_j c_j Z^(lam + j step), memoized by (i, n), n = alpha_s(lam):
@@ -277,8 +292,9 @@ class HeckeElt:
             coeffs = self.coeffs
             for i in v.word:
                 coeffs = _right_T_gen(alg, i, coeffs)
+            const = theta_v.constant_value()
             for x, c in coeffs.items():
-                _add(out, x, c * theta_v)
+                _add(out, x, c if const == 1 else c * theta_v if const is None else c.scale(const))
         return HeckeElt(alg, out)
 
     def __eq__(self, other):
@@ -307,18 +323,17 @@ def _add(out: dict, w: WeylElement, c) -> None:
 def _right_T_gen(alg: HeckeAlgebra, i: int, coeffs: dict[WeylElement, RationalElt]) -> dict:
     """Right multiplication by T_s, s = s_i, of an element in normal form (module docstring)."""
     out: dict = {}
-    s = alg.group.simple(i)
-    sigma2 = alg.params.sigma[i] ** 2
+    sigma2 = alg._sigma2[i]
     for x, phi in coeffs.items():
         if phi.constant_value() is None:
-            _add(out, x, alg.omega(i, phi))
-            phi = phi.twist(s)
-        if any(row[i] < 0 for row in x.mat):
+            omega, phi = alg.omega_twist(i, phi)
+            _add(out, x, omega)
+        if i in x.right_descents:
             # l(xs) = l(x) - 1: T_x T_s = (sigma^2-1) T_x + sigma^2 T_xs
             _add(out, x, phi.scale(sigma2 - 1))
-            _add(out, x * s, phi.scale(sigma2))
+            _add(out, x.right_simple(i), phi.scale(sigma2))
         else:
-            _add(out, x * s, phi)
+            _add(out, x.right_simple(i), phi)
     return out
 
 

@@ -57,8 +57,8 @@ validation; `rootdata.standard_system` and `validate_system` themselves stay
 uncached, so a library caller gets a fresh system.
 
 Attributes bounded by their object, such as `functools.cached_property`
-values and `WeylElement._left` (at most one entry per generator), are not
-caches in this sense.
+values and `WeylElement._left` and `_right` (at most one entry per generator
+each), are not caches in this sense.
 """
 
 from __future__ import annotations

@@ -259,6 +259,18 @@ def test_left_simple_is_the_product(g2, affine_a2):
                 assert w.left_simple(i) is w.left_simple(i)
 
 
+@pytest.mark.parametrize("name", ["G2", "affine A2", "hyperbolic"])
+def test_right_neighbour_and_descents(name):
+    """On the ball of length 4: w.right_simple(i) is the interned w * s_i, kept
+    on w, and the right descents are the i with l(w s_i) < l(w)."""
+    group = WeylGroup(_ORACLE_DATA[name])
+    for w in group.ball(4):
+        for i in range(group.system.n):
+            assert w.right_simple(i) is w * group.simple(i)
+            assert w.right_simple(i) is w.right_simple(i)
+        assert w.right_descents == {i for i in range(group.system.n) if (w * group.simple(i)).length < w.length}
+
+
 def test_walks_hold_the_group(affine_a2, monkeypatch):
     """bruhat_leq and all_reduced_words step along the elements they hold:
     after a warm-up, no walk looks its group up."""

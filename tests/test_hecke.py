@@ -14,7 +14,7 @@ from blhecke import (
     evaluate,
     max_supp,
 )
-from blhecke.coxeter import all_reduced_words, enumerate_ball, inversion_coroots
+from blhecke.coxeter import WeylElement, all_reduced_words, enumerate_ball, inversion_coroots
 from blhecke.errors import IncompatibleData, NotInBLH
 from blhecke.hecke import HeckeAlgebra, HeckeElt
 from blhecke.identities import check_omega_polynomial, random_element, run_suite
@@ -402,16 +402,62 @@ def test_long_words_match_the_tree(name, ell):
 
 
 def test_omega_calls_grow_polynomially(alg_affine_a1, monkeypatch):
-    """Z^(e_1) T_w on affine A1 at l(w) = 16 makes l(l-1) + 1 = 241 Omega calls
-    for its 2l terms; the tree made 2^(l+1) - 1 = 65535."""
+    """Z^(e_1) T_w on affine A1 at l(w) = 16 makes l(l-1) + 1 = 241 one-pass Omega
+    calls for its 2l terms; the tree made 2^(l+1) - 1 = 65535."""
     ell, calls = 16, []
-    omega = HeckeAlgebra.omega
+    omega_twist = HeckeAlgebra.omega_twist
 
     def counted(self, i, theta):
         calls.append(i)
-        return omega(self, i, theta)
+        return omega_twist(self, i, theta)
 
     z, t = _zt(alg_affine_a1, ell)
-    monkeypatch.setattr(HeckeAlgebra, "omega", counted)
+    monkeypatch.setattr(HeckeAlgebra, "omega_twist", counted)
     assert len((z * t).coeffs) == 2 * ell
-    assert len(calls) <= ell ** 2
+    assert len(calls) == ell * (ell - 1) + 1
+
+
+def _typed_terms(x):
+    """The numerator terms of a rational element in stored order, with their coefficient types."""
+    return [(e, type(c), c) for e, c in x.num.terms.items()]
+
+
+@pytest.mark.parametrize("name", ["G2 q=4", "affine A2 q=4", "hyperbolic q=4", "A1 (2, 3)", "G2 q=2"])
+def test_omega_twist_is_omega_and_the_twist(name):
+    """One pass gives the pair (Omega_s(theta), ^s theta): Omega_s by its
+    definition Q_s^T (theta - ^s theta), with the same terms and coefficient types,
+    and the twist as `twist` stores it, on seeded polynomials and on the rational
+    coefficients of seeded F words."""
+    alg = ZETA_ALGEBRAS[name]
+    rng = random.Random(13)
+    rank = alg.system.rank
+    thetas = [RationalElt.from_poly(LaurentPoly(rank, {tuple(rng.randint(-3, 3) for _ in range(rank)):
+                                                       rng.choice([1, -3, Fraction(5, 2)]) for _ in range(4)}))
+              for _ in range(6)]
+    for _ in range(4):
+        thetas.extend(_word_element(alg, rng, True).coeffs.values())
+    assert any(theta.den for theta in thetas)
+    for theta in thetas:
+        for i in range(alg.system.n):
+            got, want = alg.omega_twist(i, theta), (alg._omega(i, theta), theta.twist(alg.group.simple(i)))
+            assert repr(got) == repr(want)
+            assert sorted(_typed_terms(got[0])) == sorted(_typed_terms(want[0])) and got[0].den == want[0].den
+            assert _typed_terms(got[1]) == _typed_terms(want[1]) and got[1].den == want[1].den
+
+
+@pytest.mark.parametrize("name, ell", [("affine A1 q=4", 12), ("affine A2 q=4", 12), ("hyperbolic q=4", 7)])
+def test_warm_t_word_product_makes_no_products(name, ell, monkeypatch):
+    """Z^(e_1) T_w a second time: the walks, the neighbours and the descents are
+    kept, and T_w's coefficient is 1, so no Weyl element, Laurent polynomial or
+    rational element is multiplied, and the product prints as the first."""
+    z, t = _zt(ZETA_ALGEBRAS[name], ell)
+    first = repr(z * t)
+    counts = {}
+    for cls in (WeylElement, LaurentPoly, RationalElt):
+        def counted(a, b, mul=cls.__mul__, key=cls.__name__):
+            counts[key] = counts.get(key, 0) + 1
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counted)
+    assert repr(z * t) == first
+    assert counts == {}
